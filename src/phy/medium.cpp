@@ -15,7 +15,8 @@ double influence_radius_m(const MediumConfig& config, Dbm tx_power) {
 Medium::Medium(MediumConfig config)
     : config_{std::move(config)},
       shadowing_{config_.shadowing_sigma_db, config_.seed},
-      next_frame_id_{config_.frame_id_base + 1} {
+      next_frame_id_{config_.frame_id_base + 1},
+      noise_mw_{to_milliwatts(config_.noise_floor)} {
   if (config_.culling.enabled) {
     double cell = config_.culling.cell_size_m;
     if (cell <= 0.0) cell = influence_radius_m(Dbm{0.0});
@@ -39,16 +40,18 @@ Vec2 Medium::position(NodeId node) const { return positions_[local_index(node)];
 void Medium::set_position(NodeId node, Vec2 position) {
   const std::size_t index = local_index(node);
   positions_[index] = position;
-  // O(1) invalidation of every cached pair involving the moved node: other
-  // nodes' entries snapshot this node's epoch and now fail the check; the
-  // node's own map is dropped outright (capacity retained).
+  // O(1) invalidation of every cached value involving the moved node: other
+  // nodes' pair entries and every frame's terms at this node snapshot its
+  // epoch and now fail the check; the node's own map is dropped outright
+  // (capacity retained).
   ++epochs_[index];
   loss_cache_[index].clear();
   // Re-bucket the mover's in-flight frames so the spatial index keeps
-  // answering from current positions.
+  // answering from current positions, and forget their terms at every rx.
   for (std::size_t i = 0; i < frame_slots_.size(); ++i) {
     ActiveFrame& af = frame_slots_[i];
     if (!af.live || af.frame.src != node) continue;
+    af.terms.clear();
     if (config_.culling.enabled) {
       grid_.remove(static_cast<std::uint32_t>(i), af.src_pos);
       grid_.insert(static_cast<std::uint32_t>(i), position);
@@ -76,42 +79,59 @@ double Medium::cached_loss_db(NodeId a, NodeId b) const {
   return entry.value;
 }
 
-double Medium::cached_ext_loss_db(const Frame& frame, NodeId rx) const {
-  auto it = ext_loss_cache_.find(frame.id);
-  if (it == ext_loss_cache_.end()) {
-    NodeValueMap map;
-    if (!spare_maps_.empty()) {
-      map = std::move(spare_maps_.back());
-      spare_maps_.pop_back();
-    }
-    it = ext_loss_cache_.emplace(frame.id, std::move(map)).first;
+Dbm Medium::compute_rss(const Frame& frame, NodeId rx) const {
+  // A foreign (region-mirrored) frame is placed at its src_pos snapshot.
+  const double loss =
+      owns(frame.src)
+          ? cached_loss_db(frame.src, rx)
+          : config_.path_loss.loss(distance(frame.src_pos, positions_[local_index(rx)])).value;
+  if (shadowing_.sigma_db() <= 0.0) {
+    return frame.tx_power - Db{loss};
   }
-  const std::size_t ri = local_index(rx);
-  NodeValueMap::Entry& entry = it->second.find_or_insert(rx);
-  if (entry.key != rx || entry.epoch != epochs_[ri]) {
-    entry.key = rx;
+  return frame.tx_power - Db{loss} + shadowing_.sample(frame.id, rx);
+}
+
+Medium::RxTerms& Medium::terms(std::uint32_t slot, NodeId rx) const {
+  const ActiveFrame& af = frame_slots_[slot];
+  const auto ri = static_cast<std::uint32_t>(local_index(rx));
+  NodeMap<RxTerms>::Entry& entry = af.terms.find_or_insert(ri);
+  if (entry.key != ri || entry.epoch != epochs_[ri]) {
+    entry.key = ri;
     entry.epoch = epochs_[ri];
-    entry.value = config_.path_loss.loss(distance(frame.src_pos, positions_[ri])).value;
+    entry.value = RxTerms{};
+    entry.value.rss_dbm = compute_rss(af.frame, rx).value;
   }
+#ifndef NDEBUG
+  // Debug cross-check: a served entry must equal a fresh computation — no
+  // stale RSS survives either endpoint moving.
+  assert(entry.value.rss_dbm == compute_rss(af.frame, rx).value &&
+         "stale frame-term entry served after node motion");
+#endif
   return entry.value;
 }
 
-double Medium::cached_shadow_db(FrameId frame, NodeId rx) const {
-  auto it = shadow_cache_.find(frame);
-  if (it == shadow_cache_.end()) {
-    NodeValueMap map;
-    if (!spare_maps_.empty()) {
-      map = std::move(spare_maps_.back());
-      spare_maps_.pop_back();
+double Medium::leaked_mw(std::uint32_t slot, NodeId rx, Mhz channel, Path path) const {
+  RxTerms& t = terms(slot, rx);
+  const Frame& f = frame_slots_[slot].frame;
+  if (t.channel_mhz[path] != channel.value) {
+    t.channel_mhz[path] = channel.value;
+    const Mhz delta = frequency_distance(f.channel, channel);
+    t.leaked_mw[path] = to_milliwatts(Dbm{t.rss_dbm} - leak_attenuation(f, delta, path)).value;
+  }
+#ifndef NDEBUG
+  // Debug cross-check against the untabulated curves and a fresh RSS.
+  {
+    const Mhz delta = frequency_distance(f.channel, channel);
+    Db attenuation = (path == kDecode ? config_.rejection : config_.sensing_rejection)
+                         .attenuation(delta);
+    if (f.emission != nullptr) {
+      attenuation = std::min(attenuation, f.emission->attenuation(delta));
     }
-    it = shadow_cache_.emplace(frame, std::move(map)).first;
+    assert(t.leaked_mw[path] == to_milliwatts(compute_rss(f, rx) - attenuation).value &&
+           "stale leaked-power entry served");
   }
-  NodeValueMap::Entry& entry = it->second.find_or_insert(rx);
-  if (entry.key != rx) {
-    entry.key = rx;
-    entry.value = shadowing_.sample(frame, rx).value;
-  }
-  return entry.value;
+#endif
+  return t.leaked_mw[path];
 }
 
 void Medium::add_listener(MediumListener* listener, NodeId node) {
@@ -153,8 +173,9 @@ void Medium::begin_tx(const Frame& frame) {
   // position; a foreign (region-mirrored) frame at its committed snapshot.
   const Vec2 src_pos = owns(frame.src) ? positions_[local_index(frame.src)] : frame.src_pos;
   const double radius = influence_radius_m(frame.tx_power);
-  // Notify first: listeners observe the pre-change interference set.
-  notify_listeners(frame, src_pos, radius, /*start=*/true);
+  // Claim the slot before notifying, so the listeners' rss() queries already
+  // fill the frame's terms; it stays out of gather() (not live, not in the
+  // grid) until after, so listeners observe the pre-change interference set.
   std::uint32_t slot;
   if (!free_frame_slots_.empty()) {
     slot = free_frame_slots_.back();
@@ -163,13 +184,20 @@ void Medium::begin_tx(const Frame& frame) {
     slot = static_cast<std::uint32_t>(frame_slots_.size());
     frame_slots_.emplace_back();
   }
-  ActiveFrame& af = frame_slots_[slot];
-  af.frame = frame;
-  af.src_pos = src_pos;
-  af.begin_seq = next_begin_seq_++;
-  af.radius = radius;
-  af.live = true;
+  {
+    ActiveFrame& af = frame_slots_[slot];
+    af.frame = frame;
+    af.src_pos = src_pos;
+    af.radius = radius;
+    af.terms.clear();
+  }
   slot_of_.emplace(frame.id, slot);
+  notify_listeners(frame, src_pos, radius, /*start=*/true);
+  // Re-reference: a listener may have begun a transmission, growing
+  // frame_slots_.
+  ActiveFrame& af = frame_slots_[slot];
+  af.begin_seq = next_begin_seq_++;
+  af.live = true;
   if (config_.culling.enabled) {
     grid_.insert(slot, af.src_pos);
     max_active_radius_ = std::max(max_active_radius_, af.radius);
@@ -197,41 +225,50 @@ void Medium::end_tx(FrameId id) {
   slot_of_.erase(it);
   --active_count_;
   if (active_count_ == 0) max_active_radius_ = 0.0;
-  // Recycle the memoized draws — purely a size bound: a late query about
-  // this frame (e.g. the receiver finalizing the reception) recomputes the
-  // identical values from the (seed, frame, node) hash.
-  const auto shadow = shadow_cache_.find(id);
-  if (shadow != shadow_cache_.end()) {
-    shadow->second.clear();
-    spare_maps_.push_back(std::move(shadow->second));
-    shadow_cache_.erase(shadow);
-  }
-  const auto ext = ext_loss_cache_.find(id);
-  if (ext != ext_loss_cache_.end()) {
-    ext->second.clear();
-    spare_maps_.push_back(std::move(ext->second));
-    ext_loss_cache_.erase(ext);
-  }
 }
 
 Dbm Medium::rss(const Frame& frame, NodeId rx) const {
   assert(owns(rx));
-  const double loss =
-      owns(frame.src) ? cached_loss_db(frame.src, rx) : cached_ext_loss_db(frame, rx);
-  if (shadowing_.sigma_db() <= 0.0) {
-    return frame.tx_power - Db{loss};
-  }
-  return frame.tx_power - Db{loss} + Db{cached_shadow_db(frame.id, rx)};
+  const auto it = slot_of_.find(frame.id);
+  // Off the air (e.g. a receiver finalizing after end_tx): recompute; the
+  // shadowing draw is a pure hash of (seed, frame, rx), so the value agrees.
+  if (it == slot_of_.end()) return compute_rss(frame, rx);
+  const double rss_dbm = terms(it->second, rx).rss_dbm;
+  // The entry belongs to the on-air frame with this id; the caller's copy
+  // must describe the same transmission.
+  assert(rss_dbm == compute_rss(frame, rx).value && "rss() asked about a different frame");
+  return Dbm{rss_dbm};
 }
 
-Db Medium::leak_attenuation(const Frame& f, Mhz delta, const ChannelRejection& rejection) {
-  Db attenuation = rejection.attenuation(delta);
+Db Medium::rejection_db(Mhz delta, Path path) const {
+  for (const RejectionRow& row : rejection_table_) {
+    if (row.delta_mhz == delta.value) return row.attenuation[path];
+  }
+  rejection_table_.push_back({delta.value,
+                              {config_.rejection.attenuation(delta),
+                               config_.sensing_rejection.attenuation(delta)}});
+  return rejection_table_.back().attenuation[path];
+}
+
+Db Medium::leak_attenuation(const Frame& f, Mhz delta, Path path) const {
+  Db attenuation = rejection_db(delta, path);
   if (f.emission != nullptr) {
     // Wideband transmitter: whatever its emission mask puts into the
     // receiver's passband arrives regardless of the receiver's filter.
     attenuation = std::min(attenuation, f.emission->attenuation(delta));
   }
   return attenuation;
+}
+
+bool Medium::leaks_above_noise(const Frame& f, Dbm rss, Mhz channel) const {
+  // Only inter-channel frames whose leaked energy clears the noise floor
+  // count; a transmission on the far side of the band is not a collision.
+  const Mhz delta = frequency_distance(f.channel, channel);
+  return rss - leak_attenuation(f, delta, kDecode) > config_.noise_floor;
+}
+
+bool Medium::inter_channel_audible(const Frame& frame, NodeId rx, Mhz channel) const {
+  return leaks_above_noise(frame, rss(frame, rx), channel);
 }
 
 void Medium::gather(NodeId node, bool ordered, bool force_exhaustive) const {
@@ -257,28 +294,26 @@ void Medium::gather(NodeId node, bool ordered, bool force_exhaustive) const {
   if (ordered) std::sort(scratch_.begin(), scratch_.end());
 }
 
-MilliWatts Medium::accumulate(NodeId node, Mhz channel, FrameId exclude,
-                              const ChannelRejection& rejection) const {
+MilliWatts Medium::accumulate(NodeId node, Mhz channel, FrameId exclude, Path path) const {
   gather(node, /*ordered=*/true);
-  MilliWatts total = to_milliwatts(config_.noise_floor);
+  MilliWatts total = noise_mw_;
   for (const auto& candidate : scratch_) {
     const Frame& f = frame_slots_[candidate.second].frame;
     if (f.id == exclude) continue;
     if (f.src == node) continue;  // a node never senses its own signal
-    const Mhz delta = frequency_distance(f.channel, channel);
-    total += to_milliwatts(rss(f, node) - leak_attenuation(f, delta, rejection));
+    total += MilliWatts{leaked_mw(candidate.second, node, channel, path)};
   }
   return total;
 }
 
 Dbm Medium::sense_energy(NodeId node, Mhz channel) const {
   // CCA is an energy read: only the analog filter attenuates neighbours.
-  return to_dbm(accumulate(node, channel, /*exclude=*/0, config_.sensing_rejection));
+  return to_dbm(accumulate(node, channel, /*exclude=*/0, kSensing));
 }
 
 Dbm Medium::interference(NodeId rx, Mhz channel, FrameId exclude) const {
   // Decoding interference: filter + despreading gain both reject neighbours.
-  return to_dbm(accumulate(rx, channel, exclude, config_.rejection));
+  return to_dbm(accumulate(rx, channel, exclude, kDecode));
 }
 
 bool Medium::carrier_present(NodeId node, Mhz channel, Dbm sensitivity) const {
@@ -291,7 +326,7 @@ bool Medium::carrier_present(NodeId node, Mhz channel, Dbm sensitivity) const {
     const Frame& f = frame_slots_[candidate.second].frame;
     if (f.src == node) continue;
     if (!same_channel(f.channel, channel)) continue;
-    if (rss(f, node) >= sensitivity) return true;
+    if (Dbm{terms(candidate.second, node).rss_dbm} >= sensitivity) return true;
   }
   return false;
 }
@@ -307,12 +342,8 @@ Medium::Overlap Medium::overlap(NodeId rx, Mhz channel, FrameId exclude) const {
     if (f.id == exclude || f.src == rx) continue;
     if (same_channel(f.channel, channel)) {
       result.co = true;
-    } else {
-      // Only count inter-channel frames whose leaked energy clears the noise
-      // floor; a transmission on the far side of the band is not a collision.
-      const Mhz delta = frequency_distance(f.channel, channel);
-      const Db rejection = leak_attenuation(f, delta, config_.rejection);
-      if (rss(f, rx) - rejection > config_.noise_floor) result.inter = true;
+    } else if (leaks_above_noise(f, Dbm{terms(candidate.second, rx).rss_dbm}, channel)) {
+      result.inter = true;
     }
   }
   return result;

@@ -27,17 +27,25 @@
 // the exhaustive path — which is pinned by tests and keeps the golden stores
 // byte-stable.
 //
-// Hot-path caching: rss() is a pure function of (frame, rx) — tx power minus
-// a position-determined path loss plus a hash-determined shadowing draw —
-// and it is queried once per relevant frame per CCA/SINR evaluation,
-// millions of times per run. The medium memoizes both pieces sparsely (a
-// node only ever asks about its radio neighbours):
-//   * pairwise path loss in per-node open-addressing maps whose entries
-//     snapshot the other endpoint's motion epoch — set_position invalidates
-//     every pair involving the moved node in O(1) by bumping its epoch, and
-//   * per-(frame id, rx) shadowing draws in pooled maps, recycled when the
-//     frame leaves the air (recomputation is bit-identical, so eviction is a
-//     pure perf event).
+// Hot-path caching: every query reduces to per-(frame, rx) terms — the
+// frame's RSS at the receiver (tx power minus a position-determined path
+// loss plus a hash-determined shadowing draw) and the linear power it leaks
+// into the receiver's tuned channel on the sensing and decode paths. Those
+// are asked for once per relevant frame per CCA/SINR evaluation, millions of
+// times per run, so each is computed once:
+//   * pairwise path loss lives in per-node open-addressing maps whose
+//     entries snapshot the other endpoint's motion epoch — set_position
+//     invalidates every pair involving the moved node in O(1) by bumping
+//     its epoch;
+//   * everything per frame lives on the in-flight frame's slot: a sparse map
+//     keyed by local rx index holding the RSS (stamped with the rx's motion
+//     epoch) and the sensing- and decode-path milliwatts (each stamped with
+//     the rx channel it was computed for). A claimed slot starts empty, and
+//     a transmitter's move clears its in-flight frames' maps;
+//   * rejection attenuation is tabulated per channel distance, which takes
+//     only a handful of values.
+// Every memoized value is the same double a fresh computation yields (debug
+// builds assert it on every hit), so caching never moves a result.
 // The caches make the const query methods write to mutable state; a Medium
 // is single-threaded like the Scenario that owns it (parallel replication
 // runs one Medium per thread — see sim/parallel.hpp).
@@ -45,6 +53,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -169,6 +178,12 @@ class Medium {
   /// own) are on the air right now, from `rx`'s perspective on `channel`.
   [[nodiscard]] Overlap overlap(NodeId rx, Mhz channel, FrameId exclude) const;
 
+  /// Does `frame`, sent off `channel`, leak energy above the noise floor
+  /// into a decoder at `rx` tuned to `channel`? The one inter-channel
+  /// audibility rule: overlap() applies it to every frame on the air, and a
+  /// receiver applies it to a frame starting mid-reception.
+  [[nodiscard]] bool inter_channel_audible(const Frame& frame, NodeId rx, Mhz channel) const;
+
   /// Carrier-sense detector: is a CO-CHANNEL transmission (not `node`'s own)
   /// in progress whose RSS at `node` clears `sensitivity`? This is what the
   /// CC2420's CCA modes 2/3 report — modulation detection only works on the
@@ -193,6 +208,21 @@ class Medium {
   [[nodiscard]] bool culling_enabled() const { return config_.culling.enabled; }
 
  private:
+  /// Which receive path a leaked power is for: the demodulator (decode
+  /// rejection, SINR) or the CCA energy detector (sensing rejection).
+  enum Path : std::size_t { kDecode = 0, kSensing = 1 };
+
+  /// The per-(frame, rx) terms every query is built from. The RSS is valid
+  /// while the map entry's epoch equals the rx's motion epoch; each path's
+  /// milliwatts are valid for the rx channel stamped beside them (NaN: not
+  /// computed yet).
+  struct RxTerms {
+    double rss_dbm = 0.0;
+    double channel_mhz[2] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::quiet_NaN()};
+    double leaked_mw[2] = {0.0, 0.0};
+  };
+
   /// An in-flight frame, pool-allocated: slots are recycled through a free
   /// list so steady-state begin/end traffic does not allocate, and the grid
   /// can refer to frames by stable 32-bit slot index.
@@ -201,29 +231,37 @@ class Medium {
     Vec2 src_pos{};               ///< transmitter position as bucketed in the grid
     std::uint64_t begin_seq = 0;  ///< global begin_tx order: fixes summation order
     double radius = 0.0;          ///< influence radius in metres
-    bool live = false;
+    bool live = false;            ///< visible to gather()
+    /// Memoized terms keyed by local rx index; emptied when the slot is
+    /// claimed and when the transmitter moves.
+    mutable NodeMap<RxTerms> terms;
   };
 
   [[nodiscard]] MilliWatts accumulate(NodeId node, Mhz channel, FrameId exclude,
-                                      const ChannelRejection& rejection) const;
+                                      Path path) const;
   /// Deliver on_tx_start/on_tx_end for `frame` to every listener inside its
   /// influence disc (all listeners when culling is off).
   void notify_listeners(const Frame& frame, Vec2 src_pos, double radius, bool start);
-  /// How much of frame `f`'s energy leaks into a receiver tuned `delta` away:
-  /// the receiver's filter curve, floored by the transmitter's own emission
-  /// mask when one is attached (a wide transmitter puts power inside a
-  /// narrow receiver's passband no matter how good the receiver's filter
-  /// is). Shared by accumulate() and overlap() so the two cannot drift.
-  [[nodiscard]] static Db leak_attenuation(const Frame& f, Mhz delta,
-                                           const ChannelRejection& rejection);
+  /// How much of frame `f`'s energy leaks into a receiver tuned `delta` away
+  /// on `path`: the receiver's filter curve, floored by the transmitter's
+  /// own emission mask when one is attached (a wide transmitter puts power
+  /// inside a narrow receiver's passband no matter how good the receiver's
+  /// filter is).
+  [[nodiscard]] Db leak_attenuation(const Frame& f, Mhz delta, Path path) const;
+  /// `path`'s rejection curve at `delta`, looked up in rejection_table_.
+  [[nodiscard]] Db rejection_db(Mhz delta, Path path) const;
+  /// The inter_channel_audible() rule for a frame whose RSS at the receiver
+  /// is already known.
+  [[nodiscard]] bool leaks_above_noise(const Frame& f, Dbm rss, Mhz channel) const;
+  /// RSS of `frame` at `rx` from scratch (bar the pair path-loss cache).
+  [[nodiscard]] Dbm compute_rss(const Frame& frame, NodeId rx) const;
+  /// The memoized terms of the frame in `slot` at `rx`, with the RSS filled.
+  [[nodiscard]] RxTerms& terms(std::uint32_t slot, NodeId rx) const;
+  /// The milliwatts the frame in `slot` leaks into `rx` tuned to `channel`.
+  [[nodiscard]] double leaked_mw(std::uint32_t slot, NodeId rx, Mhz channel, Path path) const;
   /// Memoized PL(distance(a, b)); entries staled by either endpoint moving.
   /// Both endpoints must be locally registered.
   [[nodiscard]] double cached_loss_db(NodeId a, NodeId b) const;
-  /// Memoized PL between a foreign frame's src_pos snapshot and local `rx`,
-  /// keyed per frame id (recycled when the frame leaves the air).
-  [[nodiscard]] double cached_ext_loss_db(const Frame& frame, NodeId rx) const;
-  /// Memoized shadowing draw for (frame id, rx).
-  [[nodiscard]] double cached_shadow_db(FrameId frame, NodeId rx) const;
 
   /// Dense storage index of a locally registered node.
   [[nodiscard]] std::size_t local_index(NodeId node) const {
@@ -252,7 +290,8 @@ class Medium {
   MediumConfig config_;
   ShadowingField shadowing_;
   std::vector<Vec2> positions_;
-  /// Bumped when the node moves; loss-cache entries snapshot it (see below).
+  /// Bumped when the node moves; loss-cache and frame-term entries snapshot
+  /// it (see below).
   std::vector<std::uint32_t> epochs_;
   std::vector<ListenerEntry> listeners_;
   FrameId next_frame_id_ = 1;
@@ -273,13 +312,15 @@ class Medium {
   /// time. A move bumps the mover's epoch and clears its own map: every
   /// stale pair then fails the epoch check on its next lookup.
   mutable std::vector<NodeValueMap> loss_cache_;
-  /// Per-frame shadowing draws keyed by rx; map storage recycles through
-  /// spare_maps_ when frames leave the air.
-  mutable std::unordered_map<FrameId, NodeValueMap> shadow_cache_;
-  /// Path loss from a foreign frame's src_pos snapshot, keyed like
-  /// shadow_cache_ and recycled through the same pool.
-  mutable std::unordered_map<FrameId, NodeValueMap> ext_loss_cache_;
-  mutable std::vector<NodeValueMap> spare_maps_;
+  /// Both rejection curves at each channel distance seen so far: at most
+  /// one row per pair of channels in use, a handful in practice.
+  struct RejectionRow {
+    double delta_mhz = 0.0;
+    Db attenuation[2];  ///< indexed by Path
+  };
+  mutable std::vector<RejectionRow> rejection_table_;
+  /// to_milliwatts(noise_floor), the starting value of every accumulation.
+  MilliWatts noise_mw_{};
   /// Query candidate buffer, reused across queries (single-threaded).
   mutable std::vector<std::pair<std::uint64_t, std::uint32_t>> scratch_;
 };

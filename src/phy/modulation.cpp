@@ -23,7 +23,12 @@ double oqpsk_ber(double sinr_db) {
   double sum = 0.0;
   for (int k = 2; k <= 16; ++k) {
     const double sign = (k % 2 == 0) ? 1.0 : -1.0;
-    sum += sign * kBinom16[k] * std::exp(20.0 * gamma * (1.0 / k - 1.0));
+    const double term = sign * kBinom16[k] * std::exp(20.0 * gamma * (1.0 / k - 1.0));
+    // The exponent falls with k, so once a term underflows to exactly zero
+    // every later one does too: stopping here adds nothing but ±0.0 less.
+    // Above ~18.7 dB even k = 2 underflows and the sum is one exp.
+    if (term == 0.0) break;
+    sum += term;
   }
   const double ber = (8.0 / 15.0) * (1.0 / 16.0) * sum;
   if (ber < 0.0) return 0.0;

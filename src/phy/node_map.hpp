@@ -1,31 +1,35 @@
-// Small open-addressing map from node id to a cached double.
+// Small open-addressing map from node id to a cached value.
 //
-// The medium's hot-path memoization (pairwise path loss, per-frame shadowing
-// draws) used to live in dense per-node arrays — O(N) per frame and O(N^2)
-// overall, which is exactly what a city-scale node count cannot afford. With
-// spatial culling a node only ever asks about its ~tens of radio neighbours,
-// so the caches are sparse: this map stores just the pairs actually queried,
-// with open addressing and power-of-two sizing so a lookup is one or two
-// cache probes and never hashes through std::unordered_map machinery.
+// The medium's hot-path memoization (pairwise path loss, per-frame RSS and
+// leaked power) used to live in dense per-node arrays — O(N) per frame and
+// O(N^2) overall, which is exactly what a city-scale node count cannot
+// afford. With spatial culling a node only ever asks about its ~tens of
+// radio neighbours, so the caches are sparse: this map stores just the keys
+// actually queried, with open addressing and power-of-two sizing so a lookup
+// is one or two cache probes and never hashes through std::unordered_map
+// machinery.
 //
-// Each entry carries a caller-managed epoch tag. The loss cache uses it for
-// O(1) motion invalidation: entries snapshot the *other* node's epoch at
-// compute time, so bumping a node's epoch atomically stales every cached
-// pair involving it without walking anything (see Medium::set_position).
+// Each entry carries a caller-managed epoch tag. The caches use it for O(1)
+// motion invalidation: entries snapshot a node's motion epoch at compute
+// time, so bumping that node's epoch atomically stales every cached value
+// that depends on its position without walking anything (see
+// Medium::set_position).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace nomc::phy {
 
-class NodeValueMap {
+template <class Value>
+class NodeMap {
  public:
   struct Entry {
     std::uint32_t key = kEmpty;
     std::uint32_t epoch = 0;
-    double value = 0.0;
+    Value value{};
   };
 
   /// Sentinel: no node id (they are dense, starting at 0) ever equals it.
@@ -52,8 +56,9 @@ class NodeValueMap {
     }
   }
 
-  /// Drop every entry, keeping the allocated capacity (the maps are pooled).
+  /// Drop every entry, keeping the allocated capacity (maps are reused).
   void clear() {
+    if (size_ == 0) return;
     for (Entry& e : table_) e = Entry{};
     size_ = 0;
   }
@@ -87,5 +92,8 @@ class NodeValueMap {
   std::vector<Entry> table_;
   std::size_t size_ = 0;
 };
+
+/// Node id -> cached double (the medium's pairwise path-loss cache).
+using NodeValueMap = NodeMap<double>;
 
 }  // namespace nomc::phy

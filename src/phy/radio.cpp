@@ -227,15 +227,8 @@ void Radio::on_tx_start(const Frame& frame) {
         // The stolen-from frame is still on the air: it overlaps the new one.
         rx_->overlapped_co = true;
       }
-    } else {
-      const Mhz delta = frequency_distance(frame.channel, config_.channel);
-      Db rejection = medium_.rejection().attenuation(delta);
-      if (frame.emission != nullptr) {
-        rejection = std::min(rejection, frame.emission->attenuation(delta));
-      }
-      if (medium_.rss(frame, self_) - rejection > medium_.noise_floor()) {
-        rx_->overlapped_inter = true;
-      }
+    } else if (medium_.inter_channel_audible(frame, self_, config_.channel)) {
+      rx_->overlapped_inter = true;
     }
   }
   // State kTx: nothing to do; we are deaf while transmitting.

@@ -50,7 +50,9 @@ ChannelRejection::ChannelRejection(std::vector<Anchor> anchors) : anchors_{std::
 Db ChannelRejection::attenuation(Mhz delta_f) const {
   const double d = delta_f.value < 0.0 ? -delta_f.value : delta_f.value;
   if (d >= anchors_.back().offset.value) return anchors_.back().attenuation;
-  // Linear scan: the table is tiny and this sits on the hot path's cold side.
+  // Linear scan over a tiny table. Per-term callers must not reach it: at
+  // paper scale that is tens of millions of calls, so phy::Medium tabulates
+  // its two curves per channel distance.
   for (std::size_t i = 1; i < anchors_.size(); ++i) {
     if (d <= anchors_[i].offset.value) {
       const auto& lo = anchors_[i - 1];

@@ -10,7 +10,9 @@
 // are dropped, and that motion keeps the caches and the grid coherent.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "phy/medium.hpp"
@@ -112,7 +114,7 @@ TEST(MediumCulling, PaperScaleIsBitIdenticalToExhaustive) {
       on_air.push_back(twins.begin(src, channel, power));
     }
     twins.expect_identical_views(on_air);
-    // End a prefix: exercises slot recycling and shadow-map pooling while
+    // End a prefix: exercises slot and frame-term recycling while
     // later frames keep their begin order.
     for (int k = 0; k < 2 && !on_air.empty(); ++k) {
       twins.end(on_air.front().id);
@@ -159,6 +161,139 @@ TEST(MediumCulling, MotionInvalidationMatchesFreshlyBuiltMedium) {
       ASSERT_EQ(twins.culled.rss(frame, node).value, fresh.rss(frame, node).value);
     }
   }
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// Every query a radio or MAC issues at every node, on every channel and
+/// about every frame on the air, compared bitwise between two mediums.
+void expect_bitwise_same_answers(const Medium& warm, const Medium& fresh,
+                                 const std::vector<Frame>& on_air) {
+  ASSERT_EQ(warm.node_count(), fresh.node_count());
+  for (NodeId node = 0; node < warm.node_count(); ++node) {
+    for (const Mhz channel : kChannels) {
+      ASSERT_EQ(bits(warm.sense_energy(node, channel).value),
+                bits(fresh.sense_energy(node, channel).value))
+          << "sense_energy at node " << node << " on " << channel.value;
+      ASSERT_EQ(warm.carrier_present(node, channel, Dbm{-77.0}),
+                fresh.carrier_present(node, channel, Dbm{-77.0}));
+      for (const Frame& frame : on_air) {
+        ASSERT_EQ(bits(warm.interference(node, channel, frame.id).value),
+                  bits(fresh.interference(node, channel, frame.id).value))
+            << "interference at node " << node << " excluding frame " << frame.id;
+        const Medium::Overlap a = warm.overlap(node, channel, frame.id);
+        const Medium::Overlap b = fresh.overlap(node, channel, frame.id);
+        ASSERT_EQ(a.co, b.co);
+        ASSERT_EQ(a.inter, b.inter);
+        ASSERT_EQ(warm.inter_channel_audible(frame, node, channel),
+                  fresh.inter_channel_audible(frame, node, channel));
+      }
+    }
+    for (const Frame& frame : on_air) {
+      ASSERT_EQ(bits(warm.rss(frame, node).value), bits(fresh.rss(frame, node).value))
+          << "rss of frame " << frame.id << " at node " << node;
+    }
+  }
+}
+
+TEST(MediumCulling, FrameTermMemoMatchesFreshlyBuiltMediumAfterMidFrameChanges) {
+  // The per-(frame, rx) terms are computed once per frame's time on the air.
+  // Warm them with interleaved queries, then change what they depend on
+  // mid-frame — the receiver moves, an in-flight transmitter moves, a node
+  // is asked about a second channel — and require every answer to equal a
+  // medium built from scratch at the final geometry, bit for bit. The mix
+  // includes a wideband frame (emission mask floors the rejection) and a
+  // foreign frame modelled from its src_pos snapshot.
+  const ChannelRejection wide_mask{std::vector<ChannelRejection::Anchor>{
+      {Mhz{0.0}, Db{0.0}}, {Mhz{8.0}, Db{0.0}}, {Mhz{11.0}, Db{20.0}}, {Mhz{30.0}, Db{45.0}}}};
+  constexpr NodeId kForeignSrc = 500;  // registered with neither medium
+
+  Medium warm{config_with(true)};
+  const NodeId a = warm.add_node({0.0, 0.0});
+  const NodeId b = warm.add_node({10.0, 0.0});
+  const NodeId c = warm.add_node({0.0, 15.0});
+  const NodeId d = warm.add_node({6.0, 6.0});
+  ASSERT_FALSE(warm.owns(kForeignSrc));
+
+  auto make = [&warm](NodeId src, Mhz channel, Dbm power) {
+    Frame frame;
+    frame.id = warm.allocate_frame_id();
+    frame.src = src;
+    frame.channel = channel;
+    frame.tx_power = power;
+    frame.psdu_bytes = 100;
+    return frame;
+  };
+  Frame to_c = make(a, kChannels[0], Dbm{0.0});  // c decodes this one
+  Frame wideband = make(b, kChannels[1], Dbm{-3.0});
+  wideband.emission = &wide_mask;
+  Frame foreign = make(kForeignSrc, kChannels[2], Dbm{-2.0});
+  foreign.src_pos = {20.0, 5.0};
+  const Frame late = make(d, kChannels[0], Dbm{-5.0});
+  const Frame reuse = make(d, kChannels[2], Dbm{-1.0});  // claims late's recycled slot
+
+  // The begin/end history, replayed verbatim on the fresh medium.
+  struct Step {
+    bool begin;
+    Frame frame;
+  };
+  const std::vector<Step> history = {
+      {true, to_c}, {true, wideband}, {true, foreign}, {true, late}, {false, late}, {true, reuse}};
+
+  auto warm_up = [&warm, &c](const std::vector<Frame>& on_air) {
+    for (NodeId node = 0; node < warm.node_count(); ++node) {
+      (void)warm.sense_energy(node, kChannels[0]);
+      for (const Frame& frame : on_air) {
+        (void)warm.rss(frame, node);
+        (void)warm.interference(node, kChannels[0], frame.id);
+        (void)warm.overlap(node, kChannels[0], frame.id);
+      }
+    }
+    (void)warm.sense_energy(c, kChannels[0]);
+  };
+  std::vector<Frame> on_air;
+  for (const Step& step : history) {
+    if (step.begin) {
+      warm.begin_tx(step.frame);
+      on_air.push_back(step.frame);
+    } else {
+      warm.end_tx(step.frame.id);
+      std::erase_if(on_air, [&step](const Frame& f) { return f.id == step.frame.id; });
+    }
+    warm_up(on_air);
+  }
+
+  // Mid-frame changes: the receiver moves, an in-flight transmitter (the
+  // wideband one) moves, and the receiver is asked about a second channel.
+  warm.set_position(c, {2.0, 3.0});
+  warm.set_position(b, {-4.0, 7.0});
+  (void)warm.sense_energy(c, kChannels[1]);
+  (void)warm.interference(c, kChannels[1], to_c.id);
+
+  Medium fresh{config_with(true)};
+  EXPECT_EQ(fresh.add_node({0.0, 0.0}), a);
+  EXPECT_EQ(fresh.add_node({-4.0, 7.0}), b);
+  EXPECT_EQ(fresh.add_node({2.0, 3.0}), c);
+  EXPECT_EQ(fresh.add_node({6.0, 6.0}), d);
+  for (const Step& step : history) {
+    if (step.begin) {
+      fresh.begin_tx(step.frame);
+    } else {
+      fresh.end_tx(step.frame.id);
+    }
+  }
+  expect_bitwise_same_answers(warm, fresh, on_air);
+
+  // The changes must be visible, not merely consistent: the moved frame and
+  // the moved receiver really read differently than before.
+  Medium before{config_with(true)};
+  before.add_node({0.0, 0.0});
+  before.add_node({10.0, 0.0});
+  before.add_node({0.0, 15.0});
+  before.add_node({6.0, 6.0});
+  for (const Frame& frame : on_air) before.begin_tx(frame);
+  EXPECT_NE(bits(before.rss(to_c, c).value), bits(warm.rss(to_c, c).value));
+  EXPECT_NE(bits(before.rss(wideband, a).value), bits(warm.rss(wideband, a).value));
 }
 
 TEST(MediumCulling, InfluenceRadiusCoversPaperScaleAndBoundsCityScale) {
@@ -235,8 +370,9 @@ TEST(MediumCulling, MovingActiveTransmitterRebucketsItsFrames) {
 }
 
 TEST(MediumCulling, RssAgreesBeforeAndAfterShadowCacheEviction) {
-  // end_tx recycles the frame's shadowing map; a late query (the receiver
-  // finalizing its reception) must recompute the identical draw.
+  // end_tx releases the frame's slot and its memoized terms; a late query
+  // (the receiver finalizing its reception) must recompute the identical
+  // value.
   Medium medium{config_with(true)};
   const NodeId tx = medium.add_node({0.0, 0.0});
   const NodeId rx = medium.add_node({5.0, 0.0});

@@ -97,6 +97,32 @@ TEST(Medium, DecodeInterferenceAppliesDecodeCurve) {
   EXPECT_NEAR(medium.interference(rx, Mhz{2460.0}, 0).value, expected, 0.05);
 }
 
+TEST(Medium, InterChannelAudibilityUsesDecodeCurveFlooredByEmissionMask) {
+  // The one rule overlap() and a mid-reception receiver share. At 5 MHz the
+  // decode curve rejects 37.5 dB and the sensing curve 36 dB, so a -58.5 dBm
+  // arrival leaks to -96 dBm on the decode path — 1 dB under the -95 dBm
+  // floor — while the sensing path would put it 0.5 dB above.
+  Medium medium{quiet_config()};
+  const NodeId tx = medium.add_node({0.0, 0.0});
+  const NodeId rx = medium.add_node({0.0, 1.0});
+  const Mhz tuned{2460.0};
+  const Frame narrow = make_frame(medium, tx, Mhz{2465.0}, Dbm{-18.5});
+  medium.begin_tx(narrow);
+  ASSERT_NEAR(medium.rss(narrow, rx).value, -58.5, 1e-9);
+  EXPECT_FALSE(medium.inter_channel_audible(narrow, rx, tuned));
+  EXPECT_FALSE(medium.overlap(rx, tuned, 0).inter);
+  medium.end_tx(narrow.id);
+
+  // A wideband transmitter's mask (15 dB at 5 MHz) floors the rejection.
+  const ChannelRejection mask{std::vector<ChannelRejection::Anchor>{
+      {Mhz{0.0}, Db{0.0}}, {Mhz{10.0}, Db{30.0}}}};
+  Frame wide = make_frame(medium, tx, Mhz{2465.0}, Dbm{-18.5});
+  wide.emission = &mask;
+  medium.begin_tx(wide);
+  EXPECT_TRUE(medium.inter_channel_audible(wide, rx, tuned));
+  EXPECT_TRUE(medium.overlap(rx, tuned, 0).inter);
+}
+
 TEST(Medium, SensingExcludesOwnTransmissions) {
   Medium medium{quiet_config()};
   const NodeId self = medium.add_node({0.0, 0.0});

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace nomc::phy {
 namespace {
@@ -38,6 +40,56 @@ TEST(OqpskBer, StrictlyDecreasingThroughCliff) {
     const double cur = oqpsk_ber(sinr);
     ASSERT_LT(cur, prev) << "at " << sinr;
     prev = cur;
+  }
+}
+
+/// The O-QPSK BER as first written: all fifteen terms, always. Kept verbatim
+/// as the oracle the production early exit must match bit for bit.
+double reference_oqpsk_ber(double sinr_db) {
+  if (sinr_db < -12.0) return 0.5;
+  const double gamma = std::pow(10.0, sinr_db / 10.0);
+  static constexpr double kBinom16[17] = {1,    16,   120,  560,  1820, 4368,
+                                          8008, 11440, 12870, 11440, 8008, 4368,
+                                          1820, 560,  120,  16,   1};
+  double sum = 0.0;
+  for (int k = 2; k <= 16; ++k) {
+    const double sign = (k % 2 == 0) ? 1.0 : -1.0;
+    sum += sign * kBinom16[k] * std::exp(20.0 * gamma * (1.0 / k - 1.0));
+  }
+  const double ber = (8.0 / 15.0) * (1.0 / 16.0) * sum;
+  if (ber < 0.0) return 0.0;
+  if (ber > 0.5) return 0.5;
+  return ber;
+}
+
+void expect_bit_identical_ber(double sinr_db) {
+  ASSERT_EQ(std::bit_cast<std::uint64_t>(oqpsk_ber(sinr_db)),
+            std::bit_cast<std::uint64_t>(reference_oqpsk_ber(sinr_db)))
+      << "oqpsk_ber drifted from the full sum at " << sinr_db << " dB";
+}
+
+TEST(OqpskBer, BitIdenticalToFullSumAcrossRange) {
+  // -12 .. 80 dB in 1e-3 dB steps (indexed, so no accumulated drift).
+  for (int i = 0; i <= 92'000; ++i) expect_bit_identical_ber(-12.0 + i * 1e-3);
+}
+
+TEST(OqpskBer, BitIdenticalToFullSumAroundUnderflowEdges) {
+  // Term k underflows once 20·γ·(1 − 1/k) passes ~745.13 (exp's subnormal
+  // limit): k = 16 near 16.0 dB through k = 2 near 18.7 dB, where the sum
+  // collapses to a single exp. Sweep that band densely, then walk every
+  // term's edge ulp by ulp.
+  for (int i = 0; i <= 300'000; ++i) expect_bit_identical_ber(15.9 + i * 1e-5);
+  for (int k = 2; k <= 16; ++k) {
+    const double gamma_edge = 745.1332191019412 / (20.0 * (1.0 - 1.0 / k));
+    const double edge_db = 10.0 * std::log10(gamma_edge);
+    double down = edge_db;
+    double up = edge_db;
+    for (int step = 0; step < 2'000; ++step) {
+      expect_bit_identical_ber(down);
+      expect_bit_identical_ber(up);
+      down = std::nextafter(down, -INFINITY);
+      up = std::nextafter(up, INFINITY);
+    }
   }
 }
 
