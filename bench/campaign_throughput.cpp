@@ -1,4 +1,4 @@
-// campaign_throughput — microbenchmark for the two-level campaign executor.
+// campaign_throughput — microbenchmark for the flat (point, trial) campaign executor.
 //
 // Times exp::run_campaign end-to-end (grid expansion, point execution,
 // ordered checkpointing, JSONL writes) on a fixed small sweep at several

@@ -1,10 +1,11 @@
 #include "exp/campaign.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <memory>
 
 #include "net/scenario.hpp"
 #include "net/scheme_names.hpp"
@@ -16,12 +17,6 @@
 
 namespace nomc::exp {
 namespace {
-
-/// Matches bench::trial_seed and nomc-sim: distinct deployments per trial,
-/// reproducible per point.
-std::uint64_t trial_seed(const PointParams& params, int trial) {
-  return params.seed + static_cast<std::uint64_t>(trial) * 1000003;
-}
 
 bool store_exists(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
@@ -88,8 +83,8 @@ bool rewrite_timing_sidecar(const std::string& path, const std::set<int>& comple
 
 }  // namespace
 
-PointResult run_point(const PointParams& params, sim::ParallelRunner& runner,
-                      const TrialHook& pre_run, int trial_workers) {
+TrialResult run_trial(const PointParams& params, int trial, const TrialHook& pre_run,
+                      int trial_workers) {
   net::Scheme scheme = net::Scheme::kFixedCca;
   const bool scheme_ok = net::parse_scheme(params.scheme, scheme);
   assert(scheme_ok && "PointParams.scheme must be pre-validated");
@@ -104,89 +99,86 @@ PointResult run_point(const PointParams& params, sim::ParallelRunner& runner,
     topology = topology.with_fixed_power(phy::Dbm{*params.power_dbm});
   }
 
-  struct TrialNumbers {
-    std::vector<double> pps, prr, backoffs, drops;
-    double overall = 0.0;
-  };
-  const std::vector<TrialNumbers> per_trial = runner.map(params.trials, [&](int trial) {
-    const std::uint64_t seed = trial_seed(params, trial);
-    sim::RandomStream placement{seed, /*index=*/999};
-    std::vector<net::NetworkSpec> specs;
-    if (params.topology == "clustered") {
-      specs = net::case2_clustered(channels, placement, topology);
-    } else if (params.topology == "random") {
-      specs = net::case3_random(channels, placement, topology);
-    } else {
-      specs = net::case1_dense(channels, placement, topology);
-    }
+  // Matches bench::trial_seed and nomc-sim: distinct deployments per trial,
+  // reproducible per point.
+  const std::uint64_t seed = params.seed + static_cast<std::uint64_t>(trial) * 1000003;
+  sim::RandomStream placement{seed, /*index=*/999};
+  std::vector<net::NetworkSpec> specs;
+  if (params.topology == "clustered") {
+    specs = net::case2_clustered(channels, placement, topology);
+  } else if (params.topology == "random") {
+    specs = net::case3_random(channels, placement, topology);
+  } else {
+    specs = net::case1_dense(channels, placement, topology);
+  }
 
-    // Scenario and ShardedScenario expose the same result API; the collector
-    // is generic so both execution paths produce the numbers identically.
-    const auto collect = [&params](const auto& scenario) {
-      TrialNumbers one;
-      one.overall = scenario.overall_throughput();
-      for (int n = 0; n < scenario.network_count(); ++n) {
-        const auto network = scenario.network_result(n);
-        double prr = 0.0;
-        double backoffs = 0.0;
-        double drops = 0.0;
-        for (const auto& link : network.links) {
-          prr += link.prr;
-          backoffs += static_cast<double>(link.sender.cca_backoffs);
-          drops += static_cast<double>(link.sender.cca_failures);
-        }
-        one.pps.push_back(network.throughput_pps);
-        one.prr.push_back(prr / static_cast<double>(network.links.size()));
-        one.backoffs.push_back(backoffs / params.measure_s);
-        one.drops.push_back(drops / params.measure_s);
+  // Scenario and ShardedScenario expose the same result API; the collector
+  // is generic so both execution paths produce the numbers identically.
+  const auto collect = [&params](const auto& scenario) {
+    TrialResult one;
+    one.overall_pps = scenario.overall_throughput();
+    for (int n = 0; n < scenario.network_count(); ++n) {
+      const auto network = scenario.network_result(n);
+      double prr = 0.0;
+      double backoffs = 0.0;
+      double drops = 0.0;
+      for (const auto& link : network.links) {
+        prr += link.prr;
+        backoffs += static_cast<double>(link.sender.cca_backoffs);
+        drops += static_cast<double>(link.sender.cca_failures);
       }
-      return one;
-    };
-
-    net::ScenarioConfig config;
-    config.seed = seed;
-    config.psdu_bytes = params.psdu_bytes;
-    config.fixed_cca_threshold = phy::Dbm{params.cca_dbm};
-    if (trial_workers != 1) {
-      net::ShardedScenario scenario{config, {.trial_workers = trial_workers}};
-      scenario.add_networks(specs, scheme);
-      scenario.run(sim::SimTime::seconds(params.warmup_s),
-                   sim::SimTime::seconds(params.measure_s));
-      return collect(scenario);
+      one.pps.push_back(network.throughput_pps);
+      one.prr.push_back(prr / static_cast<double>(network.links.size()));
+      one.backoffs_per_s.push_back(backoffs / params.measure_s);
+      one.drops_per_s.push_back(drops / params.measure_s);
     }
-    net::Scenario scenario{config};
-    if (pre_run) pre_run(trial, scenario);
+    return one;
+  };
+
+  net::ScenarioConfig config;
+  config.seed = seed;
+  config.psdu_bytes = params.psdu_bytes;
+  config.fixed_cca_threshold = phy::Dbm{params.cca_dbm};
+  if (trial_workers != 1) {
+    net::ShardedScenario scenario{config, {.trial_workers = trial_workers}};
     scenario.add_networks(specs, scheme);
-    scenario.run(sim::SimTime::seconds(params.warmup_s),
-                 sim::SimTime::seconds(params.measure_s));
+    scenario.run(sim::SimTime::seconds(params.warmup_s), sim::SimTime::seconds(params.measure_s));
     return collect(scenario);
-  });
+  }
+  net::Scenario scenario{config};
+  if (pre_run) pre_run(trial, scenario);
+  scenario.add_networks(specs, scheme);
+  scenario.run(sim::SimTime::seconds(params.warmup_s), sim::SimTime::seconds(params.measure_s));
+  return collect(scenario);
+}
 
-  PointResult mean;
-  const std::size_t networks = per_trial.front().pps.size();
-  mean.pps.assign(networks, 0.0);
-  mean.prr.assign(networks, 0.0);
-  mean.backoffs_per_s.assign(networks, 0.0);
-  mean.drops_per_s.assign(networks, 0.0);
-  for (const TrialNumbers& one : per_trial) {
-    for (std::size_t n = 0; n < networks; ++n) {
-      mean.pps[n] += one.pps[n];
-      mean.prr[n] += one.prr[n];
-      mean.backoffs_per_s[n] += one.backoffs[n];
-      mean.drops_per_s[n] += one.drops[n];
+PointResult merge_trials(const std::vector<TrialResult>& trials) {
+  // Each number sums over the trials in seed order, then divides once.
+  const double count = static_cast<double>(trials.size());
+  const auto mean_of = [&](std::vector<double> TrialResult::*field) {
+    std::vector<double> mean((trials.front().*field).size(), 0.0);
+    for (const TrialResult& one : trials) {
+      for (std::size_t n = 0; n < mean.size(); ++n) mean[n] += (one.*field)[n];
     }
-    mean.overall_pps += one.overall;
-  }
-  const double trials = static_cast<double>(params.trials);
-  for (std::size_t n = 0; n < networks; ++n) {
-    mean.pps[n] /= trials;
-    mean.prr[n] /= trials;
-    mean.backoffs_per_s[n] /= trials;
-    mean.drops_per_s[n] /= trials;
-  }
-  mean.overall_pps /= trials;
+    for (double& value : mean) value /= count;
+    return mean;
+  };
+  PointResult mean;
+  mean.pps = mean_of(&TrialResult::pps);
+  mean.prr = mean_of(&TrialResult::prr);
+  mean.backoffs_per_s = mean_of(&TrialResult::backoffs_per_s);
+  mean.drops_per_s = mean_of(&TrialResult::drops_per_s);
+  for (const TrialResult& one : trials) mean.overall_pps += one.overall_pps;
+  mean.overall_pps /= count;
   mean.jain = stats::jain_index(mean.pps);
   return mean;
+}
+
+PointResult run_point(const PointParams& params, sim::ParallelRunner& runner,
+                      const TrialHook& pre_run, int trial_workers) {
+  return merge_trials(runner.map(params.trials, [&](int trial) {
+    return run_trial(params, trial, pre_run, trial_workers);
+  }));
 }
 
 std::string format_record(const CampaignSpec& spec, const SweepPoint& point,
@@ -346,43 +338,51 @@ bool run_campaign(const CampaignSpec& spec, const std::string& out_path,
   CampaignStats local;
   local.total = plan.total;
   local.reused = plan.reused;
-
-  StoreWriter& writer = plan.writer;
-  StoreWriter& timing = plan.timing;
-
-  // The points still to compute, in point order: checkpointer slot i is
-  // pending[i], so the dense slot sequence maps back to the (gappy, on
-  // resume) point indices.
-  std::vector<const SweepPoint*> pending;
-  for (const int index : plan.pending) {
-    pending.push_back(&points[static_cast<std::size_t>(index)]);
-  }
-  if (options.max_points >= 0 &&
-      pending.size() > static_cast<std::size_t>(options.max_points)) {
-    pending.resize(static_cast<std::size_t>(options.max_points));
+  std::size_t count = plan.pending.size();
+  if (options.max_points >= 0) {
+    count = std::min(count, static_cast<std::size_t>(options.max_points));
   }
 
-  // Two-level pool: point_jobs workers each own a jobs-wide trial pool
-  // (indexed by worker slot — no sharing, so pools never contend). With the
-  // default point_jobs=1 this is one trial pool and a serial point loop,
-  // exactly the pre-concurrency shape.
-  sim::ParallelRunner point_pool{options.point_jobs};
-  std::vector<std::unique_ptr<sim::ParallelRunner>> trial_pools;
-  trial_pools.reserve(static_cast<std::size_t>(point_pool.jobs()));
-  for (int w = 0; w < point_pool.jobs(); ++w) {
-    trial_pools.push_back(std::make_unique<sim::ParallelRunner>(options.jobs));
+  // One flat pool of (point, trial) tasks, claimed in point-major order.
+  // Checkpointer slot i is the i-th pending point, so the dense slot sequence
+  // maps back to the (gappy, on resume) point indices. Whoever finishes a
+  // point's last trial merges it and submits the record. Every earlier task
+  // is claimed by then, so the point the checkpointer waits on is always
+  // running: its back-pressure cannot deadlock the pool.
+  struct PendingPoint {
+    const SweepPoint* point = nullptr;
+    std::vector<TrialResult> trials;
+    std::atomic<int> unfinished{0};
+    std::chrono::steady_clock::time_point start;  ///< claim of trial 0
+  };
+  std::vector<PendingPoint> slots(count);
+  std::vector<std::pair<int, int>> tasks;  // (slot, trial)
+  for (std::size_t slot = 0; slot < count; ++slot) {
+    PendingPoint& pending = slots[slot];
+    pending.point = &points[static_cast<std::size_t>(plan.pending[slot])];
+    const int trials = pending.point->params.trials;
+    pending.trials.resize(static_cast<std::size_t>(trials));
+    pending.unfinished = trials;
+    for (int trial = 0; trial < trials; ++trial) tasks.emplace_back(static_cast<int>(slot), trial);
   }
 
-  OrderedCheckpointer checkpointer{writer, timing,
-                                   static_cast<std::size_t>(2 * point_pool.jobs())};
-  point_pool.for_each_worker(static_cast<int>(pending.size()), [&](int worker, int slot) {
-    const SweepPoint& point = *pending[static_cast<std::size_t>(slot)];
-    const auto start = std::chrono::steady_clock::now();
-    const PointResult result =
-        run_point(point.params, *trial_pools[static_cast<std::size_t>(worker)], {},
-                  options.trial_workers);
+  sim::ParallelRunner pool{sim::resolve_jobs(options.point_jobs) * sim::resolve_jobs(options.jobs)};
+  OrderedCheckpointer checkpointer{plan.writer, plan.timing,
+                                   static_cast<std::size_t>(2 * pool.jobs())};
+  pool.for_each(static_cast<int>(tasks.size()), [&](int task) {
+    const auto [slot, trial] = tasks[static_cast<std::size_t>(task)];
+    PendingPoint& pending = slots[static_cast<std::size_t>(slot)];
+    const SweepPoint& point = *pending.point;
+    if (trial == 0) pending.start = std::chrono::steady_clock::now();
+    pending.trials[static_cast<std::size_t>(trial)] =
+        run_trial(point.params, trial, {}, options.trial_workers);
+    // The atomic decrement orders every trial's writes before the last one.
+    if (--pending.unfinished != 0) return;
+
+    const PointResult result = merge_trials(pending.trials);
+    pending.trials = {};
     const double wall_ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - pending.start)
             .count();
 
     std::string timing_line = "{\"point\":" + std::to_string(point.index) + ",\"wall_ms\":";
@@ -402,7 +402,7 @@ bool run_campaign(const CampaignSpec& spec, const std::string& out_path,
                         std::move(console));
   });
   if (!checkpointer.finish(error)) return false;
-  local.computed = static_cast<int>(pending.size());
+  local.computed = static_cast<int>(count);
 
   if (stats != nullptr) *stats = local;
   return true;

@@ -1,9 +1,8 @@
-// CampaignRunner: expands a CampaignSpec into its sweep grid, executes the
-// points on a two-level worker pool (point_jobs concurrent points, each
-// replicating its trials on a jobs-wide sim::ParallelRunner), and
-// checkpoints completed points into the JSONL result store through an
-// OrderedCheckpointer, so records land in point order no matter which point
-// finished first.
+// CampaignRunner: expands a CampaignSpec into its sweep grid, executes every
+// (point, trial) pair on one flat worker pool (claimed in point-major order;
+// whoever finishes a point's last trial merges it), and checkpoints completed
+// points into the JSONL result store through an OrderedCheckpointer, so
+// records land in point order no matter which point finished first.
 //
 // Determinism contract: a point's record bytes are a pure function of the
 // spec — trials are seeded per point exactly like nomc-sim / bench::trial_seed
@@ -44,26 +43,40 @@ struct PointResult {
 /// (nomc-sim uses it to attach the event trace to trial 0).
 using TrialHook = std::function<void(int trial, net::Scenario&)>;
 
-/// Run one operating point: params.trials independent deployments replicated
-/// on `runner`, merged in seed order. The params must be pre-validated
-/// (parser or cli helpers); run_point asserts on an unknown scheme/topology.
+/// One trial's numbers, per network, before the seed-ordered mean.
+struct TrialResult {
+  std::vector<double> pps, prr, backoffs_per_s, drops_per_s;
+  double overall_pps = 0.0;
+};
+
+/// Run trial `trial` of an operating point: one deployment seeded
+/// seed + trial * 1000003. The params must be pre-validated (parser or cli
+/// helpers); run_trial asserts on an unknown scheme/topology.
 ///
-/// `trial_workers` != 1 runs each trial through net::ShardedScenario (spatial
+/// `trial_workers` != 1 runs the trial through net::ShardedScenario (spatial
 /// region shards advanced in conservative lookahead windows) instead of the
 /// serial net::Scenario. It is a wall-clock knob with resolve_jobs semantics
 /// (0 = all hardware threads): results are bit-identical at every value, so
 /// it is deliberately NOT part of PointParams and never enters the record.
-/// The pre_run hook fires only on the serial path (it receives a
-/// net::Scenario, which a sharded trial does not build).
+/// The hook fires only on the serial path (it receives a net::Scenario,
+/// which a sharded trial does not build).
+[[nodiscard]] TrialResult run_trial(const PointParams& params, int trial,
+                                    const TrialHook& pre_run = {}, int trial_workers = 1);
+
+/// The point's result: the mean of all its trials (trials[i] is trial i),
+/// summed in seed order.
+[[nodiscard]] PointResult merge_trials(const std::vector<TrialResult>& trials);
+
+/// Run one operating point: run_trial for each trial on `runner`, then merge.
 [[nodiscard]] PointResult run_point(const PointParams& params, sim::ParallelRunner& runner,
                                     const TrialHook& pre_run = {}, int trial_workers = 1);
 
 struct CampaignOptions {
-  int jobs = 1;  ///< trial threads per point, as sim::resolve_jobs (0 = all)
-  /// Sweep points computed concurrently (0 = all hardware threads). Each
-  /// point worker owns its own jobs-wide trial pool, so ~jobs * point_jobs
-  /// threads are busy at the peak; records still hit the store in point
-  /// order via OrderedCheckpointer.
+  /// The campaign's pool has resolve_jobs(jobs) * resolve_jobs(point_jobs)
+  /// threads (0 = all hardware threads); the trials of every pending point
+  /// share them. Records still hit the store in point order via
+  /// OrderedCheckpointer, and their bytes do not depend on either knob.
+  int jobs = 1;
   int point_jobs = 1;
   enum class Mode {
     kFresh,      ///< error if the store already exists
@@ -72,7 +85,7 @@ struct CampaignOptions {
   };
   Mode mode = Mode::kFresh;
   /// Worker threads inside each trial (region-sharded execution; see
-  /// run_point). Like jobs/point_jobs this is an execution knob only — the
+  /// run_trial). Like jobs/point_jobs this is an execution knob only — the
   /// store bytes do not depend on it, and it is not part of the spec hash.
   int trial_workers = 1;
   /// Stop after computing this many new points (< 0 = no limit). The test

@@ -97,8 +97,11 @@ void CsmaMac::do_cca() {
 
   // Sampled at the end of the 8-symbol CCA window; the threshold is re-read
   // every time, so a dynamic provider (DCN) takes effect immediately.
-  bool busy = false;
-  if (params_.cca_mode != CcaMode::kCarrierSense) {
+  // A frame committed now starts a turnaround later; if this radio is still
+  // committed to its own transmission then (an ACK on air or about to be),
+  // the half-duplex radio is busy whatever the channel reads.
+  bool busy = scheduler_.now() + params_.turnaround < radio_.tx_committed_until();
+  if (!busy && params_.cca_mode != CcaMode::kCarrierSense) {
     busy = radio_.sense_energy() > cca_.threshold();
   }
   if (!busy && params_.cca_mode != CcaMode::kEnergy) {

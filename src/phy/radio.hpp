@@ -117,6 +117,12 @@ class Radio final : public MediumListener {
   /// fire time (control frames yield to an ongoing TX).
   sim::EventId schedule_tx(sim::SimTime lead, Frame frame, bool skip_if_busy = false);
 
+  /// End of the latest frame committed through schedule_tx (scheduled or on
+  /// air). The radio is half-duplex: a MAC must not commit a frame that
+  /// would start before this instant. Conservative — a control frame later
+  /// skipped by skip_if_busy still counts.
+  [[nodiscard]] sim::SimTime tx_committed_until() const { return tx_committed_until_; }
+
   /// Attach a region router (nullptr detaches). Not owned.
   void set_tx_router(TxRouter* router) { router_ = router; }
 
@@ -165,6 +171,7 @@ class Radio final : public MediumListener {
   RadioEnergy energy_;
   sim::SimTime energy_mark_;       // accounted up to here
   Dbm tx_power_in_flight_{0.0};    // current of the frame being transmitted
+  sim::SimTime tx_committed_until_;
 };
 
 }  // namespace nomc::phy

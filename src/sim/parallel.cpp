@@ -13,7 +13,7 @@ int resolve_jobs(int requested) {
 ParallelRunner::ParallelRunner(int jobs) : jobs_{resolve_jobs(jobs)} {
   workers_.reserve(static_cast<std::size_t>(jobs_ - 1));
   for (int i = 0; i < jobs_ - 1; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -26,8 +26,7 @@ ParallelRunner::~ParallelRunner() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ParallelRunner::drain_batch(int worker, std::uint64_t my_batch,
-                                 const std::function<void(int, int)>& task) {
+void ParallelRunner::drain_batch(std::uint64_t my_batch, const std::function<void(int)>& task) {
   for (;;) {
     int index;
     {
@@ -41,7 +40,7 @@ void ParallelRunner::drain_batch(int worker, std::uint64_t my_batch,
     }
     std::exception_ptr error;
     try {
-      task(worker, index);
+      task(index);
     } catch (...) {
       error = std::current_exception();
     }
@@ -55,10 +54,10 @@ void ParallelRunner::drain_batch(int worker, std::uint64_t my_batch,
   }
 }
 
-void ParallelRunner::worker_loop(int worker) {
+void ParallelRunner::worker_loop() {
   std::uint64_t seen = 0;
   for (;;) {
-    const std::function<void(int, int)>* task = nullptr;
+    const std::function<void(int)>* task = nullptr;
     std::uint64_t my_batch = 0;
     {
       std::unique_lock<std::mutex> lock{mutex_};
@@ -70,16 +69,15 @@ void ParallelRunner::worker_loop(int worker) {
     }
     // task_ is nulled once a batch completes; a worker that slept through
     // the whole batch has nothing to do.
-    if (task != nullptr) drain_batch(worker, my_batch, *task);
+    if (task != nullptr) drain_batch(my_batch, *task);
   }
 }
 
-void ParallelRunner::run_batch(int count, const std::function<void(int, int)>& task) {
+void ParallelRunner::run_batch(int count, const std::function<void(int)>& task) {
   if (count <= 0) return;
   if (workers_.empty() || count == 1) {
-    // Serial path: no synchronization, runs on the calling thread (which is
-    // always worker slot jobs-1, matching the parallel path below).
-    for (int i = 0; i < count; ++i) task(jobs_ - 1, i);
+    // Serial path: no synchronization, runs on the calling thread.
+    for (int i = 0; i < count; ++i) task(i);
     return;
   }
   {
@@ -92,8 +90,7 @@ void ParallelRunner::run_batch(int count, const std::function<void(int, int)>& t
     ++batch_;
   }
   batch_cv_.notify_all();
-  // The calling thread is worker slot jobs_-1 (pool threads are 0..jobs_-2).
-  drain_batch(jobs_ - 1, batch_, task);
+  drain_batch(batch_, task);
   std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock{mutex_};

@@ -14,11 +14,10 @@
 // every batch, so ParallelRunner{1} never spawns a thread and adds no
 // synchronization to the serial path.
 //
-// Pools nest: a task running on one pool may drive its own ParallelRunner
-// (the campaign engine runs one trial pool per point worker). Each pool's
-// state is self-contained, so nesting needs no coordination — but thread
-// counts multiply, so the outer layer should size the pools together (see
-// docs/campaigns.md on the --jobs x --point-jobs split).
+// Indices are claimed in increasing order, by whichever thread is free. The
+// campaign engine relies on it: it runs every (point, trial) pair of a
+// campaign as one flat batch, and a task is only claimed once all earlier
+// ones are, so the point the store waits on is always in flight.
 #pragma once
 
 #include <condition_variable>
@@ -54,34 +53,22 @@ class ParallelRunner {
   auto map(int count, Fn&& fn) -> std::vector<std::invoke_result_t<Fn&, int>> {
     using R = std::invoke_result_t<Fn&, int>;
     std::vector<R> results(count > 0 ? static_cast<std::size_t>(count) : 0);
-    run_batch(count, [&](int, int i) { results[static_cast<std::size_t>(i)] = fn(i); });
+    run_batch(count, [&](int i) { results[static_cast<std::size_t>(i)] = fn(i); });
     return results;
   }
 
   /// map() without results, for side-effecting tasks.
   template <typename Fn>
   void for_each(int count, Fn&& fn) {
-    run_batch(count, [&](int, int i) { fn(i); });
-  }
-
-  /// for_each() where the task also receives the executing worker's slot:
-  /// fn(worker, index) with worker in [0, jobs). At most one task runs per
-  /// slot at any time (pool workers are slots 0..jobs-2, the calling thread
-  /// is slot jobs-1), so per-worker resources — a nested trial pool, a
-  /// scratch buffer — can be indexed by `worker` with no further locking.
-  /// Indices are still claimed in increasing order, any worker.
-  template <typename Fn>
-  void for_each_worker(int count, Fn&& fn) {
-    run_batch(count, [&](int worker, int i) { fn(worker, i); });
+    run_batch(count, [&](int i) { fn(i); });
   }
 
  private:
-  void run_batch(int count, const std::function<void(int, int)>& task);
-  void worker_loop(int worker);
+  void run_batch(int count, const std::function<void(int)>& task);
+  void worker_loop();
   /// Pull indices from the shared counter and run them; returns when batch
   /// `my_batch` has no indices left for this thread (or has been superseded).
-  void drain_batch(int worker, std::uint64_t my_batch,
-                   const std::function<void(int, int)>& task);
+  void drain_batch(std::uint64_t my_batch, const std::function<void(int)>& task);
 
   int jobs_;
   std::vector<std::thread> workers_;
@@ -89,7 +76,7 @@ class ParallelRunner {
   std::mutex mutex_;
   std::condition_variable batch_cv_;  // workers wait here for a new batch
   std::condition_variable done_cv_;   // the caller waits here for completion
-  const std::function<void(int, int)>* task_ = nullptr;  // valid while a batch runs
+  const std::function<void(int)>* task_ = nullptr;  // valid while a batch runs
   std::uint64_t batch_ = 0;  // bumped per run_batch; wakes the workers
   int total_ = 0;            // indices in the current batch
   int next_index_ = 0;       // next unclaimed index

@@ -43,8 +43,8 @@ namespace nomc::svc {
 struct ServerConfig {
   std::string socket_path;  ///< Unix-domain socket to listen on
   std::string data_dir;     ///< campaign stores + sidecars live here
-  int jobs = 1;             ///< trial threads per point (exp::CampaignOptions)
-  int point_jobs = 1;       ///< concurrent sweep points (synchronous path)
+  int jobs = 1;             ///< pool factor (exp::CampaignOptions); per point in a worker
+  int point_jobs = 1;       ///< pool factor (synchronous path)
   int trial_workers = 1;    ///< region-sharded workers inside each trial
   std::size_t max_line = kMaxLine;
   bool quiet = true;  ///< suppress run_campaign progress lines

@@ -12,6 +12,8 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "exp/result_store.hpp"
 #include "exp/spec.hpp"
@@ -292,6 +294,106 @@ TEST(Campaign, RunPointMatchesStoredRecordNumbers) {
   const std::string line = format_record(spec, points[0], result);
   const std::string& reference = reference_bytes();
   EXPECT_EQ(reference.substr(0, line.size() + 1), line + "\n");
+}
+
+// The flat (point, trial) pool. Trial counts 1, 4, 2 are uneven and divide
+// none of the pool sizes below, so points finish out of order and a point's
+// trials straddle threads.
+constexpr const char* kUnevenSpecText =
+    "name = uneven_trials\n"
+    "topology = dense\n"
+    "power = 0\n"
+    "warmup = 0.1\n"
+    "measure = 0.2\n"
+    "sweep channels = 2 3\n"
+    "sweep trials = 1 4 2\n";
+
+CampaignSpec parse_spec(const std::string& text) {
+  CampaignSpec spec;
+  SpecError error;
+  EXPECT_TRUE(parse_campaign(text, spec, error)) << error.str();
+  return spec;
+}
+
+/// The "point" fields of a .timing sidecar, in line order.
+std::vector<int> timing_points(const std::string& path) {
+  std::vector<int> points;
+  const std::string sidecar = read_file(path + ".timing");
+  std::size_t start = 0;
+  while (start < sidecar.size()) {
+    const std::size_t newline = sidecar.find('\n', start);
+    if (newline == std::string::npos) break;
+    JsonValue parsed;
+    std::string error;
+    EXPECT_TRUE(parse_json(sidecar.substr(start, newline - start), parsed, error)) << error;
+    const JsonValue* point = parsed.find("point");
+    points.push_back(point == nullptr ? -1 : static_cast<int>(point->number));
+    start = newline + 1;
+  }
+  return points;
+}
+
+CampaignOptions split_options(CampaignOptions::Mode mode, int jobs, int point_jobs) {
+  CampaignOptions options = quiet_options(mode, jobs);
+  options.point_jobs = point_jobs;
+  return options;
+}
+
+TEST(Campaign, FlatPoolSplitsGiveIdenticalStoreAndTimingOrder) {
+  const CampaignSpec spec = parse_spec(kUnevenSpecText);
+  const std::vector<int> in_order = {0, 1, 2, 3, 4, 5};
+  std::string error;
+  CampaignStats stats;
+  const std::string reference_path = temp_path("uneven_reference.jsonl");
+  const CampaignOptions serial = split_options(CampaignOptions::Mode::kOverwrite, 1, 1);
+  ASSERT_TRUE(run_campaign(spec, reference_path, serial, &stats, error)) << error;
+  ASSERT_EQ(stats.computed, 6);
+  const std::string reference = read_file(reference_path);
+  EXPECT_EQ(timing_points(reference_path), in_order);
+
+  const std::vector<std::pair<int, int>> splits = {{1, 2}, {2, 3}, {1, 7}, {3, 1}};
+  for (const auto& [jobs, point_jobs] : splits) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs) + " point_jobs " + std::to_string(point_jobs));
+    const std::string path = temp_path("uneven_split.jsonl");
+    const CampaignOptions split =
+        split_options(CampaignOptions::Mode::kOverwrite, jobs, point_jobs);
+    ASSERT_TRUE(run_campaign(spec, path, split, &stats, error)) << error;
+    EXPECT_EQ(read_file(path), reference);
+    EXPECT_EQ(timing_points(path), in_order);
+  }
+
+  // Interrupted at one split, resumed at another.
+  const std::string path = temp_path("uneven_resumed.jsonl");
+  CampaignOptions interrupted = split_options(CampaignOptions::Mode::kOverwrite, 2, 3);
+  interrupted.max_points = 3;
+  ASSERT_TRUE(run_campaign(spec, path, interrupted, &stats, error)) << error;
+  EXPECT_EQ(stats.computed, 3);
+  const CampaignOptions resumed = split_options(CampaignOptions::Mode::kResume, 1, 7);
+  ASSERT_TRUE(run_campaign(spec, path, resumed, &stats, error)) << error;
+  EXPECT_EQ(stats.reused, 3);
+  EXPECT_EQ(stats.computed, 3);
+  EXPECT_EQ(read_file(path), reference);
+  EXPECT_EQ(timing_points(path), in_order);
+}
+
+TEST(Campaign, WideGridFinishesUnderCheckpointBackPressure) {
+  // One-trial points, many more than the checkpointer's reorder bound
+  // (2 x pool threads = 8 here): finished points outrun the flush cursor
+  // and block in submit, yet the point at the cursor is always in flight.
+  std::string text = "name = wide_grid\ntopology = dense\npower = 0\nwarmup = 0\n";
+  text += "measure = 0.02\nsweep seed =";
+  for (int seed = 1; seed <= 48; ++seed) text += " " + std::to_string(seed);
+  const CampaignSpec spec = parse_spec(text + "\n");
+  std::string error;
+  CampaignStats stats;
+  const std::string serial_path = temp_path("wide_serial.jsonl");
+  const CampaignOptions serial = split_options(CampaignOptions::Mode::kOverwrite, 1, 1);
+  ASSERT_TRUE(run_campaign(spec, serial_path, serial, &stats, error)) << error;
+  const std::string path = temp_path("wide_parallel.jsonl");
+  const CampaignOptions parallel = split_options(CampaignOptions::Mode::kOverwrite, 2, 2);
+  ASSERT_TRUE(run_campaign(spec, path, parallel, &stats, error)) << error;
+  EXPECT_EQ(stats.computed, 48);
+  EXPECT_EQ(read_file(path), read_file(serial_path));
 }
 
 }  // namespace

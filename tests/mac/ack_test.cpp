@@ -1,6 +1,7 @@
 // Acknowledgement + retransmission behaviour (802.15.4 §7.5.6).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 
 #include "mac/cca.hpp"
@@ -153,6 +154,35 @@ TEST_F(AckTest, SaturatedAckedThroughputLowerThanUnacked) {
 
   EXPECT_LT(acked_rate, unacked_rate);
   EXPECT_GT(acked_rate, unacked_rate / 2);
+}
+
+/// Counts frames that start while their source radio is already on the air.
+struct SelfOverlapProbe final : phy::MediumListener {
+  explicit SelfOverlapProbe(phy::Medium& medium) : medium_{medium} {
+    medium_.add_listener(this, medium_.add_node({0.0, 1.0}));
+  }
+  ~SelfOverlapProbe() override { medium_.remove_listener(this); }
+  void on_tx_start(const phy::Frame& frame) override {
+    if (on_air_[frame.src]++ > 0) ++overlaps;
+  }
+  void on_tx_end(const phy::Frame& frame) override { --on_air_[frame.src]; }
+
+  phy::Medium& medium_;
+  std::map<phy::NodeId, int> on_air_;
+  int overlaps = 0;
+};
+
+TEST_F(AckTest, TwoWayAckedTrafficNeverOverlapsARadiosOwnFrames) {
+  // Both nodes send and acknowledge. A data frame committed at CCA while the
+  // node's own ACK is scheduled or on air used to start on top of that ACK
+  // (the half-duplex assert in a Debug build); the CCA must read busy instead.
+  SelfOverlapProbe probe{*medium_};
+  sender_->set_saturated(TxRequest{receiver_id_, 20, true});
+  receiver_->set_saturated(TxRequest{sender_id_, 20, true});
+  scheduler_.run_until(sim::SimTime::seconds(5.0));
+  EXPECT_EQ(probe.overlaps, 0);
+  EXPECT_GT(sender_->counters().acked, 100u);
+  EXPECT_GT(receiver_->counters().acked, 100u);
 }
 
 }  // namespace

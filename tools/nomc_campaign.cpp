@@ -57,9 +57,9 @@ int usage(std::FILE* out) {
       "  --point <n>       query: sweep-point index to fetch\n"
       "  --out <path>      result store path (default: <campaign name>.jsonl;\n"
       "                    for export-csv/export: CSV path, default stdout)\n"
-      "  --jobs <n>        trial threads per point (0 = all hardware threads)\n"
-      "  --point-jobs <n>  sweep points computed concurrently (default 1;\n"
-      "                    0 = all hardware threads). The store is written in\n"
+      "  --jobs <n>        with --point-jobs m: one pool of about n x m threads\n"
+      "  --point-jobs <m>  (default 1 each; 0 = all hardware threads) that the\n"
+      "                    trials of all points share. The store is written in\n"
       "                    point order and byte-identical for every value.\n"
       "  --trial-workers <n>  worker threads inside each trial (region-sharded\n"
       "                    execution; 0 = all hardware threads). Like --jobs,\n"
@@ -80,8 +80,8 @@ cli::ArgParser make_options() {
   args.add_string("server", "", "nomc-serve Unix-domain socket to talk to");
   args.add_string("out", "", "result store path (default: <campaign name>.jsonl)");
   args.add_int("point", -1, "query: sweep-point index to fetch");
-  args.add_int("jobs", 1, "trial threads per point (0 = all hardware threads)");
-  args.add_int("point-jobs", 1, "sweep points computed concurrently (0 = all)");
+  args.add_int("jobs", 1, "pool threads = jobs x point-jobs, shared by all trials (0 = all)");
+  args.add_int("point-jobs", 1, "pool threads = jobs x point-jobs (0 = all hardware threads)");
   args.add_int("trial-workers", 1, "worker threads inside each trial (0 = all)");
   args.add_int("max-points", -1, "stop after computing this many new points");
   args.add_flag("overwrite", "run: discard an existing result store");

@@ -50,8 +50,10 @@ int main(int argc, char** argv) {
   args.add_string("socket", "nomc.sock", "Unix-domain socket path to listen on");
   args.add_string("data-dir", "nomc-campaigns",
                   "directory for campaign stores and sidecars (created if missing)");
-  args.add_int("jobs", 1, "trial threads per point (0 = all hardware threads)");
-  args.add_int("point-jobs", 1, "sweep points computed concurrently (0 = all)");
+  args.add_int("jobs", 1,
+               "in-process pool threads = jobs x point-jobs, shared by the trials of all "
+               "points; with --workers, trial threads per point in each worker (0 = all)");
+  args.add_int("point-jobs", 1, "in-process pool threads = jobs x point-jobs (0 = all)");
   args.add_int("trial-workers", 1, "worker threads inside each trial (0 = all)");
   args.add_int("workers", 0,
                "worker processes a campaign is sharded across (0 = simulate on "
