@@ -164,81 +164,6 @@ void measure_submits(double min_ms, std::vector<BenchResult>& results) {
       {"submit_cache_hit", hot_ops, hot_ms * 1e6 / static_cast<double>(hot_ops)});
 }
 
-// An 8-point grid for the sharded sweep: one submit fans the points out
-// across the worker processes, so points/s reflects lease/IPC overlap.
-std::string sharded_spec_text(const std::string& name) {
-  return "name = " + name +
-         "\n"
-         "channels = 2\n"
-         "links = 1\n"
-         "power = 0\n"
-         "warmup = 0.05\n"
-         "measure = 0.1\n"
-         "trials = 1\n"
-         "sweep links = 1 2 3 4 5 6 7 8\n";
-}
-
-/// Sharded submit throughput at a given worker count: one op is one computed
-/// sweep point, measured over whole submit round trips of fresh 8-point
-/// grids. workers=1 vs the in-process submit_cold is the fork/exec + pipe
-/// protocol overhead; 2 and 4 show the overlap the lease scheduler buys.
-/// CAVEAT: on a single-core container the sweep measures scheduling overlap,
-/// not real parallel speedup — see the "note" field in the JSON.
-void measure_sharded_submits(int workers, double min_ms, std::vector<BenchResult>& results) {
-  svc::Server server;
-  svc::ServerConfig config;
-  config.socket_path = "/tmp/nomc_bench_svc_w" + std::to_string(workers) + ".sock";
-  config.data_dir = temp_root() + "/nomc_bench_svc_w" + std::to_string(workers) + "_data";
-  config.workers = workers;
-  config.lease_points = 1;
-  config.worker_argv = {NOMC_CAMPAIGN_BIN, "worker"};
-  std::filesystem::remove_all(config.data_dir);
-  std::string error;
-  if (!server.open(config, error)) {
-    std::fprintf(stderr, "server open failed: %s\n", error.c_str());
-    std::exit(1);
-  }
-  svc::Client client;
-  if (!client.connect(config.socket_path, error)) {
-    std::fprintf(stderr, "client connect failed: %s\n", error.c_str());
-    std::exit(1);
-  }
-  pump(server);
-
-  constexpr int kPointsPerSubmit = 8;
-  long long points = 0;
-  const auto start = Clock::now();
-  double elapsed_ms = 0.0;
-  do {
-    const std::string request = submit_request(
-        sharded_spec_text("bench_w" + std::to_string(workers) + "_" + std::to_string(points)));
-    if (!client.send_line(request, error)) {
-      std::fprintf(stderr, "send failed: %s\n", error.c_str());
-      std::exit(1);
-    }
-    // Drive the supervisor until the grid drains (the first few steps are
-    // still accepting/reading the submit, so never early-exit on them).
-    for (int i = 0; i < 200000; ++i) {
-      if (!server.step(/*timeout_ms=*/1, error)) {
-        std::fprintf(stderr, "server step failed: %s\n", error.c_str());
-        std::exit(1);
-      }
-      if (i >= 8 && !server.busy()) break;
-    }
-    pump(server);
-    std::string line;
-    if (!client.recv_line(line, error)) {
-      std::fprintf(stderr, "recv failed: %s\n", error.c_str());
-      std::exit(1);
-    }
-    expect_ok(line);
-    points += kPointsPerSubmit;
-    elapsed_ms = std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-  } while (elapsed_ms < min_ms);
-  results.push_back({"submit_sharded/workers=" + std::to_string(workers), points,
-                     elapsed_ms * 1e6 / static_cast<double>(points)});
-}
-
 constexpr const char* kSyntheticHash = "00112233aabbccdd";
 
 /// A well-formed v1 record line (with trailing newline) for `point`.
@@ -349,7 +274,6 @@ int main(int argc, char** argv) {
 
   std::vector<BenchResult> results;
   measure_submits(min_ms, results);
-  for (const int workers : {1, 2, 4}) measure_sharded_submits(workers, min_ms, results);
   for (const int records : record_counts) measure_lookups(records, min_ms, results);
 
   std::FILE* out = std::fopen(args.get_string("out").c_str(), "w");
@@ -359,10 +283,6 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out, "{\n  \"tool\": \"service_throughput\",\n  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
-  std::fprintf(out,
-               "  \"note\": \"submit_sharded compares worker counts on whatever cores this "
-               "host has; on a single-core machine the deltas measure lease/IPC scheduling "
-               "overlap, not parallel speedup\",\n");
   std::fprintf(out, "  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const BenchResult& r = results[i];

@@ -244,6 +244,22 @@ std::string format_record(const CampaignSpec& spec, const SweepPoint& point,
   return out;
 }
 
+namespace {
+
+/// An opened result store plus the work remaining for one campaign
+/// execution. prepare_store does everything that happens before any point is
+/// computed — the mode dispatch, the verbatim valid-prefix rewrite of a
+/// resumed store, the timing-sidecar rebuild — leaving both writers
+/// positioned to append and `pending` holding the grid points still missing,
+/// in point order.
+struct StorePlan {
+  StoreWriter writer;       ///< the JSONL store, valid prefix already written
+  StoreWriter timing;       ///< the ".timing" sidecar, rebuilt on resume
+  std::vector<int> pending; ///< point indices still to compute, ascending
+  int total = 0;            ///< grid size
+  int reused = 0;           ///< points already present (resume)
+};
+
 bool prepare_store(const CampaignSpec& spec, const std::string& out_path,
                    CampaignOptions::Mode mode, StorePlan& plan, std::string& error) {
   const std::vector<SweepPoint> points = expand_grid(spec);
@@ -300,33 +316,7 @@ bool prepare_store(const CampaignSpec& spec, const std::string& out_path,
   return true;
 }
 
-bool run_point_range(const CampaignSpec& spec, int first, int count,
-                     const RangeOptions& options,
-                     const std::function<bool(const SweepPoint& point, const std::string& record,
-                                              double wall_ms)>& emit,
-                     std::string& error) {
-  const std::vector<SweepPoint> points = expand_grid(spec);
-  if (first < 0 || count <= 0 ||
-      static_cast<std::size_t>(first) + static_cast<std::size_t>(count) > points.size()) {
-    error = "point range [" + std::to_string(first) + ", " + std::to_string(first + count) +
-            ") is outside the " + std::to_string(points.size()) + "-point grid";
-    return false;
-  }
-  sim::ParallelRunner runner{options.jobs};
-  for (int index = first; index < first + count; ++index) {
-    const SweepPoint& point = points[static_cast<std::size_t>(index)];
-    const auto start = std::chrono::steady_clock::now();
-    const PointResult result = run_point(point.params, runner, {}, options.trial_workers);
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-            .count();
-    if (!emit(point, format_record(spec, point, result), wall_ms)) {
-      error = "point " + std::to_string(index) + " could not be delivered";
-      return false;
-    }
-  }
-  return true;
-}
+}  // namespace
 
 bool run_campaign(const CampaignSpec& spec, const std::string& out_path,
                   const CampaignOptions& options, CampaignStats* stats, std::string& error) {

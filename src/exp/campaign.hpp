@@ -100,43 +100,6 @@ struct CampaignStats {
   int reused = 0;    ///< points already in the store (resume)
 };
 
-/// An opened result store plus the work remaining for one campaign
-/// execution. prepare_store does everything that happens before any point is
-/// computed — the mode dispatch, the verbatim valid-prefix rewrite of a
-/// resumed store, the timing-sidecar rebuild — leaving both writers
-/// positioned to append and `pending` holding the grid points still missing,
-/// in point order. run_campaign consumes it directly; the campaign service
-/// uses it to shard `pending` across worker processes while writing through
-/// the same writers (so server stores stay byte-identical to local runs).
-struct StorePlan {
-  StoreWriter writer;       ///< the JSONL store, valid prefix already written
-  StoreWriter timing;       ///< the ".timing" sidecar, rebuilt on resume
-  std::vector<int> pending; ///< point indices still to compute, ascending
-  int total = 0;            ///< grid size
-  int reused = 0;           ///< points already present (resume)
-};
-
-bool prepare_store(const CampaignSpec& spec, const std::string& out_path,
-                   CampaignOptions::Mode mode, StorePlan& plan, std::string& error);
-
-/// Execution knobs for run_point_range (the worker-process entry point).
-struct RangeOptions {
-  int jobs = 1;           ///< trial threads per point (sim::resolve_jobs)
-  int trial_workers = 1;  ///< region-sharded workers inside each trial
-};
-
-/// Compute grid points [first, first+count) of `spec` in ascending point
-/// order, invoking `emit` with each finished point's verbatim store record
-/// (format_record — a pure function of (spec, point)) and its wall time.
-/// This is the unit of work a campaign-service worker process executes per
-/// lease: no store I/O happens here, the caller owns checkpointing. Returns
-/// false on an out-of-range request or when `emit` returns false.
-bool run_point_range(const CampaignSpec& spec, int first, int count,
-                     const RangeOptions& options,
-                     const std::function<bool(const SweepPoint& point, const std::string& record,
-                                              double wall_ms)>& emit,
-                     std::string& error);
-
 /// Execute `spec` into the JSONL store at `out_path` (timing sidecar at
 /// `out_path + ".timing"`). Returns false and fills `error` on spec-hash
 /// mismatch, store corruption, or I/O failure.

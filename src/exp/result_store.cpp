@@ -71,6 +71,15 @@ class JsonParser {
   }
 
   bool parse_value(JsonValue& out) {
+    if (depth_ == kMaxJsonDepth)
+      return fail("nesting deeper than " + std::to_string(kMaxJsonDepth) + " levels");
+    ++depth_;
+    const bool parsed = parse_nested_value(out);
+    --depth_;
+    return parsed;
+  }
+
+  bool parse_nested_value(JsonValue& out) {
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     const char c = text_[pos_];
     if (c == '{') {
@@ -163,6 +172,7 @@ class JsonParser {
   const std::string& text_;
   std::string& error_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< parse_value frames on the stack
 };
 
 bool numbers_from(const JsonValue* value, std::vector<double>& out) {

@@ -47,7 +47,10 @@ struct JsonValue {
   [[nodiscard]] const JsonValue* find(const std::string& key) const;
 };
 
-/// Parse one complete JSON document (trailing whitespace allowed).
+/// Parse one complete JSON document (trailing whitespace allowed). Arrays
+/// and objects nested deeper than kMaxJsonDepth are an error, so hostile
+/// input cannot exhaust the stack.
+inline constexpr int kMaxJsonDepth = 64;
 bool parse_json(const std::string& text, JsonValue& out, std::string& error);
 
 /// Append `text` JSON-escaped, in quotes.

@@ -29,10 +29,9 @@
 //                         lifetimes and non-blocking setup live in one place
 //                         (member calls like client.connect() stay legal)
 //   svc-raw-fork          bare fork()/vfork()/exec*()/waitpid()/wait4()
-//                         calls outside src/svc/worker_pool.cpp — worker
-//                         processes must go through svc::WorkerPool so child
-//                         lifetimes, pipe plumbing, and reaping live in one
-//                         place (member calls stay legal)
+//                         calls anywhere — the service computes in-process,
+//                         so a spawned child needs a justified suppression
+//                         (member calls stay legal)
 //
 // Unit safety (paper arithmetic: dBm is log scale, mW is linear):
 //   unit-dbm-mw-mix       + or - between an identifier named like a dBm

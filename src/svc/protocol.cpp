@@ -1,5 +1,7 @@
 #include "svc/protocol.hpp"
 
+#include <limits>
+
 namespace nomc::svc {
 
 void LineSplitter::feed(const std::string& bytes) {
@@ -65,6 +67,13 @@ bool parse_request(const std::string& line, Request& out, std::string& error) {
     out.spec_hash = hash->string;
   if (const exp::JsonValue* point = root.find("point");
       point != nullptr && point->type == exp::JsonValue::Type::kNumber) {
+    // The JSON parser takes numbers through strtod, which also reads "inf",
+    // "-nan" and 1e999; casting those to int is undefined, so range-check first.
+    if (!(point->number >= std::numeric_limits<int>::min() &&
+          point->number <= std::numeric_limits<int>::max())) {
+      error = "\"point\" is out of range";
+      return false;
+    }
     out.point = static_cast<int>(point->number);
     out.has_point = true;
   }
@@ -97,7 +106,6 @@ std::string status_reply(const StatusInfo& info) {
   out += ",\"computed\":" + std::to_string(info.computed);
   out += ",\"cache_hits\":" + std::to_string(info.cache_hits);
   out += ",\"campaigns\":" + std::to_string(info.campaigns);
-  out += ",\"retried\":" + std::to_string(info.retried);
   if (!info.campaign.empty()) {
     out += ",\"campaign\":";
     exp::json_append_string(out, info.campaign);
@@ -108,10 +116,6 @@ std::string status_reply(const StatusInfo& info) {
     if (!info.state.empty()) {
       out += ",\"state\":";
       exp::json_append_string(out, info.state);
-      if (info.state == "failed") {
-        out += ",\"failed_first\":" + std::to_string(info.failed_first);
-        out += ",\"failed_count\":" + std::to_string(info.failed_count);
-      }
     }
   }
   out += '}';
@@ -147,104 +151,6 @@ bool parse_reply(const std::string& line, exp::JsonValue& out, std::string& erro
     error = "reply must be a JSON object";
     return false;
   }
-  return true;
-}
-
-std::string lease_line(const LeaseRequest& lease) {
-  std::string out = "{\"op\":\"lease\",\"spec\":";
-  exp::json_append_string(out, lease.spec);
-  out += ",\"first\":" + std::to_string(lease.first);
-  out += ",\"count\":" + std::to_string(lease.count);
-  out += ",\"jobs\":" + std::to_string(lease.jobs);
-  out += ",\"trial_workers\":" + std::to_string(lease.trial_workers);
-  out += '}';
-  return out;
-}
-
-bool parse_lease(const std::string& line, LeaseRequest& out, std::string& error) {
-  exp::JsonValue root;
-  if (!exp::parse_json(line, root, error)) {
-    error = "bad lease JSON: " + error;
-    return false;
-  }
-  const exp::JsonValue* op = root.find("op");
-  if (op == nullptr || op->type != exp::JsonValue::Type::kString || op->string != "lease") {
-    error = "not a lease line";
-    return false;
-  }
-  const exp::JsonValue* spec = root.find("spec");
-  const exp::JsonValue* first = root.find("first");
-  const exp::JsonValue* count = root.find("count");
-  if (spec == nullptr || spec->type != exp::JsonValue::Type::kString ||
-      first == nullptr || first->type != exp::JsonValue::Type::kNumber ||
-      count == nullptr || count->type != exp::JsonValue::Type::kNumber) {
-    error = "lease needs \"spec\", \"first\", and \"count\"";
-    return false;
-  }
-  out = LeaseRequest{};
-  out.spec = spec->string;
-  out.first = static_cast<int>(first->number);
-  out.count = static_cast<int>(count->number);
-  if (const exp::JsonValue* jobs = root.find("jobs");
-      jobs != nullptr && jobs->type == exp::JsonValue::Type::kNumber)
-    out.jobs = static_cast<int>(jobs->number);
-  if (const exp::JsonValue* trial_workers = root.find("trial_workers");
-      trial_workers != nullptr && trial_workers->type == exp::JsonValue::Type::kNumber)
-    out.trial_workers = static_cast<int>(trial_workers->number);
-  return true;
-}
-
-std::string worker_record_line(int point, double wall_ms, const std::string& record) {
-  std::string out = "{\"point\":" + std::to_string(point) + ",\"wall_ms\":";
-  exp::json_append_double(out, wall_ms);
-  out += ",\"record\":";
-  exp::json_append_string(out, record);
-  out += '}';
-  return out;
-}
-
-std::string worker_done_line(int first, int count) {
-  return "{\"done\":true,\"first\":" + std::to_string(first) +
-         ",\"count\":" + std::to_string(count) + "}";
-}
-
-bool parse_worker_reply(const std::string& line, WorkerReply& out, std::string& error) {
-  exp::JsonValue root;
-  if (!exp::parse_json(line, root, error)) {
-    error = "bad worker JSON: " + error;
-    return false;
-  }
-  if (root.type != exp::JsonValue::Type::kObject) {
-    error = "worker line must be a JSON object";
-    return false;
-  }
-  out = WorkerReply{};
-  if (const exp::JsonValue* done = root.find("done");
-      done != nullptr && done->type == exp::JsonValue::Type::kBool && done->boolean) {
-    const exp::JsonValue* first = root.find("first");
-    const exp::JsonValue* count = root.find("count");
-    if (first == nullptr || first->type != exp::JsonValue::Type::kNumber ||
-        count == nullptr || count->type != exp::JsonValue::Type::kNumber) {
-      error = "done line needs \"first\" and \"count\"";
-      return false;
-    }
-    out.done = true;
-    out.first = static_cast<int>(first->number);
-    out.count = static_cast<int>(count->number);
-    return true;
-  }
-  const exp::JsonValue* point = root.find("point");
-  const exp::JsonValue* wall_ms = root.find("wall_ms");
-  const exp::JsonValue* record = root.find("record");
-  if (point == nullptr || point->type != exp::JsonValue::Type::kNumber ||
-      wall_ms == nullptr || wall_ms->type != exp::JsonValue::Type::kNumber ||
-      record == nullptr || record->type != exp::JsonValue::Type::kString) {
-    error = "worker line needs \"point\", \"wall_ms\", and \"record\"";
-    return false;
-  }
-  out.point = static_cast<int>(point->number);
-  out.wall_ms = wall_ms->number;
-  out.record = record->string;
   return true;
 }
 

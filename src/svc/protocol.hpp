@@ -90,16 +90,13 @@ struct StatusInfo {
   std::uint64_t computed = 0;     ///< points actually simulated
   std::uint64_t cache_hits = 0;   ///< points served from the result cache
   std::uint64_t campaigns = 0;    ///< distinct specs seen
-  std::uint64_t retried = 0;      ///< points re-leased after a worker fault
   std::string campaign;           ///< optional per-campaign block
   std::string spec_hash;
   int points = 0;
   int done = 0;
-  /// "complete" | "running" | "partial" | "failed" — emitted with the
-  /// per-campaign block when non-empty.
+  /// "complete" | "partial" — emitted with the per-campaign block when
+  /// non-empty.
   std::string state;
-  int failed_first = 0;  ///< with state "failed": first point of the range
-  int failed_count = 0;  ///< ...that exhausted its retry budget
 };
 [[nodiscard]] std::string status_reply(const StatusInfo& info);
 
@@ -115,51 +112,5 @@ struct StatusInfo {
 
 /// Parse a reply line on the client side.
 bool parse_reply(const std::string& line, exp::JsonValue& out, std::string& error);
-
-// ---- Worker lease protocol (server <-> worker process, over pipes) -------
-//
-// The same line-delimited-JSON grammar, spoken on a worker's stdin/stdout
-// instead of a socket. One lease per line on stdin:
-//
-//   {"op":"lease","spec":<canonical spec text>,"first":F,"count":C,
-//    "jobs":J,"trial_workers":W}
-//
-// The worker answers with one line per completed point, in point order,
-// followed by a done line echoing the range:
-//
-//   {"point":N,"wall_ms":X,"record":<verbatim store line, JSON-escaped>}
-//   {"done":true,"first":F,"count":C}
-//
-// EOF on stdin (the supervisor closed the pipe) means exit cleanly. Anything
-// the supervisor cannot parse — or a record whose point/spec_hash does not
-// match the outstanding lease — is a protocol fault: the worker is killed,
-// its lease revoked, and the points re-leased. docs/service.md documents the
-// retry/timeout semantics.
-
-/// One leased range of sweep points.
-struct LeaseRequest {
-  std::string spec;  ///< canonical campaign text (exp::format_campaign)
-  int first = 0;     ///< first grid point index of the range
-  int count = 0;     ///< number of consecutive points
-  int jobs = 1;      ///< trial threads inside the worker
-  int trial_workers = 1;
-};
-[[nodiscard]] std::string lease_line(const LeaseRequest& lease);
-bool parse_lease(const std::string& line, LeaseRequest& out, std::string& error);
-
-/// One line of worker stdout: either a completed point or the range-done
-/// marker (`done` true, `first`/`count` echoing the lease).
-struct WorkerReply {
-  bool done = false;
-  int point = -1;
-  double wall_ms = 0.0;
-  std::string record;  ///< verbatim store record line (no newline)
-  int first = 0;
-  int count = 0;
-};
-[[nodiscard]] std::string worker_record_line(int point, double wall_ms,
-                                             const std::string& record);
-[[nodiscard]] std::string worker_done_line(int first, int count);
-bool parse_worker_reply(const std::string& line, WorkerReply& out, std::string& error);
 
 }  // namespace nomc::svc

@@ -16,7 +16,7 @@ int fixture_forks() {
 
 struct FakeSupervisor {
   // A *declaration* named after a syscall trips the token heuristic too;
-  // outside worker_pool.cpp that wants an explicit suppression.
+  // it wants an explicit suppression.
   bool fork(int) { return true; }  // nomc-lint: allow(svc-raw-fork)
 };
 

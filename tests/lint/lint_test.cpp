@@ -207,15 +207,20 @@ TEST(LintRules, SvcRawForkFiresAndSuppresses) {
   EXPECT_EQ(muted, expected_muted);
 }
 
-TEST(LintRules, SvcRawForkExemptOnlyInWorkerPool) {
-  const SourceFile exempt = scan_source(
+TEST(LintRules, SvcRawForkHasNoExemptPath) {
+  // No path is exempt, not even the one that used to host process
+  // supervision.
+  const SourceFile former = scan_source(
       "src/svc/worker_pool.cpp", "int pid = fork();\n::waitpid(pid, nullptr, 0);\n");
   std::vector<Diagnostic> diagnostics;
-  run_cpp_rules(exempt, diagnostics);
-  EXPECT_TRUE(diagnostics.empty());
+  run_cpp_rules(former, diagnostics);
+  ASSERT_EQ(diagnostics.size(), 2u);
+  EXPECT_EQ(diagnostics[0].rule_id, "svc-raw-fork");
+  EXPECT_EQ(diagnostics[0].line, 1);
+  EXPECT_EQ(diagnostics[1].rule_id, "svc-raw-fork");
+  EXPECT_EQ(diagnostics[1].line, 2);
 
-  // The rest of src/svc/ is NOT exempt: the socket exemption does not bleed
-  // into process control.
+  // The socket exemption for src/svc/ does not bleed into process control.
   const SourceFile server = scan_source("src/svc/server.cpp", "int pid = fork();\n");
   diagnostics.clear();
   run_cpp_rules(server, diagnostics);

@@ -82,6 +82,14 @@ TEST(ProtocolRequest, RejectsMalformedLines) {
   EXPECT_FALSE(parse_request(R"({"spec":"x"})", request, error));
   EXPECT_NE(error.find("op"), std::string::npos);
   EXPECT_FALSE(parse_request(R"({"op":7})", request, error));
+  // strtod reads these as numbers; none of them fits an int point.
+  for (const char* point : {"1e300", "-1e300", "inf", "-inf", "-nan", "2147483648"}) {
+    EXPECT_FALSE(parse_request(std::string{R"({"op":"query","spec_hash":"ab","point":)"} +
+                                   point + "}",
+                               request, error))
+        << point;
+    EXPECT_NE(error.find("point"), std::string::npos) << point;
+  }
 }
 
 TEST(ProtocolReplies, RoundTripThroughJsonParser) {
@@ -141,77 +149,34 @@ TEST(ProtocolReplies, SubmitReplyIsAPureFunctionOfTheSpec) {
   EXPECT_EQ(submit_reply("00aa", "c", 4, 4), submit_reply("00aa", "c", 4, 4));
 }
 
-TEST(ProtocolReplies, StatusReplyCarriesRetriedStateAndFailedRange) {
+TEST(ProtocolReplies, StatusReplyCarriesCountersAndCampaignState) {
   StatusInfo info;
-  info.retried = 3;
+  info.submissions = 2;
+  info.computed = 5;
+  info.cache_hits = 7;
+  info.campaigns = 1;
+  EXPECT_EQ(status_reply(info),
+            R"({"ok":true,"submissions":2,"computed":5,"cache_hits":7,"campaigns":1})");
+
   info.campaign = "camp";
   info.spec_hash = "00aa";
   info.points = 4;
   info.done = 2;
-  info.state = "failed";
-  info.failed_first = 2;
-  info.failed_count = 2;
+  info.state = "partial";
+  EXPECT_EQ(status_reply(info),
+            R"({"ok":true,"submissions":2,"computed":5,"cache_hits":7,"campaigns":1,)"
+            R"("campaign":"camp","spec_hash":"00aa","points":4,"done":2,"state":"partial"})");
+
+  info.done = 4;
+  info.state = "complete";
   exp::JsonValue value;
   std::string error;
   ASSERT_TRUE(parse_reply(status_reply(info), value, error)) << error;
-  EXPECT_EQ(static_cast<int>(value.find("retried")->number), 3);
-  EXPECT_EQ(value.find("state")->string, "failed");
-  EXPECT_EQ(static_cast<int>(value.find("failed_first")->number), 2);
-  EXPECT_EQ(static_cast<int>(value.find("failed_count")->number), 2);
-
-  // The failed range is only emitted in the failed state.
-  info.state = "running";
-  ASSERT_TRUE(parse_reply(status_reply(info), value, error));
-  EXPECT_EQ(value.find("state")->string, "running");
+  EXPECT_EQ(value.find("state")->string, "complete");
+  // Submits compute in-process: nothing is ever retried or left failed.
+  EXPECT_EQ(value.find("retried"), nullptr);
   EXPECT_EQ(value.find("failed_first"), nullptr);
-}
-
-TEST(WorkerProtocol, LeaseLineRoundTrips) {
-  LeaseRequest lease;
-  lease.spec = "name = x\nsweep links = 1 2\n";
-  lease.first = 3;
-  lease.count = 2;
-  lease.jobs = 4;
-  lease.trial_workers = 2;
-  LeaseRequest parsed;
-  std::string error;
-  ASSERT_TRUE(parse_lease(lease_line(lease), parsed, error)) << error;
-  EXPECT_EQ(parsed.spec, lease.spec);
-  EXPECT_EQ(parsed.first, 3);
-  EXPECT_EQ(parsed.count, 2);
-  EXPECT_EQ(parsed.jobs, 4);
-  EXPECT_EQ(parsed.trial_workers, 2);
-
-  // jobs/trial_workers are optional and default to 1.
-  ASSERT_TRUE(parse_lease(R"({"op":"lease","spec":"s","first":0,"count":1})", parsed, error));
-  EXPECT_EQ(parsed.jobs, 1);
-  EXPECT_EQ(parsed.trial_workers, 1);
-
-  EXPECT_FALSE(parse_lease(R"({"op":"submit","spec":"s"})", parsed, error));
-  EXPECT_FALSE(parse_lease(R"({"op":"lease","spec":"s","first":0})", parsed, error));
-  EXPECT_FALSE(parse_lease("not json", parsed, error));
-}
-
-TEST(WorkerProtocol, WorkerLinesRoundTrip) {
-  const std::string record = R"({"v":1,"spec_hash":"00aa","point":5})";
-  WorkerReply parsed;
-  std::string error;
-  ASSERT_TRUE(parse_worker_reply(worker_record_line(5, 12.5, record), parsed, error)) << error;
-  EXPECT_FALSE(parsed.done);
-  EXPECT_EQ(parsed.point, 5);
-  EXPECT_DOUBLE_EQ(parsed.wall_ms, 12.5);
-  EXPECT_EQ(parsed.record, record);
-
-  ASSERT_TRUE(parse_worker_reply(worker_done_line(4, 2), parsed, error)) << error;
-  EXPECT_TRUE(parsed.done);
-  EXPECT_EQ(parsed.first, 4);
-  EXPECT_EQ(parsed.count, 2);
-
-  // The supervisor treats anything else as a protocol fault.
-  EXPECT_FALSE(parse_worker_reply("garbage", parsed, error));
-  EXPECT_FALSE(parse_worker_reply(R"({"done":true})", parsed, error));
-  EXPECT_FALSE(parse_worker_reply(R"({"point":1})", parsed, error));
-  EXPECT_FALSE(parse_worker_reply("[1,2]", parsed, error));
+  EXPECT_EQ(value.find("failed_count"), nullptr);
 }
 
 }  // namespace

@@ -9,10 +9,9 @@
 //       a linear scan of the store.
 //
 // nomc-lint: allow-file(svc-raw-fork) — spawning the real binaries IS the
-// test; svc::WorkerPool is part of the system under test, not usable here.
+// test; nothing else in the repo spawns processes.
 #include <gtest/gtest.h>
 
-#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -181,142 +180,18 @@ TEST(ServiceE2E, SubmitCacheQueryExportShutdown) {
   EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
-/// fork/exec a tool without waiting — the caller reaps it.
-pid_t spawn_tool(const std::vector<std::string>& args) {
-  const pid_t pid = ::fork();
-  if (pid < 0) return -1;
-  if (pid == 0) {
-    std::freopen("/dev/null", "w", stdout);
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 1);
-    for (const std::string& arg : args) argv.push_back(const_cast<char*>(arg.c_str()));
-    argv.push_back(nullptr);
-    ::execv(argv[0], argv.data());
-    std::_Exit(127);
+TEST(ServiceE2E, WorkerProcessOptionsAreGone) {
+  // Submits always compute in-process; the options of the removed
+  // worker-process sharding are unknown and exit with a usage error before
+  // the daemon binds anything.
+  const std::vector<std::string> removed = {"--workers", "--worker-bin", "--lease-points",
+                                            "--lease-timeout-ms", "--worker-retries"};
+  for (const std::string& option : removed) {
+    EXPECT_EQ(run_tool({NOMC_SERVE_BIN, "--socket", "/tmp/nomc_e2e_gone.sock", option, "1"}), 2)
+        << option;
   }
-  return pid;
-}
-
-/// The server's live worker children, found by walking /proc for processes
-/// whose parent is the daemon (the workers are `nomc-campaign worker`).
-std::vector<pid_t> worker_children(pid_t server_pid) {
-  std::vector<pid_t> out;
-  for (const auto& entry : std::filesystem::directory_iterator("/proc")) {
-    const std::string name = entry.path().filename().string();
-    if (name.empty() || name.find_first_not_of("0123456789") != std::string::npos) continue;
-    const std::string stat = read_file("/proc/" + name + "/stat");
-    // stat: "pid (comm) state ppid ..."; comm may hold spaces, so parse past
-    // the LAST ')' (the kernel never escapes it).
-    const std::size_t close = stat.rfind(')');
-    if (close == std::string::npos) continue;
-    const std::size_t comm_open = stat.find('(');
-    const std::string comm = stat.substr(comm_open + 1, close - comm_open - 1);
-    if (comm.find("nomc-campaign") == std::string::npos) continue;
-    pid_t ppid = 0;
-    if (std::sscanf(stat.c_str() + close + 1, " %*c %d", &ppid) != 1) continue;
-    if (ppid == server_pid) out.push_back(static_cast<pid_t>(std::stol(name)));
-  }
-  return out;
-}
-
-TEST(ServiceE2E, Workers4SurviveSigkillMidCampaign) {
-  // The acceptance scenario: a --workers 4 daemon, one worker SIGKILLed while
-  // the campaign runs, and the final store still byte-identical to a serial
-  // local run with the killed worker's points visibly re-leased.
-  const std::string data_dir = ::testing::TempDir() + "nomc_svc_e2e_w4";
-  const char* kSocketW4 = "/tmp/nomc_e2e_w4.sock";
-  std::filesystem::remove_all(data_dir);
-  std::filesystem::create_directories(data_dir);
-
-  // Long enough simulated windows that the grid is still mid-flight when
-  // the kill lands (tiny windows finish in tens of milliseconds — faster
-  // than a /proc scan can find the victim).
-  const std::string spec_text =
-      "name = e2e_w4\n"
-      "channels = 2\n"
-      "links = 1\n"
-      "power = 0\n"
-      "warmup = 1\n"
-      "measure = 2\n"
-      "trials = 1\n"
-      "sweep links = 1 2 3 4 5 6 7 8\n";
-  const std::string spec_path = data_dir + "/e2e_w4.campaign";
-  {
-    std::FILE* file = std::fopen(spec_path.c_str(), "wb");
-    ASSERT_NE(file, nullptr);
-    std::fwrite(spec_text.data(), 1, spec_text.size(), file);
-    std::fclose(file);
-  }
-  exp::CampaignSpec spec;
-  exp::SpecError spec_error;
-  ASSERT_TRUE(exp::parse_campaign(spec_text, spec, spec_error)) << spec_error.str();
-  const std::string hash = exp::spec_hash(spec);
-
-  const pid_t server_pid = ::fork();
-  ASSERT_GE(server_pid, 0);
-  if (server_pid == 0) {
-    std::freopen("/dev/null", "w", stdout);
-    ::execl(NOMC_SERVE_BIN, NOMC_SERVE_BIN, "--socket", kSocketW4, "--data-dir",
-            data_dir.c_str(), "--workers", "4", "--lease-points", "1",
-            static_cast<char*>(nullptr));
-    std::_Exit(127);
-  }
-  Client probe;
-  std::string error;
-  bool up = false;
-  for (int attempt = 0; attempt < 200 && !up; ++attempt) {
-    up = probe.connect(kSocketW4, error);
-    if (!up) ::usleep(50 * 1000);
-  }
-  ASSERT_TRUE(up) << error;
-
-  // Submit from the CLI, then SIGKILL the first worker we can find — the
-  // pool spawns them the moment the sharded job starts, each already
-  // holding a one-point lease.
-  const pid_t submit_pid =
-      spawn_tool({NOMC_CAMPAIGN_BIN, "submit", spec_path, "--server", kSocketW4});
-  ASSERT_GT(submit_pid, 0);
-  pid_t victim = -1;
-  for (int i = 0; i < 2000 && victim < 0; ++i) {
-    const std::vector<pid_t> workers = worker_children(server_pid);
-    if (!workers.empty()) {
-      victim = workers.front();
-    } else {
-      ::usleep(2000);
-    }
-  }
-  ASSERT_GT(victim, 0) << "no worker process appeared under the daemon";
-  ASSERT_EQ(::kill(victim, SIGKILL), 0);
-
-  // The CLI submit must still succeed: the supervisor re-leases the killed
-  // worker's points and completes the grid.
-  int status = 0;
-  ASSERT_EQ(::waitpid(submit_pid, &status, 0), submit_pid);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
-
-  // The retry is visible in the status counters.
-  exp::JsonValue reply;
-  ASSERT_TRUE(probe.call(R"({"op":"status"})", reply, error)) << error;
-  ASSERT_TRUE(reply.find("ok")->boolean);
-  ASSERT_NE(reply.find("retried"), nullptr);
-  EXPECT_GE(static_cast<int>(reply.find("retried")->number), 1);
-
-  // Byte-identity with a serial local run of the same spec.
-  const std::string local_store = data_dir + "_local.jsonl";
-  std::remove(local_store.c_str());
-  EXPECT_EQ(run_tool({NOMC_CAMPAIGN_BIN, "run", spec_path, "--out", local_store,
-                      "--quiet"}),
-            0);
-  const std::string server_bytes = read_file(data_dir + "/" + hash + ".jsonl");
-  ASSERT_FALSE(server_bytes.empty());
-  EXPECT_EQ(server_bytes, read_file(local_store));
-
-  probe.close();
-  EXPECT_EQ(run_tool({NOMC_CAMPAIGN_BIN, "shutdown", kSocketW4}), 0);
-  ASSERT_EQ(::waitpid(server_pid, &status, 0), server_pid);
-  EXPECT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
+  // ...and nomc-campaign has no hidden worker mode left.
+  EXPECT_EQ(run_tool({NOMC_CAMPAIGN_BIN, "worker", NOMC_E2E_SPEC}), 2);
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
-// Server crash-resume fuzz for sharded campaigns: kill the server (and with
-// it every worker process) at a random point of a --workers 3 campaign,
-// optionally tear the store's tail the way a mid-write death would, then
-// restart against the same data dir and resubmit. The final store must be
-// byte-identical to a serial local run for every seed — the worker count and
-// the crash point must leave no fingerprint.
+// Server crash-resume fuzz: submit a campaign, then tear the store and
+// `.timing` tails at random offsets the way a death mid-write would, close
+// the server, reopen it on the same data dir and resubmit. The final store
+// must be byte-identical to a serial local run for every seed, and the
+// resubmit must simulate exactly the points the tear destroyed — the crash
+// point must leave no fingerprint.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <random>
@@ -22,7 +25,7 @@
 namespace nomc::svc {
 namespace {
 
-// 4 cheap points, one trial each; lease_points=1 spreads them across workers.
+// 4 cheap points, one trial each.
 constexpr const char* kFuzzSpec =
     "name = svc_fuzz\n"
     "channels = 2\n"
@@ -86,87 +89,88 @@ std::string submit_request() {
   return request;
 }
 
+/// send + step + recv of one request on an in-process server. A submit
+/// simulates synchronously inside the step that reads it.
+std::string roundtrip(Server& server, Client& client, const std::string& request) {
+  std::string error;
+  EXPECT_TRUE(client.send_line(request, error)) << error;
+  for (int i = 0; i < 6; ++i) EXPECT_TRUE(server.step(20, error)) << error;
+  std::string line;
+  EXPECT_TRUE(client.recv_line(line, error)) << error;
+  return line;
+}
+
+std::uint64_t status_counter(Server& server, Client& client, const char* key) {
+  exp::JsonValue value;
+  std::string error;
+  const std::string line = roundtrip(server, client, R"({"op":"status"})");
+  EXPECT_TRUE(parse_reply(line, value, error)) << line;
+  const exp::JsonValue* counter = value.find(key);
+  return counter == nullptr ? ~std::uint64_t{0} : static_cast<std::uint64_t>(counter->number);
+}
+
 TEST(ServiceFuzz, ServerKillMidCampaignResumesByteIdentical) {
   const std::string& oracle = oracle_bytes();
   ASSERT_FALSE(oracle.empty());
   const std::string hash = exp::spec_hash(fuzz_spec());
+  const std::uint64_t points = exp::expand_grid(fuzz_spec()).size();
 
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     SCOPED_TRACE("fuzz seed " + std::to_string(seed));
-    // Fixed-seed generator for fuzz *inputs* (kill points, frame splits),
-    // not simulation randomness — replays stay reproducible.
+    // Fixed-seed generator for fuzz *inputs* (tear offsets), not simulation
+    // randomness — replays stay reproducible.
     // nomc-lint: allow(det-rand)
     std::mt19937_64 rng{seed};
     const std::string dir =
         ::testing::TempDir() + "nomc_sfz_" + std::to_string(::getpid()) + "_" +
         std::to_string(seed);
     std::filesystem::remove_all(dir);
+    const std::string store_path = dir + "/" + hash + ".jsonl";
 
     ServerConfig config;
     config.data_dir = dir;
-    config.workers = 3;
-    config.lease_points = 1;
-    config.worker_argv = {NOMC_CAMPAIGN_BIN, "worker"};
+    config.socket_path =
+        "/tmp/nomc_sfz_" + std::to_string(::getpid()) + "_" + std::to_string(seed) + ".sock";
 
-    // First leg: submit, step a random distance into the campaign, then kill
-    // the server. close() reaps the workers with SIGKILL — the process-tree
-    // equivalent of the whole service dying.
+    // First leg: the submit computes the whole grid. Then tear both tails
+    // while the server is still up — the bytes a death mid-append leaves —
+    // and close it.
+    std::string first_reply;
+    std::uint64_t torn = 0;
     {
-      config.socket_path =
-          "/tmp/nomc_sfz_" + std::to_string(::getpid()) + "_" + std::to_string(seed) + "a.sock";
       Server server;
       std::string error;
       ASSERT_TRUE(server.open(config, error)) << error;
       Client client;
       ASSERT_TRUE(client.connect(config.socket_path, error)) << error;
-      ASSERT_TRUE(client.send_line(submit_request(), error)) << error;
-      // Unconditional stepping: early steps are still accepting the submit,
-      // and stepping past completion is harmless — every crash point from
-      // "before the campaign started" to "already done" gets fuzzed.
-      const int steps = 1 + static_cast<int>(rng() % 40);
-      for (int i = 0; i < steps; ++i) {
-        ASSERT_TRUE(server.step(20, error)) << error;
-      }
+      first_reply = roundtrip(server, client, submit_request());
+      ASSERT_EQ(first_reply, submit_reply(hash, "svc_fuzz", static_cast<int>(points),
+                                          static_cast<int>(points)));
+      ASSERT_EQ(read_file(store_path), oracle);
+
+      // Anywhere in the store, not just its last line: the cut stands for
+      // every crash point from "nothing written" to "already done".
+      const std::size_t cut = rng() % (oracle.size() + 1);
+      truncate_at(store_path, cut);
+      const auto kept_end = oracle.begin() + static_cast<std::ptrdiff_t>(cut);
+      torn = points - static_cast<std::uint64_t>(std::count(oracle.begin(), kept_end, '\n'));
+      const std::string timing = read_file(store_path + ".timing");
+      ASSERT_FALSE(timing.empty());
+      truncate_at(store_path + ".timing", rng() % (timing.size() + 1));
       server.close();
     }
 
-    // Half the seeds also tear the store tail, mimicking a write cut short
-    // by the kill (the writer appends + flushes per line, so only the final
-    // line can be torn — but the fuzz cuts anywhere to be adversarial).
-    const std::string store_path = dir + "/" + hash + ".jsonl";
-    const std::string store = read_file(store_path);
-    if (!store.empty() && rng() % 2 == 0) {
-      const std::size_t window = store.size() < 300 ? store.size() : 300;
-      truncate_at(store_path, store.size() - (rng() % (window + 1)));
-      const std::string timing = read_file(store_path + ".timing");
-      if (!timing.empty()) {
-        truncate_at(store_path + ".timing", timing.size() - (rng() % (timing.size() + 1)));
-      }
-    }
-
-    // Second leg: fresh server over the same data dir; resubmit must finish
-    // only the missing suffix and land on the serial oracle's bytes.
+    // Second leg: a fresh server over the same data dir. The resubmit
+    // recomputes only the torn points and lands on the serial oracle's bytes.
     {
-      config.socket_path =
-          "/tmp/nomc_sfz_" + std::to_string(::getpid()) + "_" + std::to_string(seed) + "b.sock";
       Server server;
       std::string error;
       ASSERT_TRUE(server.open(config, error)) << error;
       Client client;
       ASSERT_TRUE(client.connect(config.socket_path, error)) << error;
-      ASSERT_TRUE(client.send_line(submit_request(), error)) << error;
-      for (int i = 0; i < 4000; ++i) {
-        ASSERT_TRUE(server.step(5, error)) << error;
-        if (i >= 8 && !server.busy()) break;
-      }
-      ASSERT_FALSE(server.busy()) << "resumed campaign did not finish";
-      for (int i = 0; i < 6; ++i) ASSERT_TRUE(server.step(0, error)) << error;
-      std::string reply_line;
-      ASSERT_TRUE(client.recv_line(reply_line, error)) << error;
-      exp::JsonValue value;
-      ASSERT_TRUE(parse_reply(reply_line, value, error)) << reply_line;
-      ASSERT_NE(value.find("ok"), nullptr) << reply_line;
-      EXPECT_TRUE(value.find("ok")->boolean) << reply_line;
+      EXPECT_EQ(roundtrip(server, client, submit_request()), first_reply);
+      EXPECT_EQ(status_counter(server, client, "computed"), torn);
+      EXPECT_EQ(status_counter(server, client, "cache_hits"), points - torn);
       server.close();
     }
 

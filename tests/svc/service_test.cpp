@@ -303,6 +303,23 @@ TEST(Service, CacheSurvivesServerRestart) {
   }
 }
 
+TEST(Service, OpenRejectsWorkerProcesses) {
+  // Submits always compute in-process; asking for worker processes is an
+  // error, not a silent fallback.
+  Server server;
+  ServerConfig config;
+  config.socket_path = socket_path("workers");
+  config.data_dir = fresh_dir("workers");
+  config.workers = 2;
+  std::string error;
+  EXPECT_FALSE(server.open(config, error));
+  EXPECT_NE(error.find("workers"), std::string::npos);
+  EXPECT_FALSE(server.running());
+
+  config.workers = 0;
+  EXPECT_TRUE(server.open(config, error)) << error;
+}
+
 TEST(Service, ShutdownOpStopsTheLoop) {
   Server server;
   ServerConfig config;

@@ -28,7 +28,6 @@
 #include "exp/store_index.hpp"
 #include "stats/table.hpp"
 #include "svc/client.hpp"
-#include "svc/worker.hpp"
 
 namespace {
 
@@ -355,29 +354,20 @@ int status_command(const std::string& file, const cli::ArgParser& args) {
   const exp::JsonValue* computed = reply.find("computed");
   const exp::JsonValue* cache_hits = reply.find("cache_hits");
   const exp::JsonValue* campaigns = reply.find("campaigns");
-  const exp::JsonValue* retried = reply.find("retried");
   std::printf("%s (spec %s): %d/%d point(s) done on %s",
               campaign != nullptr ? campaign->string.c_str() : "?", hash.c_str(),
               done != nullptr ? static_cast<int>(done->number) : -1,
               points != nullptr ? static_cast<int>(points->number) : -1, server.c_str());
   if (state != nullptr && state->type == exp::JsonValue::Type::kString) {
     std::printf(" [%s]", state->string.c_str());
-    if (state->string == "failed") {
-      const exp::JsonValue* failed_first = reply.find("failed_first");
-      const exp::JsonValue* failed_count = reply.find("failed_count");
-      std::printf(" (points %d..+%d exhausted retries)",
-                  failed_first != nullptr ? static_cast<int>(failed_first->number) : -1,
-                  failed_count != nullptr ? static_cast<int>(failed_count->number) : -1);
-    }
   }
   std::printf("\n");
   std::printf("server: %d submission(s), %d point(s) computed, %d cache hit(s), "
-              "%d campaign(s), %d point(s) retried\n",
+              "%d campaign(s)\n",
               submissions != nullptr ? static_cast<int>(submissions->number) : -1,
               computed != nullptr ? static_cast<int>(computed->number) : -1,
               cache_hits != nullptr ? static_cast<int>(cache_hits->number) : -1,
-              campaigns != nullptr ? static_cast<int>(campaigns->number) : -1,
-              retried != nullptr ? static_cast<int>(retried->number) : -1);
+              campaigns != nullptr ? static_cast<int>(campaigns->number) : -1);
   return 0;
 }
 
@@ -530,12 +520,6 @@ int shutdown_command(const std::string& socket_path) {
 int main(int argc, char** argv) {
   if (argc >= 2 && (std::strcmp(argv[1], "--help") == 0 || std::strcmp(argv[1], "-h") == 0)) {
     return usage(stdout);
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "worker") == 0) {
-    // Hidden: the worker half of nomc-serve's campaign sharding. Reads
-    // lease lines on stdin, writes record lines on stdout; exits on EOF.
-    // Not in the usage text — it is an implementation detail of --workers.
-    return svc::run_worker(stdin, stdout);
   }
   if (argc < 3) return usage(stderr);
   const std::string command = argv[1];
