@@ -9,7 +9,6 @@
 
 #include "net/scenario.hpp"
 #include "net/scheme_names.hpp"
-#include "net/sharded_scenario.hpp"
 #include "net/topology.hpp"
 #include "phy/channel_plan.hpp"
 #include "sim/parallel.hpp"
@@ -81,10 +80,31 @@ bool rewrite_timing_sidecar(const std::string& path, const std::set<int>& comple
   return true;
 }
 
+/// One finished trial's numbers, per network.
+TrialResult collect(const PointParams& params, const net::Scenario& scenario) {
+  TrialResult one;
+  one.overall_pps = scenario.overall_throughput();
+  for (int n = 0; n < scenario.network_count(); ++n) {
+    const net::Scenario::NetworkResult network = scenario.network_result(n);
+    double prr = 0.0;
+    double backoffs = 0.0;
+    double drops = 0.0;
+    for (const net::Scenario::LinkResult& link : network.links) {
+      prr += link.prr;
+      backoffs += static_cast<double>(link.sender.cca_backoffs);
+      drops += static_cast<double>(link.sender.cca_failures);
+    }
+    one.pps.push_back(network.throughput_pps);
+    one.prr.push_back(prr / static_cast<double>(network.links.size()));
+    one.backoffs_per_s.push_back(backoffs / params.measure_s);
+    one.drops_per_s.push_back(drops / params.measure_s);
+  }
+  return one;
+}
+
 }  // namespace
 
-TrialResult run_trial(const PointParams& params, int trial, const TrialHook& pre_run,
-                      int trial_workers) {
+TrialResult run_trial(const PointParams& params, int trial, const TrialHook& pre_run) {
   net::Scheme scheme = net::Scheme::kFixedCca;
   const bool scheme_ok = net::parse_scheme(params.scheme, scheme);
   assert(scheme_ok && "PointParams.scheme must be pre-validated");
@@ -112,44 +132,15 @@ TrialResult run_trial(const PointParams& params, int trial, const TrialHook& pre
     specs = net::case1_dense(channels, placement, topology);
   }
 
-  // Scenario and ShardedScenario expose the same result API; the collector
-  // is generic so both execution paths produce the numbers identically.
-  const auto collect = [&params](const auto& scenario) {
-    TrialResult one;
-    one.overall_pps = scenario.overall_throughput();
-    for (int n = 0; n < scenario.network_count(); ++n) {
-      const auto network = scenario.network_result(n);
-      double prr = 0.0;
-      double backoffs = 0.0;
-      double drops = 0.0;
-      for (const auto& link : network.links) {
-        prr += link.prr;
-        backoffs += static_cast<double>(link.sender.cca_backoffs);
-        drops += static_cast<double>(link.sender.cca_failures);
-      }
-      one.pps.push_back(network.throughput_pps);
-      one.prr.push_back(prr / static_cast<double>(network.links.size()));
-      one.backoffs_per_s.push_back(backoffs / params.measure_s);
-      one.drops_per_s.push_back(drops / params.measure_s);
-    }
-    return one;
-  };
-
   net::ScenarioConfig config;
   config.seed = seed;
   config.psdu_bytes = params.psdu_bytes;
   config.fixed_cca_threshold = phy::Dbm{params.cca_dbm};
-  if (trial_workers != 1) {
-    net::ShardedScenario scenario{config, {.trial_workers = trial_workers}};
-    scenario.add_networks(specs, scheme);
-    scenario.run(sim::SimTime::seconds(params.warmup_s), sim::SimTime::seconds(params.measure_s));
-    return collect(scenario);
-  }
   net::Scenario scenario{config};
   if (pre_run) pre_run(trial, scenario);
   scenario.add_networks(specs, scheme);
   scenario.run(sim::SimTime::seconds(params.warmup_s), sim::SimTime::seconds(params.measure_s));
-  return collect(scenario);
+  return collect(params, scenario);
 }
 
 PointResult merge_trials(const std::vector<TrialResult>& trials) {
@@ -175,9 +166,9 @@ PointResult merge_trials(const std::vector<TrialResult>& trials) {
 }
 
 PointResult run_point(const PointParams& params, sim::ParallelRunner& runner,
-                      const TrialHook& pre_run, int trial_workers) {
+                      const TrialHook& pre_run) {
   return merge_trials(runner.map(params.trials, [&](int trial) {
-    return run_trial(params, trial, pre_run, trial_workers);
+    return run_trial(params, trial, pre_run);
   }));
 }
 
@@ -364,8 +355,7 @@ bool run_campaign(const CampaignSpec& spec, const std::string& out_path,
     PendingPoint& pending = slots[static_cast<std::size_t>(slot)];
     const SweepPoint& point = *pending.point;
     if (trial == 0) pending.start = std::chrono::steady_clock::now();
-    pending.trials[static_cast<std::size_t>(trial)] =
-        run_trial(point.params, trial, {}, options.trial_workers);
+    pending.trials[static_cast<std::size_t>(trial)] = run_trial(point.params, trial);
     // The atomic decrement orders every trial's writes before the last one.
     if (--pending.unfinished != 0) return;
 

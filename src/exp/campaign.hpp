@@ -52,16 +52,8 @@ struct TrialResult {
 /// Run trial `trial` of an operating point: one deployment seeded
 /// seed + trial * 1000003. The params must be pre-validated (parser or cli
 /// helpers); run_trial asserts on an unknown scheme/topology.
-///
-/// `trial_workers` != 1 runs the trial through net::ShardedScenario (spatial
-/// region shards advanced in conservative lookahead windows) instead of the
-/// serial net::Scenario. It is a wall-clock knob with resolve_jobs semantics
-/// (0 = all hardware threads): results are bit-identical at every value, so
-/// it is deliberately NOT part of PointParams and never enters the record.
-/// The hook fires only on the serial path (it receives a net::Scenario,
-/// which a sharded trial does not build).
 [[nodiscard]] TrialResult run_trial(const PointParams& params, int trial,
-                                    const TrialHook& pre_run = {}, int trial_workers = 1);
+                                    const TrialHook& pre_run = {});
 
 /// The point's result: the mean of all its trials (trials[i] is trial i),
 /// summed in seed order.
@@ -69,7 +61,7 @@ struct TrialResult {
 
 /// Run one operating point: run_trial for each trial on `runner`, then merge.
 [[nodiscard]] PointResult run_point(const PointParams& params, sim::ParallelRunner& runner,
-                                    const TrialHook& pre_run = {}, int trial_workers = 1);
+                                    const TrialHook& pre_run = {});
 
 struct CampaignOptions {
   /// The campaign's pool has resolve_jobs(jobs) * resolve_jobs(point_jobs)
@@ -84,10 +76,6 @@ struct CampaignOptions {
     kResume,     ///< keep completed points, compute the rest
   };
   Mode mode = Mode::kFresh;
-  /// Worker threads inside each trial (region-sharded execution; see
-  /// run_trial). Like jobs/point_jobs this is an execution knob only — the
-  /// store bytes do not depend on it, and it is not part of the spec hash.
-  int trial_workers = 1;
   /// Stop after computing this many new points (< 0 = no limit). The test
   /// suite uses this to simulate an interrupted campaign.
   int max_points = -1;

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cinttypes>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,10 +48,12 @@ std::vector<std::string> split_ws(const std::string& text) {
   return parts;
 }
 
+// strtod also reads "nan" and "inf"; neither is a value any key can take,
+// and a NaN would slip past every range check below.
 bool parse_num(const std::string& text, double& out) {
   char* end = nullptr;
   out = std::strtod(text.c_str(), &end);
-  return end != nullptr && *end == '\0' && !text.empty();
+  return end != nullptr && *end == '\0' && !text.empty() && std::isfinite(out);
 }
 
 bool parse_num(const std::string& text, int& out) {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "phy/geometry.hpp"
 #include "phy/rejection.hpp"
 #include "phy/timing.hpp"
 #include "phy/units.hpp"
@@ -40,12 +39,6 @@ struct Frame {
   bool ack_request = false;       ///< sender wants an ACK (data frames only)
   std::uint8_t repair_round = 0;  ///< PPR: 0 = original, >0 = repair frame
   std::uint16_t aux = 0;          ///< small control payload (PPR: dirty-block count)
-
-  /// Transmitter position snapshotted when the transmission committed.
-  /// Region-sharded runs mirror frames onto shard mediums that do not host
-  /// the transmitter; those mediums compute path loss from this snapshot.
-  /// Serial mediums ignore it for frames whose source they own.
-  Vec2 src_pos{};
 
   /// Transmitter emission mask for WIDEBAND interferers (e.g. a colocated
   /// 802.11 network): how far the transmission's own spectrum reaches.

@@ -6,16 +6,9 @@
 
 namespace nomc::phy {
 
-double influence_radius_m(const MediumConfig& config, Dbm tx_power) {
-  const double shadow_cap = config.culling.shadow_cap_sigma * config.shadowing_sigma_db;
-  const double floor = config.noise_floor.value - config.culling.margin_db;
-  return config.path_loss.distance_for_loss(Db{tx_power.value + shadow_cap - floor});
-}
-
 Medium::Medium(MediumConfig config)
     : config_{std::move(config)},
       shadowing_{config_.shadowing_sigma_db, config_.seed},
-      next_frame_id_{config_.frame_id_base + 1},
       noise_mw_{to_milliwatts(config_.noise_floor)} {
   if (config_.culling.enabled) {
     double cell = config_.culling.cell_size_m;
@@ -25,14 +18,15 @@ Medium::Medium(MediumConfig config)
 }
 
 double Medium::influence_radius_m(Dbm tx_power) const {
-  return phy::influence_radius_m(config_, tx_power);
+  const double shadow_cap = config_.culling.shadow_cap_sigma * config_.shadowing_sigma_db;
+  return config_.path_loss.distance_for_loss(Db{tx_power.value + shadow_cap - cull_floor_dbm()});
 }
 
 NodeId Medium::add_node(Vec2 position) {
   positions_.push_back(position);
   epochs_.push_back(0);
   loss_cache_.emplace_back();
-  return config_.node_id_base + static_cast<NodeId>(positions_.size() - 1);
+  return static_cast<NodeId>(positions_.size() - 1);
 }
 
 Vec2 Medium::position(NodeId node) const { return positions_[local_index(node)]; }
@@ -80,11 +74,7 @@ double Medium::cached_loss_db(NodeId a, NodeId b) const {
 }
 
 Dbm Medium::compute_rss(const Frame& frame, NodeId rx) const {
-  // A foreign (region-mirrored) frame is placed at its src_pos snapshot.
-  const double loss =
-      owns(frame.src)
-          ? cached_loss_db(frame.src, rx)
-          : config_.path_loss.loss(distance(frame.src_pos, positions_[local_index(rx)])).value;
+  const double loss = cached_loss_db(frame.src, rx);
   if (shadowing_.sigma_db() <= 0.0) {
     return frame.tx_power - Db{loss};
   }
@@ -136,7 +126,7 @@ double Medium::leaked_mw(std::uint32_t slot, NodeId rx, Mhz channel, Path path) 
 
 void Medium::add_listener(MediumListener* listener, NodeId node) {
   assert(listener != nullptr);
-  assert(owns(node) && "listeners must listen at a locally registered node");
+  assert(node < positions_.size() && "listeners must listen at a registered node");
   listeners_.push_back({listener, node});
 }
 
@@ -169,9 +159,7 @@ void Medium::notify_listeners(const Frame& frame, Vec2 src_pos, double radius, b
 void Medium::begin_tx(const Frame& frame) {
   assert(frame.id != 0 && "allocate the frame id through the medium");
   assert(slot_of_.find(frame.id) == slot_of_.end() && "frame id already on the air");
-  // A frame from a locally registered source is placed at that node's current
-  // position; a foreign (region-mirrored) frame at its committed snapshot.
-  const Vec2 src_pos = owns(frame.src) ? positions_[local_index(frame.src)] : frame.src_pos;
+  const Vec2 src_pos = positions_[local_index(frame.src)];
   const double radius = influence_radius_m(frame.tx_power);
   // Claim the slot before notifying, so the listeners' rss() queries already
   // fill the frame's terms; it stays out of gather() (not live, not in the
@@ -228,7 +216,7 @@ void Medium::end_tx(FrameId id) {
 }
 
 Dbm Medium::rss(const Frame& frame, NodeId rx) const {
-  assert(owns(rx));
+  assert(rx < positions_.size());
   const auto it = slot_of_.find(frame.id);
   // Off the air (e.g. a receiver finalizing after end_tx): recompute; the
   // shadowing draw is a pure hash of (seed, frame, rx), so the value agrees.

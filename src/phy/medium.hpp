@@ -38,7 +38,7 @@
 //     invalidates every pair involving the moved node in O(1) by bumping
 //     its epoch;
 //   * everything per frame lives on the in-flight frame's slot: a sparse map
-//     keyed by local rx index holding the RSS (stamped with the rx's motion
+//     keyed by rx index holding the RSS (stamped with the rx's motion
 //     epoch) and the sensing- and decode-path milliwatts (each stamped with
 //     the rx channel it was computed for). A claimed slot starts empty, and
 //     a transmitter's move clears its in-flight frames' maps;
@@ -103,21 +103,7 @@ struct MediumConfig {
   double shadowing_sigma_db = 2.5;
   std::uint64_t seed = 1;
   CullingConfig culling{};
-  /// First node id add_node() hands out. Region-sharded runs give each shard
-  /// medium a disjoint id range so mirrored frames never alias local nodes;
-  /// serial runs keep the default 0.
-  NodeId node_id_base = 0;
-  /// allocate_frame_id() counts up from frame_id_base + 1. Region-sharded
-  /// runs key this off the region index so frame ids stay globally unique
-  /// (shadowing draws hash the frame id; collisions would correlate fades).
-  FrameId frame_id_base = 0;
 };
-
-/// The culling radius a frame sent at `tx_power` carries under `config`:
-/// the distance at which tx_power + the shadowing head-room falls to the
-/// receive floor (noise − margin). Free-standing so region planners can
-/// derive shard extents without building a Medium.
-[[nodiscard]] double influence_radius_m(const MediumConfig& config, Dbm tx_power);
 
 class Medium {
  public:
@@ -125,30 +111,21 @@ class Medium {
   Medium(const Medium&) = delete;
   Medium& operator=(const Medium&) = delete;
 
-  /// Registers a node at `position`; returns its id (dense, starting at
-  /// `node_id_base`).
+  /// Registers a node at `position`; returns its id (dense, starting at 0).
   NodeId add_node(Vec2 position);
   [[nodiscard]] std::size_t node_count() const { return positions_.size(); }
-  /// True when `node` was registered with this medium (its id falls in this
-  /// medium's [node_id_base, node_id_base + node_count) range). Frames from
-  /// foreign sources — mirrored by a region router — fail this and are
-  /// modelled from their Frame::src_pos snapshot instead.
-  [[nodiscard]] bool owns(NodeId node) const {
-    return node >= config_.node_id_base &&
-           node - config_.node_id_base < positions_.size();
-  }
   [[nodiscard]] Vec2 position(NodeId node) const;
   void set_position(NodeId node, Vec2 position);
 
   /// Listeners (radios) are notified of tx start/end. `node` is the
-  /// listener's own (locally registered) node: with culling enabled,
-  /// notifications are delivered only to listeners inside the frame's
-  /// influence disc — beyond it the frame is unobservable by construction,
-  /// so skipping the callback only re-anchors where error-segment RNG draws
-  /// happen, never what a receiver can measure. Assumes listeners do not
-  /// move across an influence boundary while a frame is in flight (static
-  /// deployments; paper-scale discs exceed the deployment span, so nothing
-  /// is ever skipped there).
+  /// listener's own node: with culling enabled, notifications are
+  /// delivered only to listeners inside the frame's influence disc —
+  /// beyond it the frame is unobservable by construction, so skipping the
+  /// callback only re-anchors where error-segment RNG draws happen, never
+  /// what a receiver can measure. Assumes listeners do not move across an
+  /// influence boundary while a frame is in flight (static deployments;
+  /// paper-scale discs exceed the deployment span, so nothing is ever
+  /// skipped there).
   void add_listener(MediumListener* listener, NodeId node);
   void remove_listener(MediumListener* listener);
 
@@ -232,7 +209,7 @@ class Medium {
     std::uint64_t begin_seq = 0;  ///< global begin_tx order: fixes summation order
     double radius = 0.0;          ///< influence radius in metres
     bool live = false;            ///< visible to gather()
-    /// Memoized terms keyed by local rx index; emptied when the slot is
+    /// Memoized terms keyed by rx index; emptied when the slot is
     /// claimed and when the transmitter moves.
     mutable NodeMap<RxTerms> terms;
   };
@@ -260,13 +237,12 @@ class Medium {
   /// The milliwatts the frame in `slot` leaks into `rx` tuned to `channel`.
   [[nodiscard]] double leaked_mw(std::uint32_t slot, NodeId rx, Mhz channel, Path path) const;
   /// Memoized PL(distance(a, b)); entries staled by either endpoint moving.
-  /// Both endpoints must be locally registered.
   [[nodiscard]] double cached_loss_db(NodeId a, NodeId b) const;
 
-  /// Dense storage index of a locally registered node.
+  /// Dense storage index of a registered node.
   [[nodiscard]] std::size_t local_index(NodeId node) const {
-    assert(owns(node));
-    return static_cast<std::size_t>(node - config_.node_id_base);
+    assert(node < positions_.size());
+    return static_cast<std::size_t>(node);
   }
 
   /// Noise floor minus the culling margin, in dBm: energy below this is

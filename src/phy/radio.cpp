@@ -77,13 +77,8 @@ void Radio::transmit(const Frame& frame) {
   });
 }
 
-sim::EventId Radio::schedule_tx(sim::SimTime lead, Frame frame, bool skip_if_busy) {
-  frame.src_pos = medium_.position(self_);
+sim::EventId Radio::schedule_tx(sim::SimTime lead, const Frame& frame, bool skip_if_busy) {
   tx_committed_until_ = std::max(tx_committed_until_, scheduler_.now() + lead + frame.duration());
-  if (router_ != nullptr) {
-    router_->commit_tx(frame, scheduler_.now() + lead, *this, skip_if_busy);
-    return sim::kInvalidEventId;
-  }
   if (skip_if_busy) {
     return scheduler_.schedule_in(lead, [this, frame] {
       if (state_ == State::kTx) return;

@@ -247,7 +247,6 @@ void Server::handle_submit(Session& session, const Request& request) {
     exp::CampaignOptions options;
     options.jobs = config_.jobs;
     options.point_jobs = config_.point_jobs;
-    options.trial_workers = config_.trial_workers;
     options.mode = exp::CampaignOptions::Mode::kResume;
     options.quiet = config_.quiet;
     exp::CampaignStats stats;

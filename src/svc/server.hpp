@@ -34,7 +34,6 @@ struct ServerConfig {
   std::string data_dir;     ///< campaign stores + sidecars live here
   int jobs = 1;             ///< pool factor (exp::CampaignOptions)
   int point_jobs = 1;       ///< pool factor (exp::CampaignOptions)
-  int trial_workers = 1;    ///< region-sharded workers inside each trial
   std::size_t max_line = kMaxLine;
   bool quiet = true;  ///< suppress run_campaign progress lines
   /// Must be 0: open() rejects any other value. Kept only because the

@@ -1,0 +1,211 @@
+// Fixed-seed mutation fuzz of the campaign spec parser. Seeds are the
+// example campaigns, put through bit flips, byte inserts and deletes,
+// truncations, line splices and injected non-finite or huge number tokens.
+// Every input must come back as a SpecError or as a spec whose every
+// reachable PointParams double is finite; an accepted spec's canonical text
+// must parse back to the same hash.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <cstdio>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "exp/spec.hpp"
+
+namespace nomc::exp {
+namespace {
+
+std::string read_file(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return "";
+  std::string content;
+  char buffer[4096];
+  std::size_t got = 0;
+  while ((got = std::fread(buffer, 1, sizeof buffer, file)) > 0) content.append(buffer, got);
+  std::fclose(file);
+  return content;
+}
+
+const std::vector<std::string>& seeds() {
+  static const std::vector<std::string> texts = [] {
+    std::vector<std::string> out;
+    for (const char* name :
+         {"fig01_cfd.campaign", "fig19_zigbee_vs_dcn.campaign", "fig30_wider_band.campaign"}) {
+      out.push_back(read_file(std::string{NOMC_CAMPAIGNS_DIR} + "/" + name));
+    }
+    return out;
+  }();
+  return texts;
+}
+
+// Fixed-seed generator for fuzz *inputs*, not simulation randomness —
+// replays stay reproducible.
+// nomc-lint: allow(det-rand)
+using Rng = std::mt19937_64;
+
+std::size_t pick(Rng& rng, std::size_t n) { return n == 0 ? 0 : rng() % n; }
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::size_t start = 0;
+  while (start <= text.size()) {
+    const std::size_t end = text.find('\n', start);
+    if (end == std::string::npos) {
+      lines.push_back(text.substr(start));
+      break;
+    }
+    lines.push_back(text.substr(start, end - start));
+    start = end + 1;
+  }
+  return lines;
+}
+
+std::string join(const std::vector<std::string>& lines) {
+  std::string out;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (i > 0) out += '\n';
+    out += lines[i];
+  }
+  return out;
+}
+
+/// Replace one value token (after a line's '=') with a hostile number.
+std::string inject_number(Rng& rng, const std::string& text) {
+  static const std::vector<std::string> kTokens = {
+      "nan",   "-nan",     "NaN",      "nan(1)", "inf",  "-inf",   "INF",
+      "infinity", "1e999", "-1e999",   "1e308",  "1e-400", "4.9e-324", "0x1p1024",
+      "99999999999999999999", "-0"};
+  std::vector<std::string> lines = lines_of(text);
+  const std::size_t li = pick(rng, lines.size());
+  std::string& line = lines[li];
+  const std::size_t eq = line.find('=');
+  const std::string& token = kTokens[pick(rng, kTokens.size())];
+  if (eq == std::string::npos) {
+    line.insert(pick(rng, line.size() + 1), token);
+    return join(lines);
+  }
+  // Token boundaries after '=': whitespace and the lockstep '/'.
+  std::vector<std::pair<std::size_t, std::size_t>> spans;
+  std::size_t i = eq + 1;
+  while (i < line.size()) {
+    while (i < line.size() && (line[i] == ' ' || line[i] == '\t' || line[i] == '/')) ++i;
+    const std::size_t start = i;
+    while (i < line.size() && line[i] != ' ' && line[i] != '\t' && line[i] != '/') ++i;
+    if (i > start) spans.emplace_back(start, i - start);
+  }
+  if (spans.empty()) {
+    line += " " + token;
+  } else {
+    const auto [start, length] = spans[pick(rng, spans.size())];
+    line.replace(start, length, token);
+  }
+  return join(lines);
+}
+
+std::string mutate(Rng& rng, std::string text) {
+  switch (rng() % 6) {
+    case 0:  // bit flips
+      for (int flips = 1 + static_cast<int>(rng() % 4); flips > 0 && !text.empty(); --flips) {
+        text[pick(rng, text.size())] ^= static_cast<char>(1u << (rng() % 8));
+      }
+      break;
+    case 1: {  // byte inserts: grammar bytes, digits, NUL, high bytes
+      static const std::string kBytes =
+          std::string{"=/#\n\r\t .-+e0123456789x"} + '\0' + "\x7f\x80\xff";
+      for (int inserts = 1 + static_cast<int>(rng() % 4); inserts > 0; --inserts) {
+        text.insert(pick(rng, text.size() + 1), 1, kBytes[pick(rng, kBytes.size())]);
+      }
+      break;
+    }
+    case 2:  // byte deletes
+      for (int deletes = 1 + static_cast<int>(rng() % 4); deletes > 0 && !text.empty();
+           --deletes) {
+        text.erase(pick(rng, text.size()), 1 + pick(rng, 3));
+      }
+      break;
+    case 3:  // truncation
+      text.resize(pick(rng, text.size() + 1));
+      break;
+    case 4: {  // line splice: a line of any seed, inserted at a line boundary
+      std::vector<std::string> lines = lines_of(text);
+      const std::vector<std::string> donor = lines_of(seeds()[pick(rng, seeds().size())]);
+      const std::string& line = donor[pick(rng, donor.size())];
+      const auto at = static_cast<std::ptrdiff_t>(pick(rng, lines.size() + 1));
+      lines.insert(lines.begin() + at, line);
+      if (rng() % 2 == 0 && lines.size() > 1) {
+        lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(pick(rng, lines.size())));
+      }
+      text = join(lines);
+      break;
+    }
+    default:
+      text = inject_number(rng, text);
+      break;
+  }
+  return text;
+}
+
+bool all_finite(const PointParams& params) {
+  return std::isfinite(params.band_start_mhz) && std::isfinite(params.cfd_mhz) &&
+         std::isfinite(params.cca_dbm) && std::isfinite(params.warmup_s) &&
+         std::isfinite(params.measure_s) &&
+         (!params.power_dbm.has_value() || std::isfinite(*params.power_dbm));
+}
+
+/// Every PointParams the grid can produce is the base plus one step per
+/// axis; each step is checked against the base without expanding the grid.
+void expect_finite_grid(const CampaignSpec& spec, const std::string& input) {
+  ASSERT_TRUE(all_finite(spec.base)) << input;
+  for (const SweepAxis& axis : spec.axes) {
+    for (const std::vector<std::string>& step : axis.steps) {
+      PointParams params = spec.base;
+      std::string message;
+      for (std::size_t k = 0; k < axis.keys.size(); ++k) {
+        ASSERT_TRUE(apply_param(params, axis.keys[k], step[k], message)) << message;
+      }
+      ASSERT_TRUE(all_finite(params)) << "sweep line " << axis.line << " of:\n" << input;
+    }
+  }
+}
+
+TEST(SpecFuzz, MutatedExampleCampaignsErrorOrParseFiniteAndRoundTrip) {
+  for (const std::string& seed : seeds()) ASSERT_FALSE(seed.empty()) << NOMC_CAMPAIGNS_DIR;
+
+  int accepted = 0;
+  int rejected = 0;
+  for (std::uint64_t fuzz_seed = 1; fuzz_seed <= 5; ++fuzz_seed) {
+    Rng rng{fuzz_seed};
+    for (int round = 0; round < 600; ++round) {
+      std::string input = seeds()[pick(rng, seeds().size())];
+      for (int m = 1 + static_cast<int>(rng() % 3); m > 0; --m) input = mutate(rng, input);
+
+      CampaignSpec spec;
+      SpecError error;
+      if (!parse_campaign(input, spec, error)) {
+        EXPECT_FALSE(error.message.empty()) << input;
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      expect_finite_grid(spec, input);
+
+      const std::string canonical = format_campaign(spec);
+      CampaignSpec again;
+      ASSERT_TRUE(parse_campaign(canonical, again, error))
+          << error.str() << "\ncanonical:\n" << canonical << "\ninput:\n" << input;
+      EXPECT_EQ(spec_hash(again), spec_hash(spec)) << input;
+    }
+  }
+  // Both outcomes must be exercised, or the mutations are too weak (or too
+  // destructive) to say anything.
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
+}
+
+}  // namespace
+}  // namespace nomc::exp

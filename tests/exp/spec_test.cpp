@@ -174,6 +174,23 @@ TEST(Spec, BadCampaignNameReportsLine) {
   EXPECT_NE(error.message.find("name"), std::string::npos);
 }
 
+TEST(Spec, NonFiniteValuesRejectedWithLine) {
+  // strtod reads all of these; every range check is false for NaN, so only
+  // an explicit finiteness check keeps "cfd_mhz":nan out of the store.
+  for (const char* key : {"band-start", "cfd", "power", "cca", "warmup", "measure"}) {
+    for (const char* value : {"nan", "-nan", "inf", "-inf"}) {
+      const std::string k = key;
+      const std::string v = value;
+      const SpecError base = parse_fail("trials = 1\n" + k + " = " + v + "\n");
+      EXPECT_EQ(base.line, 2) << k << " = " << v;
+      EXPECT_NE(base.str().find("line 2"), std::string::npos) << base.str();
+      const SpecError swept = parse_fail("\n\nsweep " + k + " = " + v + "\n");
+      EXPECT_EQ(swept.line, 3) << "sweep " << k << " = " << v;
+      EXPECT_NE(swept.str().find("line 3"), std::string::npos) << swept.str();
+    }
+  }
+}
+
 TEST(Spec, NegativeSeedRejected) {
   const SpecError error = parse_fail("seed = -1\n");
   EXPECT_EQ(error.line, 1);

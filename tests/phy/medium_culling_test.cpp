@@ -203,17 +203,15 @@ TEST(MediumCulling, FrameTermMemoMatchesFreshlyBuiltMediumAfterMidFrameChanges) 
   // is asked about a second channel — and require every answer to equal a
   // medium built from scratch at the final geometry, bit for bit. The mix
   // includes a wideband frame (emission mask floors the rejection) and a
-  // foreign frame modelled from its src_pos snapshot.
+  // frame from a fourth, far source, so four transmitters overlap.
   const ChannelRejection wide_mask{std::vector<ChannelRejection::Anchor>{
       {Mhz{0.0}, Db{0.0}}, {Mhz{8.0}, Db{0.0}}, {Mhz{11.0}, Db{20.0}}, {Mhz{30.0}, Db{45.0}}}};
-  constexpr NodeId kForeignSrc = 500;  // registered with neither medium
-
   Medium warm{config_with(true)};
   const NodeId a = warm.add_node({0.0, 0.0});
   const NodeId b = warm.add_node({10.0, 0.0});
   const NodeId c = warm.add_node({0.0, 15.0});
   const NodeId d = warm.add_node({6.0, 6.0});
-  ASSERT_FALSE(warm.owns(kForeignSrc));
+  const NodeId e = warm.add_node({20.0, 5.0});
 
   auto make = [&warm](NodeId src, Mhz channel, Dbm power) {
     Frame frame;
@@ -227,8 +225,7 @@ TEST(MediumCulling, FrameTermMemoMatchesFreshlyBuiltMediumAfterMidFrameChanges) 
   Frame to_c = make(a, kChannels[0], Dbm{0.0});  // c decodes this one
   Frame wideband = make(b, kChannels[1], Dbm{-3.0});
   wideband.emission = &wide_mask;
-  Frame foreign = make(kForeignSrc, kChannels[2], Dbm{-2.0});
-  foreign.src_pos = {20.0, 5.0};
+  const Frame far = make(e, kChannels[2], Dbm{-2.0});
   const Frame late = make(d, kChannels[0], Dbm{-5.0});
   const Frame reuse = make(d, kChannels[2], Dbm{-1.0});  // claims late's recycled slot
 
@@ -238,7 +235,7 @@ TEST(MediumCulling, FrameTermMemoMatchesFreshlyBuiltMediumAfterMidFrameChanges) 
     Frame frame;
   };
   const std::vector<Step> history = {
-      {true, to_c}, {true, wideband}, {true, foreign}, {true, late}, {false, late}, {true, reuse}};
+      {true, to_c}, {true, wideband}, {true, far}, {true, late}, {false, late}, {true, reuse}};
 
   auto warm_up = [&warm, &c](const std::vector<Frame>& on_air) {
     for (NodeId node = 0; node < warm.node_count(); ++node) {
@@ -275,6 +272,7 @@ TEST(MediumCulling, FrameTermMemoMatchesFreshlyBuiltMediumAfterMidFrameChanges) 
   EXPECT_EQ(fresh.add_node({-4.0, 7.0}), b);
   EXPECT_EQ(fresh.add_node({2.0, 3.0}), c);
   EXPECT_EQ(fresh.add_node({6.0, 6.0}), d);
+  EXPECT_EQ(fresh.add_node({20.0, 5.0}), e);
   for (const Step& step : history) {
     if (step.begin) {
       fresh.begin_tx(step.frame);
@@ -291,6 +289,7 @@ TEST(MediumCulling, FrameTermMemoMatchesFreshlyBuiltMediumAfterMidFrameChanges) 
   before.add_node({10.0, 0.0});
   before.add_node({0.0, 15.0});
   before.add_node({6.0, 6.0});
+  before.add_node({20.0, 5.0});
   for (const Frame& frame : on_air) before.begin_tx(frame);
   EXPECT_NE(bits(before.rss(to_c, c).value), bits(warm.rss(to_c, c).value));
   EXPECT_NE(bits(before.rss(wideband, a).value), bits(warm.rss(wideband, a).value));

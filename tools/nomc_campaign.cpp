@@ -60,9 +60,6 @@ int usage(std::FILE* out) {
       "  --point-jobs <m>  (default 1 each; 0 = all hardware threads) that the\n"
       "                    trials of all points share. The store is written in\n"
       "                    point order and byte-identical for every value.\n"
-      "  --trial-workers <n>  worker threads inside each trial (region-sharded\n"
-      "                    execution; 0 = all hardware threads). Like --jobs,\n"
-      "                    results are bit-identical for every value.\n"
       "  --max-points <n>  stop after computing n new points (testing aid;\n"
       "                    resume finishes the rest)\n"
       "  --overwrite       run: discard an existing store\n"
@@ -81,7 +78,6 @@ cli::ArgParser make_options() {
   args.add_int("point", -1, "query: sweep-point index to fetch");
   args.add_int("jobs", 1, "pool threads = jobs x point-jobs, shared by all trials (0 = all)");
   args.add_int("point-jobs", 1, "pool threads = jobs x point-jobs (0 = all hardware threads)");
-  args.add_int("trial-workers", 1, "worker threads inside each trial (0 = all)");
   args.add_int("max-points", -1, "stop after computing this many new points");
   args.add_flag("overwrite", "run: discard an existing result store");
   args.add_flag("quiet", "suppress per-point progress lines");
@@ -152,7 +148,6 @@ int run_or_resume(const std::string& spec_path, const cli::ArgParser& args, bool
   exp::CampaignOptions options;
   options.jobs = args.get_int("jobs");
   options.point_jobs = args.get_int("point-jobs");
-  options.trial_workers = args.get_int("trial-workers");
   options.max_points = args.get_int("max-points");
   options.quiet = args.get_flag("quiet");
   options.mode = resume ? exp::CampaignOptions::Mode::kResume

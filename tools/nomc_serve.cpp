@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
                "pool threads = jobs x point-jobs, shared by the trials of all missing "
                "points (0 = all)");
   args.add_int("point-jobs", 1, "pool threads = jobs x point-jobs (0 = all)");
-  args.add_int("trial-workers", 1, "worker threads inside each trial (0 = all)");
   args.add_flag("quiet", "suppress per-point progress lines");
   if (const auto exit_code = cli::parse_standard(args, argc, argv, "nomc-serve")) {
     return *exit_code;
@@ -43,7 +42,6 @@ int main(int argc, char** argv) {
   config.data_dir = args.get_string("data-dir");
   config.jobs = args.get_int("jobs");
   config.point_jobs = args.get_int("point-jobs");
-  config.trial_workers = args.get_int("trial-workers");
   config.quiet = args.get_flag("quiet");
 
   svc::Server server;

@@ -24,7 +24,8 @@
 #include "cli/args.hpp"
 #include "cli/options.hpp"
 #include "exp/campaign.hpp"
-#include "mac/cca.hpp"
+#include "exp/result_store.hpp"
+#include "exp/spec.hpp"
 #include "net/scenario.hpp"
 #include "sim/parallel.hpp"
 #include "sim/trace.hpp"
@@ -34,27 +35,27 @@ namespace {
 
 using namespace nomc;
 
+/// The operating point's options. Each is a string option validated by
+/// exp::apply_param, so the CLI accepts exactly what a campaign spec
+/// assignment of the same key accepts.
+constexpr const char* kPointKeys[] = {
+    "scheme", "topology", "band-start", "cfd",     "channels", "links", "power",
+    "cca",    "psdu",     "warmup",     "measure", "seed",     "trials"};
+
+std::string text(double value) {
+  std::string out;
+  exp::json_append_double(out, value);
+  return out;
+}
+
 int run(const cli::ArgParser& args) {
   exp::PointParams params;
-  params.scheme = args.get_string("scheme");
-  params.band_start_mhz = args.get_double("band-start");
-  params.cfd_mhz = args.get_double("cfd");
-  params.channels = args.get_int("channels");
-  params.links = args.get_int("links");
-  if (args.provided("power")) params.power_dbm = args.get_double("power");
-  params.cca_dbm = args.get_double("cca");
-  params.psdu_bytes = args.get_int("psdu");
-  params.warmup_s = args.get_double("warmup");
-  params.measure_s = args.get_double("measure");
-  params.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  params.trials = args.get_int("trials");
-
-  net::Scheme scheme;
-  if (!cli::scheme_from_args(args, "scheme", scheme)) return 1;
-  if (!cli::topology_from_args(args, "topology", params.topology)) return 1;
-  if (params.trials < 1) {
-    std::fprintf(stderr, "--trials must be >= 1\n");
-    return 1;
+  std::string message;
+  for (const char* key : kPointKeys) {
+    if (!exp::apply_param(params, key, args.get_string(key), message)) {
+      std::fprintf(stderr, "%s\n", message.c_str());
+      return 1;
+    }
   }
 
   // The event trace is a single-run debugging artifact; averaging trials
@@ -65,24 +66,15 @@ int run(const cli::ArgParser& args) {
     std::fprintf(stderr, "--trace requires --trials 1\n");
     return 1;
   }
-  // The trace attaches to the serial path's single scheduler; a sharded
-  // trial has one scheduler per region, so the two options are exclusive.
-  const int trial_workers = args.get_int("trial-workers");
-  if (args.provided("trace") && trial_workers != 1) {
-    std::fprintf(stderr, "--trace requires --trial-workers 1\n");
-    return 1;
-  }
   if (args.provided("trace")) {
     trace = std::make_unique<sim::CsvTraceSink>(args.get_string("trace"));
   }
 
   sim::ParallelRunner runner{trace ? 1 : args.get_int("jobs")};
-  const exp::PointResult mean = exp::run_point(
-      params, runner,
-      [&](int trial, net::Scenario& scenario) {
+  const exp::PointResult mean =
+      exp::run_point(params, runner, [&](int trial, net::Scenario& scenario) {
         if (trace && trial == 0) scenario.scheduler().set_trace(trace.get());
-      },
-      trial_workers);
+      });
 
   std::printf("scheme=%s topology=%s channels=%d cfd=%.1fMHz seed=%llu trials=%d jobs=%d\n\n",
               params.scheme.c_str(), params.topology.c_str(), params.channels,
@@ -110,26 +102,26 @@ int run(const cli::ArgParser& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Defaults are the campaign spec's, except one trial.
+  const exp::PointParams defaults;
   cli::ArgParser args;
-  args.add_double("band-start", 2458.0, "first channel center frequency (MHz)");
-  args.add_double("cfd", 3.0, "channel frequency distance (MHz)");
-  args.add_int("channels", 6, "number of channels / networks");
-  cli::add_scheme_option(args, "scheme", "dcn");
-  cli::add_topology_option(args);
-  args.add_int("links", 2, "sender->receiver links per network");
-  args.add_double("power", 0.0,
-                  "fixed TX power (dBm) for all nodes; omit for random [-22, 0]");
-  args.add_double("cca", mac::kZigbeeDefaultCcaThreshold.value,
-                  "fixed-scheme CCA threshold (dBm)");
-  args.add_int("psdu", 100, "data frame PSDU size (bytes)");
-  args.add_double("warmup", 2.0, "warm-up before measurement (s)");
-  args.add_double("measure", 8.0, "measurement window (s)");
-  args.add_int("seed", 1, "random seed (placement, fading, backoff)");
-  args.add_int("trials", 1, "independent random deployments averaged (seed + i*1000003)");
+  args.add_string("band-start", text(defaults.band_start_mhz),
+                  "first channel center frequency (MHz)");
+  args.add_string("cfd", text(defaults.cfd_mhz), "channel frequency distance (MHz)");
+  args.add_string("channels", std::to_string(defaults.channels), "number of channels / networks");
+  cli::add_scheme_option(args, "scheme", defaults.scheme);
+  cli::add_topology_option(args, "topology", defaults.topology);
+  args.add_string("links", std::to_string(defaults.links), "sender->receiver links per network");
+  args.add_string("power", "random",
+                  "fixed TX power (dBm) for all nodes, or random [-22, 0] per node");
+  args.add_string("cca", text(defaults.cca_dbm), "fixed-scheme CCA threshold (dBm)");
+  args.add_string("psdu", std::to_string(defaults.psdu_bytes), "data frame PSDU size (bytes)");
+  args.add_string("warmup", text(defaults.warmup_s), "warm-up before measurement (s)");
+  args.add_string("measure", text(defaults.measure_s), "measurement window (s)");
+  args.add_string("seed", std::to_string(defaults.seed),
+                  "random seed (placement, fading, backoff)");
+  args.add_string("trials", "1", "independent random deployments averaged (seed + i*1000003)");
   args.add_int("jobs", 1, "worker threads for trials (0 = all hardware threads)");
-  args.add_int("trial-workers", 1,
-               "worker threads inside each trial, region-sharded (0 = all; "
-               "bit-identical results at any value)");
   args.add_string("trace", "", "write a CSV event trace to this path (needs --trials 1)");
 
   if (const auto exit_code = cli::parse_standard(args, argc, argv, argv[0])) {
