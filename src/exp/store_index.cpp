@@ -1,6 +1,8 @@
 #include "exp/store_index.hpp"
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <cstring>
 
 namespace nomc::exp {
@@ -19,6 +21,16 @@ bool read_whole_file(const std::string& path, std::string& out) {
   return ok;
 }
 
+/// Parse an unsigned decimal field starting at `begin`. It must start with a
+/// digit (strtoull alone skips blanks and accepts a sign, wrapping "-1" to
+/// 2^64 - 1) and fit in 64 bits.
+bool parse_count(const char* begin, char** end, std::uint64_t& out) {
+  if (*begin < '0' || *begin > '9') return false;
+  errno = 0;
+  out = std::strtoull(begin, end, 10);
+  return errno != ERANGE;
+}
+
 /// Parse one "<hash> <point> <offset> <length>" sidecar line.
 bool parse_index_line(const std::string& line, StoreIndex::Entry& out) {
   const char* cursor = line.c_str();
@@ -26,16 +38,16 @@ bool parse_index_line(const std::string& line, StoreIndex::Entry& out) {
   if (space == nullptr || space == cursor) return false;
   out.spec_hash.assign(cursor, static_cast<std::size_t>(space - cursor));
   char* end = nullptr;
-  const long point = std::strtol(space + 1, &end, 10);
-  if (end == space + 1 || *end != ' ' || point < 0) return false;
+  std::uint64_t point = 0;
+  if (!parse_count(space + 1, &end, point) || *end != ' ' ||
+      point > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+    return false;
+  }
   out.point = static_cast<int>(point);
-  const char* next = end + 1;
-  out.offset = std::strtoull(next, &end, 10);
-  if (end == next || *end != ' ') return false;
-  next = end + 1;
-  out.length = std::strtoull(next, &end, 10);
-  if (end == next || *end != '\0' || out.length == 0) return false;
-  return true;
+  if (!parse_count(end + 1, &end, out.offset) || *end != ' ') return false;
+  if (!parse_count(end + 1, &end, out.length) || *end != '\0' || out.length == 0) return false;
+  // The entry must end inside the 64-bit byte range, or coverage wraps.
+  return out.length <= std::numeric_limits<std::uint64_t>::max() - out.offset;
 }
 
 /// Load the sidecar: header + entry lines, dropping a torn final line. Any
@@ -146,6 +158,18 @@ bool StoreIndex::open(const std::string& store_path, const std::string& expected
     // offset is suspect, rebuild from scratch.
     entries_.clear();
     covered_ = 0;
+  }
+  if (!expected_hash.empty()) {
+    // A foreign hash in the sidecar is damage to derived data until the
+    // store itself says so: rebuild, and let step 3 judge the store's own
+    // records.
+    for (const Entry& entry : entries_) {
+      if (entry.spec_hash != expected_hash) {
+        entries_.clear();
+        covered_ = 0;
+        break;
+      }
+    }
   }
   if (!entries_.empty()) {
     // Spot-check the newest trusted entry against its actual bytes; a store

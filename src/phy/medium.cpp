@@ -23,10 +23,33 @@ double Medium::influence_radius_m(Dbm tx_power) const {
 }
 
 NodeId Medium::add_node(Vec2 position) {
+  if (positions_.empty()) {
+    box_lo_ = position;
+    box_hi_ = position;
+  }
   positions_.push_back(position);
   epochs_.push_back(0);
   loss_cache_.emplace_back();
+  grow_box(position);
   return static_cast<NodeId>(positions_.size() - 1);
+}
+
+void Medium::grow_box(Vec2 position) {
+  const Vec2 lo{std::min(box_lo_.x, position.x), std::min(box_lo_.y, position.y)};
+  const Vec2 hi{std::max(box_hi_.x, position.x), std::max(box_hi_.y, position.y)};
+  if (lo == box_lo_ && hi == box_hi_) return;
+  box_lo_ = lo;
+  box_hi_ = hi;
+  box_diag_sq_ = distance_sq(lo, hi);
+  // The box only grows, so a live frame can only stop covering it.
+  for (const LiveEntry& entry : live_slots_) {
+    if (!current(entry)) continue;
+    ActiveFrame& af = frame_slots_[entry.slot];
+    if (af.covers_all && !covers_box(af.radius)) {
+      af.covers_all = false;
+      ++partial_live_;
+    }
+  }
 }
 
 Vec2 Medium::position(NodeId node) const { return positions_[local_index(node)]; }
@@ -40,6 +63,7 @@ void Medium::set_position(NodeId node, Vec2 position) {
   // (capacity retained).
   ++epochs_[index];
   loss_cache_[index].clear();
+  grow_box(position);
   // Re-bucket the mover's in-flight frames so the spatial index keeps
   // answering from current positions, and forget their terms at every rx.
   for (std::size_t i = 0; i < frame_slots_.size(); ++i) {
@@ -186,6 +210,9 @@ void Medium::begin_tx(const Frame& frame) {
   ActiveFrame& af = frame_slots_[slot];
   af.begin_seq = next_begin_seq_++;
   af.live = true;
+  af.covers_all = covers_box(af.radius);
+  if (!af.covers_all) ++partial_live_;
+  live_slots_.push_back({af.begin_seq, slot});
   if (config_.culling.enabled) {
     grid_.insert(slot, af.src_pos);
     max_active_radius_ = std::max(max_active_radius_, af.radius);
@@ -209,10 +236,18 @@ void Medium::end_tx(FrameId id) {
   ActiveFrame& af = frame_slots_[slot];
   if (config_.culling.enabled) grid_.remove(slot, af.src_pos);
   af.live = false;
+  if (!af.covers_all) --partial_live_;
   free_frame_slots_.push_back(slot);
   slot_of_.erase(it);
   --active_count_;
   if (active_count_ == 0) max_active_radius_ = 0.0;
+  // The frame's live-list entry is now stale. Sweep stale entries once they
+  // exceed a quarter of the live ones: amortised O(1) per end_tx, where
+  // erasing in place would shift the whole list (frames end roughly in the
+  // order they began, so the ended one sits near the front).
+  if (live_slots_.size() - active_count_ > active_count_ / 4 + 4) {
+    std::erase_if(live_slots_, [this](const LiveEntry& entry) { return !current(entry); });
+  }
 }
 
 Dbm Medium::rss(const Frame& frame, NodeId rx) const {
@@ -259,22 +294,15 @@ bool Medium::inter_channel_audible(const Frame& frame, NodeId rx, Mhz channel) c
   return leaks_above_noise(frame, rss(frame, rx), channel);
 }
 
-void Medium::gather(NodeId node, bool ordered, bool force_exhaustive) const {
+void Medium::gather(NodeId node, bool ordered) const {
   scratch_.clear();
-  if (config_.culling.enabled && !force_exhaustive) {
-    const Vec2 at = positions_[local_index(node)];
-    grid_.for_each_in_disc(at, max_active_radius_, [&](std::uint32_t slot) {
-      const ActiveFrame& af = frame_slots_[slot];
-      if (distance_sq(at, af.src_pos) <= af.radius * af.radius) {
-        scratch_.emplace_back(af.begin_seq, slot);
-      }
-    });
-  } else {
-    for (std::size_t i = 0; i < frame_slots_.size(); ++i) {
-      const ActiveFrame& af = frame_slots_[i];
-      if (af.live) scratch_.emplace_back(af.begin_seq, static_cast<std::uint32_t>(i));
+  const Vec2 at = positions_[local_index(node)];
+  grid_.for_each_in_disc(at, max_active_radius_, [&](std::uint32_t slot) {
+    const ActiveFrame& af = frame_slots_[slot];
+    if (distance_sq(at, af.src_pos) <= af.radius * af.radius) {
+      scratch_.emplace_back(af.begin_seq, slot);
     }
-  }
+  });
   // begin_seq order == begin_tx order: the dense path accumulated frames in
   // insertion order, and float addition is order-sensitive, so replaying
   // that exact order keeps culled and exhaustive results bit-identical
@@ -282,15 +310,57 @@ void Medium::gather(NodeId node, bool ordered, bool force_exhaustive) const {
   if (ordered) std::sort(scratch_.begin(), scratch_.end());
 }
 
-MilliWatts Medium::accumulate(NodeId node, Mhz channel, FrameId exclude, Path path) const {
-  gather(node, /*ordered=*/true);
-  MilliWatts total = noise_mw_;
-  for (const auto& candidate : scratch_) {
-    const Frame& f = frame_slots_[candidate.second].frame;
-    if (f.id == exclude) continue;
-    if (f.src == node) continue;  // a node never senses its own signal
-    total += MilliWatts{leaked_mw(candidate.second, node, channel, path)};
+template <typename Visit>
+bool Medium::any_candidate(NodeId node, bool ordered, bool force_exhaustive, Visit visit) const {
+  if (!config_.culling.enabled || force_exhaustive || partial_live_ == 0) {
+#ifndef NDEBUG
+    check_live_list(node);
+#endif
+    for (const LiveEntry& entry : live_slots_) {
+      if (current(entry) && visit(entry.slot)) return true;
+    }
+    return false;
   }
+  gather(node, ordered);
+  for (const auto& candidate : scratch_) {
+    if (visit(candidate.second)) return true;
+  }
+  return false;
+}
+
+#ifndef NDEBUG
+void Medium::check_live_list(NodeId node) const {
+  // The live list's current entries are every live frame, once, in
+  // begin_seq order ...
+  std::vector<std::uint32_t> current_slots;
+  for (std::size_t i = 0; i < live_slots_.size(); ++i) {
+    assert((i == 0 || live_slots_[i - 1].begin_seq < live_slots_[i].begin_seq) &&
+           "live list out of begin_seq order");
+    if (current(live_slots_[i])) current_slots.push_back(live_slots_[i].slot);
+  }
+  assert(current_slots.size() == active_count_ && "live list lost or duplicated a frame");
+  // ... and while every live frame covers the deployment, they are exactly
+  // the grid gather's sorted candidate list.
+  if (config_.culling.enabled && partial_live_ == 0) {
+    gather(node, /*ordered=*/true);
+    assert(scratch_.size() == current_slots.size() && "live list differs from the grid gather");
+    for (std::size_t i = 0; i < scratch_.size(); ++i) {
+      assert(scratch_[i].second == current_slots[i] && "live list differs from the grid gather");
+    }
+  }
+}
+#endif
+
+MilliWatts Medium::accumulate(NodeId node, Mhz channel, FrameId exclude, Path path) const {
+  MilliWatts total = noise_mw_;
+  any_candidate(node, /*ordered=*/true, /*force_exhaustive=*/false, [&](std::uint32_t slot) {
+    const Frame& f = frame_slots_[slot].frame;
+    // A node never senses its own signal.
+    if (f.id != exclude && f.src != node) {
+      total += MilliWatts{leaked_mw(slot, node, channel, path)};
+    }
+    return false;
+  });
   return total;
 }
 
@@ -309,14 +379,11 @@ bool Medium::carrier_present(NodeId node, Mhz channel, Dbm sensitivity) const {
   // receive floor; a detector tuned below that floor could still hear them,
   // so such a query scans exhaustively instead of trusting the grid.
   const bool force_exhaustive = sensitivity.value < cull_floor_dbm();
-  gather(node, /*ordered=*/false, force_exhaustive);
-  for (const auto& candidate : scratch_) {
-    const Frame& f = frame_slots_[candidate.second].frame;
-    if (f.src == node) continue;
-    if (!same_channel(f.channel, channel)) continue;
-    if (Dbm{terms(candidate.second, node).rss_dbm} >= sensitivity) return true;
-  }
-  return false;
+  return any_candidate(node, /*ordered=*/false, force_exhaustive, [&](std::uint32_t slot) {
+    const Frame& f = frame_slots_[slot].frame;
+    return f.src != node && same_channel(f.channel, channel) &&
+           Dbm{terms(slot, node).rss_dbm} >= sensitivity;
+  });
 }
 
 Medium::Overlap Medium::overlap(NodeId rx, Mhz channel, FrameId exclude) const {
@@ -324,16 +391,16 @@ Medium::Overlap Medium::overlap(NodeId rx, Mhz channel, FrameId exclude) const {
   // the inter-channel noise-floor test nor meaningfully collide co-channel;
   // the candidate set suffices.
   Overlap result;
-  gather(rx, /*ordered=*/false);
-  for (const auto& candidate : scratch_) {
-    const Frame& f = frame_slots_[candidate.second].frame;
-    if (f.id == exclude || f.src == rx) continue;
+  any_candidate(rx, /*ordered=*/false, /*force_exhaustive=*/false, [&](std::uint32_t slot) {
+    const Frame& f = frame_slots_[slot].frame;
+    if (f.id == exclude || f.src == rx) return false;
     if (same_channel(f.channel, channel)) {
       result.co = true;
-    } else if (leaks_above_noise(f, Dbm{terms(candidate.second, rx).rss_dbm}, channel)) {
+    } else if (leaks_above_noise(f, Dbm{terms(slot, rx).rss_dbm}, channel)) {
       result.inter = true;
     }
-  }
+    return false;
+  });
   return result;
 }
 

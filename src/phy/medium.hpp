@@ -25,7 +25,11 @@
 // provably below the receive floor). At paper scale the radius exceeds the
 // deployment span, nothing is culled, and every result is bit-identical to
 // the exhaustive path — which is pinned by tests and keeps the golden stores
-// byte-stable.
+// byte-stable. Whether that is the case is known without a query: each live
+// frame records whether its radius covers the diagonal of the nodes'
+// bounding box, and while every live frame does, queries walk an ordered
+// list of the live frames instead of the grid (same candidates, same order,
+// no distance tests, no sort).
 //
 // Hot-path caching: every query reduces to per-(frame, rx) terms — the
 // frame's RSS at the receiver (tx power minus a position-determined path
@@ -208,7 +212,8 @@ class Medium {
     Vec2 src_pos{};               ///< transmitter position as bucketed in the grid
     std::uint64_t begin_seq = 0;  ///< global begin_tx order: fixes summation order
     double radius = 0.0;          ///< influence radius in metres
-    bool live = false;            ///< visible to gather()
+    bool live = false;            ///< in the grid, current on live_slots_
+    bool covers_all = false;      ///< radius spans the node bounding box
     /// Memoized terms keyed by rx index; emptied when the slot is
     /// claimed and when the transmitter moves.
     mutable NodeMap<RxTerms> terms;
@@ -250,11 +255,29 @@ class Medium {
   [[nodiscard]] double cull_floor_dbm() const {
     return config_.noise_floor.value - config_.culling.margin_db;
   }
-  /// Fills scratch_ with (begin_seq, slot) for every frame relevant to
-  /// `node` — all live frames when exhaustive (culling off or forced), else
-  /// only frames whose influence disc covers `node`. Sorts by begin_seq when
-  /// `ordered` so floating-point accumulation replays begin_tx order exactly.
-  void gather(NodeId node, bool ordered, bool force_exhaustive = false) const;
+  /// Would a frame of influence radius `radius` reach every node, wherever
+  /// in the bounding box both ends sit?
+  [[nodiscard]] bool covers_box(double radius) const { return box_diag_sq_ <= radius * radius; }
+  /// Extend the node bounding box to `position`, demoting live frames that
+  /// no longer cover it.
+  void grow_box(Vec2 position);
+  /// Calls `visit(slot)` for every frame relevant to `node` until a call
+  /// returns true, and returns whether one did. The relevant frames are all
+  /// live frames when culling is off, forced exhaustive, or every live frame
+  /// covers the bounding box (then read straight off live_slots_); else the
+  /// frames whose influence disc covers `node`, via gather(). Candidates come
+  /// in begin_seq order when `ordered`, so floating-point accumulation
+  /// replays begin_tx order exactly.
+  template <typename Visit>
+  bool any_candidate(NodeId node, bool ordered, bool force_exhaustive, Visit visit) const;
+  /// Fills scratch_ with (begin_seq, slot) for every frame in the grid
+  /// whose influence disc covers `node`, sorted when `ordered`.
+  void gather(NodeId node, bool ordered) const;
+#ifndef NDEBUG
+  /// Debug cross-check of the live list against the frame slots and, when
+  /// the grid is equivalent, against gather(node).
+  void check_live_list(NodeId node) const;
+#endif
 
   /// A registered listener and the node it listens at (for notification
   /// culling against the influence disc).
@@ -279,6 +302,25 @@ class Medium {
   SpatialFrameGrid grid_;
   std::size_t active_count_ = 0;
   std::uint64_t next_begin_seq_ = 0;
+  /// One entry per frame made live, in begin_seq order. An entry goes stale
+  /// when its frame ends (its slot may be reused later) and is swept in
+  /// batches by end_tx.
+  struct LiveEntry {
+    std::uint64_t begin_seq = 0;
+    std::uint32_t slot = 0;
+  };
+  [[nodiscard]] bool current(const LiveEntry& entry) const {
+    const ActiveFrame& af = frame_slots_[entry.slot];
+    return af.live && af.begin_seq == entry.begin_seq;
+  }
+  std::vector<LiveEntry> live_slots_;
+  /// Live frames whose influence radius does not cover the bounding box.
+  std::size_t partial_live_ = 0;
+  /// Bounding box of every position any node has held, and its squared
+  /// diagonal. It only grows.
+  Vec2 box_lo_{};
+  Vec2 box_hi_{};
+  double box_diag_sq_ = 0.0;
   /// Largest influence radius among frames begun this busy period; bounds
   /// the query disc. Reset when the air goes quiet.
   double max_active_radius_ = 0.0;

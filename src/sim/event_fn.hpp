@@ -8,8 +8,8 @@
 // simulated second, all on the innermost loop.
 //
 // EventFn stores callables up to kInlineCapacity bytes directly inside the
-// object (the event "pool" is then simply the calendar queue's bucket
-// vectors, which recycle their storage), and falls back to the heap only for
+// object (the event "pool" is then simply the scheduler's slot vector, which
+// recycles its storage), and falls back to the heap only for
 // oversized or throwing-move callables. Unlike std::function it is move-only,
 // so move-only captures (e.g. a unique_ptr payload) schedule cleanly.
 #pragma once

@@ -1,21 +1,10 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <utility>
 
 namespace nomc::sim {
-
-namespace {
-
-constexpr std::size_t kMinBuckets = 16;
-constexpr std::size_t kMaxBuckets = std::size_t{1} << 21;
-constexpr int kMaxWidthShift = 42;  // ~73 min per day; beyond that, direct search
-
-}  // namespace
-
-Scheduler::Scheduler() : buckets_(kMinBuckets), bucket_mask_{kMinBuckets - 1} {}
 
 EventId Scheduler::schedule_at(SimTime at, EventFn fn) {
   assert(at >= now_ && "cannot schedule into the past");
@@ -29,23 +18,11 @@ EventId Scheduler::schedule_at(SimTime at, EventFn fn) {
     slots_.emplace_back();
   }
   Slot& slot = slots_[index];
+  slot.fn = std::move(fn);
   slot.live = true;
-  const std::uint64_t seq = next_seq_++;
-  // Keep the cached minimum unless the new event precedes it; most events
-  // are scheduled past the imminent one, so the next step() skips a search.
-  if (peek_valid_) {
-    const Entry& peek = buckets_[peek_bucket_][peek_index_];
-    if (at < peek.at) peek_valid_ = false;
-  }
-  const std::int64_t day = day_of(at);
-  // A search may have jumped the cursor far ahead (direct-search fallback);
-  // pull it back so the year scan cannot start past the new entry's day.
-  if (day < cursor_day_) cursor_day_ = day;
-  const std::size_t bucket = static_cast<std::size_t>(day) & bucket_mask_;
-  buckets_[bucket].push_back(Entry{at, seq, index, slot.generation, std::move(fn)});
-  ++entry_count_;
+  heap_.push_back(Key{at, next_seq_++, index, slot.generation});
+  std::push_heap(heap_.begin(), heap_.end(), later);
   ++live_count_;
-  maybe_resize();
   return static_cast<EventId>(index) << 32 | slot.generation;
 }
 
@@ -60,186 +37,58 @@ void Scheduler::retire(std::uint32_t index) {
 
 bool Scheduler::cancel(EventId id) {
   // A stale generation means the event has run, been cancelled, or the id
-  // was never issued; all three answer "false". The calendar entry stays
-  // behind and is dropped by the next search that visits its bucket.
+  // was never issued; all three answer "false".
   const std::uint32_t index = slot_of(id);
   if (index >= slots_.size()) return false;
-  const Slot& slot = slots_[index];
+  Slot& slot = slots_[index];
   if (!slot.live || slot.generation != generation_of(id)) return false;
-  if (peek_valid_ && buckets_[peek_bucket_][peek_index_].slot == index) peek_valid_ = false;
+  // The closure (and whatever it captured) is released when this function
+  // returns, after the bookkeeping is consistent again; its key stays in the
+  // heap until it surfaces or a purge sweeps it.
+  const EventFn doomed = std::move(slot.fn);
   retire(index);
+  // Dead keys outnumbering live ones: purge so cancel-heavy workloads (CSMA
+  // timeouts) cannot accumulate garbage. Each purge is paid for by the
+  // 64 + 2·live cancellations that preceded it.
+  if (heap_.size() - live_count_ > 2 * live_count_ + 64) {
+    std::erase_if(heap_, [this](const Key& key) { return !key_live(key); });
+    std::make_heap(heap_.begin(), heap_.end(), later);
+  }
   return true;
 }
 
-bool Scheduler::find_min() {
-  if (live_count_ == 0) {
-    // Nothing live: drop whatever dead entries remain so their closures
-    // (and captured resources) are released promptly.
-    if (entry_count_ != 0) {
-      for (std::vector<Entry>& bucket : buckets_) bucket.clear();
-      entry_count_ = 0;
-    }
-    peek_valid_ = false;
-    return false;
+bool Scheduler::prune_top() {
+  while (!heap_.empty() && !key_live(heap_.front())) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    heap_.pop_back();
   }
-
-  const std::int64_t now_day = day_of(now_);
-  if (cursor_day_ < now_day) cursor_day_ = now_day;
-  const std::size_t bucket_count = buckets_.size();
-
-  // Calendar scan: walk one "year" of days starting at the cursor. The first
-  // day that owns a live entry holds the global minimum, because any earlier
-  // entry would live in an earlier day of this same year.
-  for (std::size_t k = 0; k < bucket_count; ++k) {
-    const std::int64_t day = cursor_day_ + static_cast<std::int64_t>(k);
-    const std::size_t b = static_cast<std::size_t>(day) & bucket_mask_;
-    std::vector<Entry>& bucket = buckets_[b];
-    bool found = false;
-    std::size_t best = 0;
-    for (std::size_t i = 0; i < bucket.size();) {
-      if (!entry_live(bucket[i])) {
-        bucket[i] = std::move(bucket.back());
-        bucket.pop_back();
-        --entry_count_;
-        continue;  // re-examine the entry swapped into i
-      }
-      const Entry& e = bucket[i];
-      if (day_of(e.at) == day) {
-        if (!found || e.at < bucket[best].at ||
-            (e.at == bucket[best].at && e.seq < bucket[best].seq)) {
-          found = true;
-          best = i;
-        }
-      }
-      ++i;
-    }
-    if (found) {
-      cursor_day_ = day;
-      peek_bucket_ = b;
-      peek_index_ = best;
-      peek_valid_ = true;
-      return true;
-    }
-  }
-
-  // A full year with no due entry: the next event is more than a year away.
-  // Fall back to a direct search over everything, then jump the cursor to it.
-  bool found = false;
-  std::size_t best_bucket = 0;
-  std::size_t best_index = 0;
-  for (std::size_t b = 0; b < bucket_count; ++b) {
-    std::vector<Entry>& bucket = buckets_[b];
-    for (std::size_t i = 0; i < bucket.size();) {
-      if (!entry_live(bucket[i])) {
-        bucket[i] = std::move(bucket.back());
-        bucket.pop_back();
-        --entry_count_;
-        continue;
-      }
-      const Entry& e = bucket[i];
-      bool better = !found;
-      if (found) {
-        const Entry& cur = buckets_[best_bucket][best_index];
-        better = e.at < cur.at || (e.at == cur.at && e.seq < cur.seq);
-      }
-      if (better) {
-        found = true;
-        best_bucket = b;
-        best_index = i;
-      }
-      ++i;
-    }
-  }
-  assert(found && "live_count_ > 0 but no live entry in the calendar");
-  cursor_day_ = day_of(buckets_[best_bucket][best_index].at);
-  peek_bucket_ = best_bucket;
-  peek_index_ = best_index;
-  peek_valid_ = true;
-  return found;
+  return !heap_.empty();
 }
 
 bool Scheduler::step() {
-  if (!peek_valid_ && !find_min()) return false;
-  std::vector<Entry>& bucket = buckets_[peek_bucket_];
-  Entry entry = std::move(bucket[peek_index_]);
-  bucket[peek_index_] = std::move(bucket.back());
-  bucket.pop_back();
-  --entry_count_;
-  peek_valid_ = false;
-  retire(entry.slot);
-  maybe_resize();
-  assert(entry.at >= now_);
-  now_ = entry.at;
+  if (!prune_top()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), later);
+  const Key key = heap_.back();
+  heap_.pop_back();
+  // Keys leave in exactly (at, seq) order: nothing left may precede this one.
+  assert((heap_.empty() || !later(key, heap_.front())) && "heap order violated");
+  assert(key.at >= now_);
+  EventFn fn = std::move(slots_[key.slot].fn);
+  retire(key.slot);
+  now_ = key.at;
   ++executed_;
-  entry.fn();
+  fn();
   return true;
 }
 
 void Scheduler::run_until(SimTime end) {
-  for (;;) {
-    if (!peek_valid_ && !find_min()) break;
-    if (buckets_[peek_bucket_][peek_index_].at > end) break;
-    step();
-  }
+  while (prune_top() && heap_.front().at <= end) step();
   if (now_ < end) now_ = end;
 }
 
 void Scheduler::run_all() {
   while (step()) {
   }
-}
-
-void Scheduler::maybe_resize() {
-  const std::size_t bucket_count = buckets_.size();
-  // Dead entries outnumbering live ones: purge via a same-size rebuild so
-  // cancel-heavy workloads (CSMA timeouts) cannot accumulate garbage.
-  if (entry_count_ > 2 * live_count_ + 64) {
-    rebuild(bucket_count);
-    return;
-  }
-  if (live_count_ > bucket_count * 2 && bucket_count < kMaxBuckets) {
-    rebuild(std::min(kMaxBuckets, std::bit_ceil(live_count_)));
-  } else if (live_count_ < bucket_count / 4 && bucket_count > kMinBuckets) {
-    rebuild(std::max(kMinBuckets, std::bit_ceil(live_count_ + 1)));
-  }
-}
-
-void Scheduler::rebuild(std::size_t bucket_count) {
-  assert(std::has_single_bit(bucket_count));
-  std::vector<Entry> live;
-  live.reserve(live_count_);
-  for (std::vector<Entry>& bucket : buckets_) {
-    for (Entry& e : bucket) {
-      if (entry_live(e)) live.push_back(std::move(e));
-    }
-    bucket.clear();
-  }
-
-  // Re-derive the day width from the live population: one day should hold a
-  // small constant number of events, so the width tracks the average gap.
-  if (live.size() >= 2) {
-    SimTime lo = live[0].at;
-    SimTime hi = live[0].at;
-    for (const Entry& e : live) {
-      lo = std::min(lo, e.at);
-      hi = std::max(hi, e.at);
-    }
-    const std::int64_t span = (hi - lo).ticks();
-    const std::int64_t per = span / static_cast<std::int64_t>(live.size());
-    const int shift =
-        per <= 0 ? 0 : static_cast<int>(std::bit_width(static_cast<std::uint64_t>(per)));
-    width_shift_ = std::min(shift, kMaxWidthShift);
-  }
-
-  buckets_.resize(bucket_count);
-  bucket_mask_ = bucket_count - 1;
-  for (Entry& e : live) {
-    const std::size_t bucket = static_cast<std::size_t>(day_of(e.at)) & bucket_mask_;
-    buckets_[bucket].push_back(std::move(e));
-  }
-  entry_count_ = live.size();
-  cursor_day_ = day_of(now_);
-  peek_valid_ = false;
 }
 
 }  // namespace nomc::sim

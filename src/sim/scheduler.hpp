@@ -2,23 +2,21 @@
 //
 // Events are closures ordered by (time, insertion sequence); ties in time
 // therefore execute in scheduling order, which makes runs deterministic.
-// Cancellation is lazy: cancelled entries stay in their bucket and are
-// dropped when a search visits them. Liveness is tracked by
-// generation-checked slots — an EventId packs (slot index, generation), so
-// schedule, cancel, and the liveness check are all O(1) array probes with no
-// hashing on the hot path.
+// Liveness is tracked by generation-checked slots — an EventId packs (slot
+// index, generation), so schedule, cancel, and the liveness check are all
+// O(1) array probes with no hashing on the hot path.
 //
-// The pending set is a calendar queue (R. Brown, CACM 1988), not a binary
-// heap: an array of time-bucketed "days" whose width and count adapt to the
-// live event population, giving O(1) amortized schedule and dequeue where a
-// heap pays O(log n) per operation — the difference between paper scale
-// (hundreds of pending events) and city scale (hundreds of thousands).
-// Events are EventFn closures with inline storage, so steady-state
-// scheduling performs no heap allocation at all; bucket vectors recycle
-// their capacity and act as the event pool. Determinism is unchanged: the
-// dequeue order is exactly (time, insertion sequence), and every structural
-// decision (bucket widths, resizes) is a pure function of the event
-// population. See docs/scaling.md for the design walk-through.
+// The pending set is a binary min-heap of small keys {time, sequence, slot,
+// generation}; each closure lives in its slot, not in the heap, so sifting
+// moves 24-byte keys and never touches an EventFn. Cancellation is lazy for
+// the key (it stays in the heap, fails the generation check and is popped
+// when it reaches the top) but eager for the closure, which is destroyed at
+// once. Simulated MAC timing is quantised to backoff slots, so hundreds of
+// pending events share a few instants — a heap's O(log n) is indifferent to
+// that clustering. Events are EventFn closures with inline storage and the
+// slot vector recycles them, so steady-state scheduling performs no heap
+// allocation at all. The dequeue order is exactly (time, insertion
+// sequence). See docs/scaling.md for the design walk-through.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +35,7 @@ inline constexpr EventId kInvalidEventId = 0;
 
 class Scheduler {
  public:
-  Scheduler();
+  Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
@@ -87,18 +85,25 @@ class Scheduler {
   }
 
  private:
-  struct Entry {
+  /// A pending event's heap key. The closure waits in slots_[slot]; the key
+  /// is live while that slot still holds `generation`.
+  struct Key {
     SimTime at;
     std::uint64_t seq;  // tie-break: FIFO within equal times
     std::uint32_t slot;
     std::uint32_t generation;
-    EventFn fn;
   };
-  /// Liveness record for one slot. A slot is recycled (generation bumped,
-  /// index pushed on the free list) as soon as its event runs or is
-  /// cancelled; a stale calendar entry then fails the generation check and
-  /// is dropped by the next search that visits it.
+  /// Heap order: true when `a` runs after `b`, which makes the std heap
+  /// algorithms keep the earliest (at, seq) on top.
+  static bool later(const Key& a, const Key& b) {
+    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+  }
+  /// One event's closure and liveness record. A slot is recycled
+  /// (generation bumped, closure destroyed, index pushed on the free list) as
+  /// soon as its event runs or is cancelled; a stale key then fails the
+  /// generation check and is dropped when it surfaces.
   struct Slot {
+    EventFn fn;
     std::uint32_t generation = 1;
     bool live = false;
   };
@@ -109,38 +114,17 @@ class Scheduler {
   [[nodiscard]] static std::uint32_t generation_of(EventId id) {
     return static_cast<std::uint32_t>(id);
   }
-  [[nodiscard]] bool entry_live(const Entry& entry) const {
-    const Slot& slot = slots_[entry.slot];
-    return slot.live && slot.generation == entry.generation;
+  [[nodiscard]] bool key_live(const Key& key) const {
+    const Slot& slot = slots_[key.slot];
+    return slot.live && slot.generation == key.generation;
   }
-  /// Mark `entry`'s slot dead and recycle it for reuse.
+  /// Mark slot `index` dead and recycle it for reuse.
   void retire(std::uint32_t index);
+  /// Pop dead keys off the top. Returns false when the heap is empty.
+  bool prune_top();
 
-  /// The calendar day (bucket-width quantum) containing `at`.
-  [[nodiscard]] std::int64_t day_of(SimTime at) const { return at.ticks() >> width_shift_; }
-
-  /// Locate the earliest live entry and cache it in peek_*; prunes dead
-  /// entries from every bucket it scans. Returns false when nothing is live
-  /// (and then the calendar is fully drained of dead entries too).
-  bool find_min();
-  /// True while peek_{bucket_,index_} points at the cached minimum.
-  bool peek_valid_ = false;
-  std::size_t peek_bucket_ = 0;
-  std::size_t peek_index_ = 0;
-
-  /// Re-bucket every live entry into `bucket_count` buckets (a power of
-  /// two), re-deriving the bucket width from the live population's time
-  /// span. Drops dead entries. O(entries + buckets), amortized across the
-  /// schedule/run traffic that triggered it.
-  void rebuild(std::size_t bucket_count);
-  void maybe_resize();
-
-  std::vector<std::vector<Entry>> buckets_;
-  int width_shift_ = 13;           ///< bucket width = 2^shift ns (8.2 us initially)
-  std::size_t bucket_mask_ = 0;    ///< buckets_.size() - 1 (size is a power of two)
-  std::size_t entry_count_ = 0;    ///< entries sitting in buckets, dead included
-  std::int64_t cursor_day_ = 0;    ///< searches resume here; monotone between rebuilds
-
+  /// Pending keys, dead ones included, as a heap under later().
+  std::vector<Key> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_count_ = 0;

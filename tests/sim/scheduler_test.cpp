@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -218,15 +219,15 @@ TEST_P(SchedulerRandomSweep, TotalOrderHolds) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerRandomSweep, ::testing::Values(1, 2, 3, 4, 5));
 
-// ---- Calendar-queue specifics ---------------------------------------------
-// The pending set is a calendar queue (see scheduler.hpp); these pin the
-// structural edge cases a binary heap never had: bucket-count resizes, the
-// one-year scan limit with its direct-search fallback, cursor movement when
-// events land behind a far-future jump, and dead-entry purging.
+// ---- Ordering edge cases ----------------------------------------------------
+// Widely mixed time scales, events scheduled behind a far-future one,
+// same-timestamp storms, and cancel-heavy churn that triggers the dead-key
+// purge: the dequeue order must stay exactly (time, insertion sequence), and
+// a cancelled event's closure must die with the cancel.
 
 /// Property: execution order is exactly (time, insertion sequence) — not just
-/// nondecreasing time — under heavy churn that forces grow/shrink/purge
-/// rebuilds. A reference sort of the surviving events must match 1:1.
+/// nondecreasing time — under heavy churn with a third of the events
+/// cancelled. A reference sort of the surviving events must match 1:1.
 TEST(Scheduler, RandomizedStressMatchesReferenceOrder) {
   Scheduler s;
   RandomStream rng{20260808, 0};
@@ -239,8 +240,7 @@ TEST(Scheduler, RandomizedStressMatchesReferenceOrder) {
   std::vector<EventId> ids;
   std::vector<int> labels;
   for (int i = 0; i < 5000; ++i) {
-    // Mixed scales: dense microsecond traffic plus sparse second-scale tails
-    // so rebuilds re-derive very different bucket widths.
+    // Mixed scales: dense microsecond traffic plus sparse second-scale tails.
     const SimTime at = rng.uniform_int(0, 9) == 0
                            ? SimTime::milliseconds(rng.uniform_int(0, 5'000))
                            : SimTime::microseconds(rng.uniform_int(0, 20'000));
@@ -248,7 +248,7 @@ TEST(Scheduler, RandomizedStressMatchesReferenceOrder) {
     labels.push_back(i);
     expected.push_back({at, i});
   }
-  // Cancel a third; the calendar must purge them without disturbing order.
+  // Cancel a third; purging their keys must not disturb the order.
   std::vector<bool> cancelled(ids.size(), false);
   for (std::size_t i = 0; i < ids.size(); i += 3) {
     ASSERT_TRUE(s.cancel(ids[i]));
@@ -266,9 +266,9 @@ TEST(Scheduler, RandomizedStressMatchesReferenceOrder) {
   }
 }
 
-TEST(Scheduler, FarFutureEventUsesDirectSearch) {
-  // A gap wider than one calendar year (bucket_count * bucket_width) forces
-  // the direct-search fallback; the event must still run, exactly once.
+TEST(Scheduler, FarFutureEventRunsOnce) {
+  // An hour-long gap after a nanosecond event: the far event must still run,
+  // exactly once, and time must land on it.
   Scheduler s;
   std::vector<int> order;
   s.schedule_at(SimTime::nanoseconds(1), [&order] { order.push_back(1); });
@@ -278,16 +278,15 @@ TEST(Scheduler, FarFutureEventUsesDirectSearch) {
   EXPECT_EQ(s.now(), SimTime::seconds(3600));
 }
 
-TEST(Scheduler, ScheduleBehindFarFutureCursorStillRuns) {
-  // Regression: a horizon-bounded search that lands on a far-future event
-  // jumps the cursor to that event's day. An event scheduled afterwards at
-  // an EARLIER day (but still in the future) must pull the cursor back or it
-  // would be skipped by the next year scan.
+TEST(Scheduler, ScheduleBehindFarFutureEventStillRuns) {
+  // A horizon-bounded run that stops with a far-future event on top; an
+  // event scheduled afterwards at an EARLIER time (but still in the future)
+  // must run before it.
   Scheduler s;
   std::vector<int> order;
   s.schedule_at(SimTime::seconds(1), [&order] { order.push_back(1); });
   s.schedule_at(SimTime::seconds(7200), [&order] { order.push_back(3); });
-  s.run_until(SimTime::seconds(2));  // runs #1, peeks #3 via direct search
+  s.run_until(SimTime::seconds(2));  // runs #1, stops with #3 on top
   ASSERT_EQ(order, (std::vector<int>{1}));
   s.schedule_at(SimTime::seconds(10), [&order] { order.push_back(2); });
   s.run_all();
@@ -295,8 +294,8 @@ TEST(Scheduler, ScheduleBehindFarFutureCursorStillRuns) {
 }
 
 TEST(Scheduler, SameTimestampStormRunsFifo) {
-  // Thousands of events in one bucket-day: the min-scan must fall back to
-  // sequence order, and the tie-break must hold across the whole storm.
+  // Thousands of events at one instant: only the insertion sequence orders
+  // them, and the tie-break must hold across the whole storm.
   Scheduler s;
   const SimTime at = SimTime::milliseconds(5);
   std::vector<int> order;
@@ -309,8 +308,8 @@ TEST(Scheduler, SameTimestampStormRunsFifo) {
 }
 
 TEST(Scheduler, MassCancellationPurgesAndDrains) {
-  // Cancel-heavy workloads (CSMA ack timeouts) must not leave the calendar
-  // full of dead entries: after cancelling 90% the remainder runs normally.
+  // Cancel-heavy workloads (CSMA ack timeouts) must not leave the heap full
+  // of dead keys: after cancelling 90% the remainder runs normally.
   Scheduler s;
   std::vector<EventId> ids;
   std::vector<int> order;
@@ -331,7 +330,7 @@ TEST(Scheduler, MassCancellationPurgesAndDrains) {
 
 TEST(Scheduler, EventsSchedulingEventsAcrossWidthScales) {
   // A self-rescheduling chain that alternates ns-scale and s-scale gaps
-  // exercises repeated width re-derivation while events are in flight.
+  // while events are in flight.
   Scheduler s;
   int hops = 0;
   std::function<void()> hop = [&] {
@@ -344,6 +343,25 @@ TEST(Scheduler, EventsSchedulingEventsAcrossWidthScales) {
   s.schedule_at(SimTime::zero(), [&hop] { hop(); });
   s.run_all();
   EXPECT_EQ(hops, 40);
+}
+
+TEST(Scheduler, CancelReleasesClosureImmediately) {
+  // The key stays in the heap until it surfaces, but the closure (and what
+  // it captured) must be released by cancel itself, not by a later pop.
+  Scheduler s;
+  auto payload = std::make_shared<int>(7);
+  const EventId id = s.schedule_at(SimTime::seconds(1), [payload] { (void)*payload; });
+  s.schedule_at(SimTime::seconds(2), [] {});
+  EXPECT_EQ(payload.use_count(), 2);
+  ASSERT_TRUE(s.cancel(id));
+  EXPECT_EQ(payload.use_count(), 1);
+  // Running an event releases its closure too.
+  s.schedule_at(SimTime::milliseconds(500), [payload] { (void)*payload; });
+  EXPECT_EQ(payload.use_count(), 2);
+  ASSERT_TRUE(s.step());
+  EXPECT_EQ(payload.use_count(), 1);
+  s.run_all();
+  EXPECT_EQ(s.executed(), 2u);
 }
 
 }  // namespace
