@@ -1,12 +1,12 @@
 // lint_throughput — microbenchmark for the nomc-lint whole-program driver
-// (lint::run_lint), emitted in the BENCH_*.json format documented in
-// docs/parallel_runner.md.
+// (lint::run_lint), writing the BENCH_lint.json shape documented in
+// docs/static_analysis.md.
 //
 // One op is one full repo scan: collect files, tokenize + per-file rules in
 // parallel, then the serial whole-program passes (include-graph rules,
 // stale-suppress, baseline). Benchmarks scan_jobs_{1,2,4,8} show how the
 // per-file stage scales on the ParallelRunner while the output stays
-// byte-identical; files_per_second and mb_per_second put the numbers in
+// byte-identical; the files/s column on stdout puts the numbers in
 // repo-size terms.
 //
 //   lint_throughput --out BENCH_lint.json --min-ms 300

@@ -5,6 +5,8 @@
 #include <cassert>
 #include <chrono>
 #include <cinttypes>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 
 #include "net/scenario.hpp"
@@ -43,10 +45,11 @@ std::string assignment_label(const SweepPoint& point) {
 }
 
 /// Rebuild the timing sidecar for a resume: keep only well-formed lines for
-/// points whose record survived in the store (in their original order), so a
-/// kill mid-timing-write — or a record torn out of the store — never leaves
-/// a stale or torn line behind. The sidecar is best-effort wall-clock data;
-/// unlike the store, unreadable content is dropped, not an error.
+/// points whose record survived in the store (in their original order, the
+/// first line per point), so a kill mid-timing-write — or a record torn out
+/// of the store — never leaves a stale, torn or duplicate line behind. The
+/// sidecar is best-effort wall-clock data; unlike the store, unreadable
+/// content is dropped, not an error.
 bool rewrite_timing_sidecar(const std::string& path, const std::set<int>& completed,
                             StoreWriter& timing, std::string& error) {
   std::string content;
@@ -57,6 +60,7 @@ bool rewrite_timing_sidecar(const std::string& path, const std::set<int>& comple
     std::fclose(file);
   }
 
+  std::set<int> unclaimed = completed;  // points still without a kept line
   std::vector<std::string> kept;
   std::size_t start = 0;
   while (start < content.size()) {
@@ -69,7 +73,10 @@ bool rewrite_timing_sidecar(const std::string& path, const std::set<int>& comple
     if (!parse_json(line, parsed, json_error)) continue;
     const JsonValue* point = parsed.find("point");
     if (point == nullptr || point->type != JsonValue::Type::kNumber) continue;
-    if (completed.count(static_cast<int>(point->number)) == 0) continue;
+    // Range-check before the cast: converting an out-of-range double is UB.
+    const double number = point->number;
+    if (!(number >= 0.0 && number <= INT_MAX) || number != std::floor(number)) continue;
+    if (unclaimed.erase(static_cast<int>(number)) == 0) continue;
     kept.push_back(std::move(line));
   }
 

@@ -12,7 +12,10 @@
 #      all understood;
 #   2. every relative markdown link target resolves from the linking file;
 #   3. every tool binary this repo builds (tools/CMakeLists.txt
-#      OUTPUT_NAME values) is mentioned in the documentation somewhere.
+#      OUTPUT_NAME values) is mentioned in the documentation somewhere;
+#   4. every backticked span whose first word is `nomc-<name>` names a tool
+#      this repo builds, so a deleted or renamed tool cannot linger in a
+#      command line.
 # Any failure lists every offending (file, reference) pair, then fails.
 
 if(NOT DEFINED REPO_ROOT)
@@ -25,6 +28,16 @@ list(SORT doc_files)
 
 set(errors "")
 set(all_text "")
+
+# The tool binaries this repo builds, read from tools/CMakeLists.txt so a
+# renamed or added tool cannot drift silently (rules 3 and 4).
+set(tools "")
+file(STRINGS "${REPO_ROOT}/tools/CMakeLists.txt" output_names
+     REGEX "OUTPUT_NAME [a-z0-9-]+")
+foreach(line ${output_names})
+  string(REGEX MATCH "OUTPUT_NAME ([a-z0-9-]+)" _ "${line}")
+  list(APPEND tools "${CMAKE_MATCH_1}")
+endforeach()
 
 # Resolves one repo-relative path reference; appends to `errors` if broken.
 function(check_path_token doc_name token)
@@ -64,6 +77,13 @@ foreach(doc ${doc_files})
     if(token MATCHES "^(src|docs|tools|bench|tests|examples)/" AND NOT token MATCHES " ")
       check_path_token("${doc_name}" "${token}")
     endif()
+    # 4. Tool command lines name a built tool.
+    if(token MATCHES "^(nomc-[a-z0-9-]+)( |$)")
+      list(FIND tools "${CMAKE_MATCH_1}" found)
+      if(found EQUAL -1)
+        set(errors "${errors}  ${doc_name}: unknown tool in `${token}`\n")
+      endif()
+    endif()
   endforeach()
 
   # 2. Relative markdown link targets, resolved from the linking file.
@@ -80,13 +100,8 @@ foreach(doc ${doc_files})
   endforeach()
 endforeach()
 
-# 3. Every built tool binary must be documented. The list is read from
-#    tools/CMakeLists.txt so a renamed or added tool cannot drift silently.
-file(STRINGS "${REPO_ROOT}/tools/CMakeLists.txt" output_names
-     REGEX "OUTPUT_NAME [a-z0-9-]+")
-foreach(line ${output_names})
-  string(REGEX MATCH "OUTPUT_NAME ([a-z0-9-]+)" _ "${line}")
-  set(tool "${CMAKE_MATCH_1}")
+# 3. Every built tool binary must be documented.
+foreach(tool ${tools})
   if(NOT all_text MATCHES "${tool}")
     set(errors "${errors}  no documentation mentions the `${tool}` tool\n")
   endif()
