@@ -1,5 +1,5 @@
-// Shared plumbing for the figure benches: standard band scenarios matching
-// the paper's testbed layout, and result formatting.
+// Shared plumbing for the figure benches: the paper's band start, the
+// standard run parameters, and result formatting.
 #pragma once
 
 #include <cstdio>
@@ -11,7 +11,6 @@
 #include "net/scenario.hpp"
 #include "net/topology.hpp"
 #include "phy/channel_plan.hpp"
-#include "sim/parallel.hpp"
 #include "stats/table.hpp"
 
 namespace nomc::bench {
@@ -27,94 +26,7 @@ struct BandRunParams {
   /// Independent testbed layouts averaged per data point (the paper reports
   /// time-averaged testbed runs; seeds play the role of re-deployments).
   int trials = 3;
-  /// Worker threads for the trial replication (1 = serial on the calling
-  /// thread, 0 = all hardware threads). Results are bit-identical across
-  /// job counts: trials are merged in seed order, not completion order.
-  int jobs = 1;
-  phy::Dbm fixed_cca = mac::kZigbeeDefaultCcaThreshold;
 };
-
-/// Seed of trial `trial`: distinct deployments, reproducible per data point.
-inline std::uint64_t trial_seed(const BandRunParams& params, int trial) {
-  return params.seed + static_cast<std::uint64_t>(trial) * 1000003;
-}
-
-struct BandResult {
-  std::vector<double> per_network_pps;  ///< mean across trials
-  double overall_pps = 0.0;
-};
-
-/// Dense-region deployment with a per-network scheme choice (e.g. DCN only
-/// on N0 — paper Figs. 14-15). `scheme_of(i)` picks the scheme of network i.
-///
-/// Trials run on a ParallelRunner with params.jobs workers; each trial is a
-/// self-contained Scenario keyed by trial_seed(), and the per-trial results
-/// are averaged in seed order, so the answer does not depend on params.jobs.
-template <typename SchemeOf>
-inline BandResult run_band_mixed(std::span<const phy::Mhz> channels, SchemeOf&& scheme_of,
-                                 const BandRunParams& params = {}) {
-  sim::ParallelRunner runner{params.jobs};
-  const std::vector<BandResult> per_trial = runner.map(params.trials, [&](int trial) {
-    const std::uint64_t seed = trial_seed(params, trial);
-    sim::RandomStream placement{seed, /*index=*/999};
-    const auto specs = net::case1_dense(channels, placement, params.topology);
-
-    net::ScenarioConfig config;
-    config.seed = seed;
-    config.fixed_cca_threshold = params.fixed_cca;
-    net::Scenario scenario{config};
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      const int n = scenario.add_network(specs[i].channel, scheme_of(static_cast<int>(i)));
-      for (const net::LinkSpec& link : specs[i].links) scenario.add_link(n, link);
-    }
-    scenario.run(params.warmup, params.measure);
-
-    BandResult one;
-    one.per_network_pps = scenario.network_throughputs();
-    one.overall_pps = scenario.overall_throughput();
-    return one;
-  });
-
-  BandResult mean;
-  mean.per_network_pps.assign(channels.size(), 0.0);
-  for (const BandResult& one : per_trial) {
-    for (std::size_t i = 0; i < channels.size(); ++i) {
-      mean.per_network_pps[i] += one.per_network_pps[i];
-    }
-    mean.overall_pps += one.overall_pps;
-  }
-  for (double& v : mean.per_network_pps) v /= params.trials;
-  mean.overall_pps /= params.trials;
-  return mean;
-}
-
-/// The standard evaluation deployment: all networks in one dense interfering
-/// region (the testbed's lab bench; also the paper's Case I), one network
-/// per channel, averaged over `params.trials` random layouts. Delegates to
-/// run_band_mixed with a constant scheme.
-inline BandResult run_band(std::span<const phy::Mhz> channels, net::Scheme scheme,
-                           const BandRunParams& params = {}) {
-  return run_band_mixed(channels, [scheme](int) { return scheme; }, params);
-}
-
-/// CFD → channel list used by the motivation experiment (paper Fig. 1).
-/// The paper packs a 12 MHz band and reports these channel counts
-/// explicitly (§III-A: 1 channel at 9 MHz, 2 at 5 MHz, and Fig. 1's bars).
-inline std::vector<phy::Mhz> motivation_channels(double cfd_mhz) {
-  int count = 0;
-  if (cfd_mhz >= 9.0) {
-    count = 1;
-  } else if (cfd_mhz >= 5.0) {
-    count = 2;
-  } else if (cfd_mhz >= 4.0) {
-    count = 3;
-  } else if (cfd_mhz >= 3.0) {
-    count = 4;
-  } else {
-    count = 6;
-  }
-  return phy::evenly_spaced(kBandStart, phy::Mhz{cfd_mhz}, count);
-}
 
 inline void print_header(const char* figure, const char* description) {
   std::printf("== %s ==\n%s\n\n", figure, description);

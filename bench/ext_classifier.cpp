@@ -16,6 +16,7 @@
 #include <functional>
 
 #include "common.hpp"
+#include "exp/campaign.hpp"
 
 namespace {
 
@@ -25,7 +26,7 @@ double run_case(bool dense, net::Scheme scheme, int trials) {
   const auto channels = phy::evenly_spaced(bench::kBandStart, phy::Mhz{3.0}, 6);
   double overall = 0.0;
   for (int trial = 0; trial < trials; ++trial) {
-    const std::uint64_t seed = 17 + static_cast<std::uint64_t>(trial) * 1000003;
+    const std::uint64_t seed = exp::trial_seed(17, trial);
     net::RandomCaseConfig topo;
     if (dense) topo.region_m = 3.0;
     sim::RandomStream placement{seed, 999};

@@ -14,6 +14,7 @@
 
 #include "collect/collection.hpp"
 #include "common.hpp"
+#include "exp/campaign.hpp"
 #include "stats/summary.hpp"
 
 namespace {
@@ -29,7 +30,7 @@ DesignResult run_design(int channel_count, double cfd, net::Scheme scheme, int t
                         int trials) {
   DesignResult result;
   for (int trial = 0; trial < trials; ++trial) {
-    const std::uint64_t seed = 31 + static_cast<std::uint64_t>(trial) * 1000003;
+    const std::uint64_t seed = exp::trial_seed(31, trial);
     collect::CollectionConfig config;
     config.scheme = scheme;
     config.nodes_per_tree = total_sensors / channel_count;

@@ -12,36 +12,41 @@
 #include <cstdio>
 
 #include "common.hpp"
+#include "exp/campaign.hpp"
 
 namespace {
 
 using namespace nomc;
 
-struct Fig14Row {
-  double n0_without, n0_with;
-  double others_without, others_with;
-};
+constexpr int kMedian = 2;  // N0 = the median-frequency network (Fig. 13)
 
-Fig14Row run_cfd(double cfd_mhz, const bench::BandRunParams& params) {
-  const auto channels = phy::evenly_spaced(bench::kBandStart, phy::Mhz{cfd_mhz}, 5);
-  const int median = 2;  // N0 = the median-frequency network (Fig. 13)
-
-  const bench::BandResult without =
-      bench::run_band(channels, net::Scheme::kFixedCca, params);
-  const bench::BandResult with = bench::run_band_mixed(
-      channels,
-      [median](int i) { return i == median ? net::Scheme::kDcn : net::Scheme::kFixedCca; },
-      params);
-
-  Fig14Row row{};
-  row.n0_without = without.per_network_pps[median];
-  row.n0_with = with.per_network_pps[median];
-  for (std::size_t i = 0; i < channels.size(); ++i) {
-    if (static_cast<int>(i) == median) continue;
-    row.others_without += without.per_network_pps[i];
-    row.others_with += with.per_network_pps[i];
+/// Mean per-network throughput over params.trials dense deployments of
+/// `channels`. Network kMedian runs DCN (configured by `dcn`) when
+/// `dcn_on_median` is set; every other network keeps the fixed threshold.
+std::vector<double> mean_network_pps(std::span<const phy::Mhz> channels, bool dcn_on_median,
+                                     const dcn::DcnConfig& dcn,
+                                     const bench::BandRunParams& params) {
+  std::vector<double> mean(channels.size(), 0.0);
+  for (int trial = 0; trial < params.trials; ++trial) {
+    const std::uint64_t seed = exp::trial_seed(params.seed, trial);
+    sim::RandomStream placement{seed, /*index=*/999};
+    const auto specs = net::case1_dense(channels, placement, params.topology);
+    net::ScenarioConfig config;
+    config.seed = seed;
+    config.dcn = dcn;
+    net::Scenario scenario{config};
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const bool dcn_here = dcn_on_median && static_cast<int>(i) == kMedian;
+      const int n = scenario.add_network(specs[i].channel,
+                                         dcn_here ? net::Scheme::kDcn : net::Scheme::kFixedCca);
+      for (const net::LinkSpec& link : specs[i].links) scenario.add_link(n, link);
+    }
+    scenario.run(params.warmup, params.measure);
+    const std::vector<double> pps = scenario.network_throughputs();
+    for (std::size_t i = 0; i < mean.size(); ++i) mean[i] += pps[i];
   }
-  return row;
+  for (double& v : mean) v /= params.trials;
+  return mean;
 }
 
 }  // namespace
@@ -52,14 +57,22 @@ int main() {
 
   stats::TablePrinter table{{"CFD (MHz)", "N0 w/o (pkt/s)", "N0 with (pkt/s)", "N0 gain",
                              "others w/o", "others with", "others change"}};
-  bench::BandRunParams params;
+  const bench::BandRunParams params;
   for (const double cfd : {2.0, 3.0}) {
-    const Fig14Row row = run_cfd(cfd, params);
-    table.add_row({stats::TablePrinter::num(cfd, 0), bench::pps(row.n0_without),
-                   bench::pps(row.n0_with),
-                   bench::pct(row.n0_with / row.n0_without - 1.0),
-                   bench::pps(row.others_without), bench::pps(row.others_with),
-                   bench::pct(row.others_with / row.others_without - 1.0)});
+    const auto channels = phy::evenly_spaced(bench::kBandStart, phy::Mhz{cfd}, 5);
+    const std::vector<double> without = mean_network_pps(channels, false, {}, params);
+    const std::vector<double> with = mean_network_pps(channels, true, {}, params);
+    double others_without = 0.0;
+    double others_with = 0.0;
+    for (std::size_t i = 0; i < channels.size(); ++i) {
+      if (static_cast<int>(i) == kMedian) continue;
+      others_without += without[i];
+      others_with += with[i];
+    }
+    table.add_row({stats::TablePrinter::num(cfd, 0), bench::pps(without[kMedian]),
+                   bench::pps(with[kMedian]), bench::pct(with[kMedian] / without[kMedian] - 1.0),
+                   bench::pps(others_without), bench::pps(others_with),
+                   bench::pct(others_with / others_without - 1.0)});
   }
   table.print();
   std::printf("\nPaper: N0 gains ~27%% at both CFDs; other networks lose ~5%%.\n");
@@ -67,29 +80,12 @@ int main() {
   // Ablation: the updating window T_U (CFD = 3 MHz scenario).
   std::printf("\nAblation — updating window T_U (CFD=3 MHz, DCN on N0):\n");
   stats::TablePrinter ablation{{"T_U (s)", "N0 with DCN (pkt/s)"}};
+  const auto channels = phy::evenly_spaced(bench::kBandStart, phy::Mhz{3.0}, 5);
   for (const double tu : {1.0, 3.0, 6.0, 12.0}) {
-    bench::BandRunParams p;
-    p.topology = params.topology;
-    const auto channels = phy::evenly_spaced(bench::kBandStart, phy::Mhz{3.0}, 5);
-    // Re-run with a customized DCN config.
-    double n0 = 0.0;
-    for (int trial = 0; trial < p.trials; ++trial) {
-      const std::uint64_t seed = p.seed + static_cast<std::uint64_t>(trial) * 1000003;
-      sim::RandomStream placement{seed, 999};
-      const auto specs = net::case1_dense(channels, placement, p.topology);
-      net::ScenarioConfig config;
-      config.seed = seed;
-      config.dcn.t_update = sim::SimTime::seconds(tu);
-      net::Scenario scenario{config};
-      for (std::size_t i = 0; i < specs.size(); ++i) {
-        const int n = scenario.add_network(
-            specs[i].channel, i == 2 ? net::Scheme::kDcn : net::Scheme::kFixedCca);
-        for (const net::LinkSpec& link : specs[i].links) scenario.add_link(n, link);
-      }
-      scenario.run(p.warmup, p.measure);
-      n0 += scenario.network_result(2).throughput_pps;
-    }
-    ablation.add_row({stats::TablePrinter::num(tu, 0), bench::pps(n0 / p.trials)});
+    dcn::DcnConfig dcn;
+    dcn.t_update = sim::SimTime::seconds(tu);
+    const std::vector<double> with = mean_network_pps(channels, true, dcn, params);
+    ablation.add_row({stats::TablePrinter::num(tu, 0), bench::pps(with[kMedian])});
   }
   ablation.print();
   return 0;

@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "common.hpp"
+#include "exp/campaign.hpp"
 
 int main() {
   using namespace nomc;
@@ -29,7 +30,7 @@ int main() {
     double n0_prr = 0.0;
     double others = 0.0;
     for (int trial = 0; trial < params.trials; ++trial) {
-      const std::uint64_t seed = params.seed + static_cast<std::uint64_t>(trial) * 1000003;
+      const std::uint64_t seed = exp::trial_seed(params.seed, trial);
       sim::RandomStream placement{seed, 999};
       auto specs = net::case1_dense(channels, placement, params.topology);
       for (net::LinkSpec& link : specs[central].links) link.tx_power = phy::Dbm{power};

@@ -17,6 +17,7 @@
 #include <functional>
 
 #include "common.hpp"
+#include "exp/campaign.hpp"
 
 namespace {
 
@@ -29,7 +30,7 @@ double run_design(const TopologyFn& topology, const net::RandomCaseConfig& base_
                   int trials, std::uint64_t seed0) {
   double overall = 0.0;
   for (int trial = 0; trial < trials; ++trial) {
-    const std::uint64_t seed = seed0 + static_cast<std::uint64_t>(trial) * 1000003;
+    const std::uint64_t seed = exp::trial_seed(seed0, trial);
     net::RandomCaseConfig topo = base_topo;
     topo.links_per_network = links_per_network;
     sim::RandomStream placement{seed, 999};

@@ -1,42 +1,30 @@
-// Paper Table I: fairness of DCN across the six networks of the 15 MHz
-// band. The middle networks face the most inter-channel interference, the
-// edge networks the least, yet the paper measures only ~4 % throughput
-// spread — DCN does not drive any network against the others.
-//
-// Secondary table: ablation of the CCA-Adjustor's safety margin
+// Paper Table I, ablated: fairness of DCN across the six networks of the
+// 15 MHz band (CFD = 3 MHz) as the CCA-Adjustor's safety margin varies
 // (DESIGN.md §8) — how far below the minimum co-channel RSSI the threshold
-// is parked.
+// is parked. Table I itself is examples/campaigns/table1_fairness.campaign;
+// the 2 dB row here is the default margin, so it reprints that campaign's
+// overall throughput, spread and Jain index.
 #include <cstdio>
 
 #include "common.hpp"
+#include "exp/campaign.hpp"
 #include "stats/fairness.hpp"
 
 int main() {
   using namespace nomc;
-  bench::print_header("Table I", "Per-network throughput fairness under DCN "
-                                 "(6 networks, CFD=3 MHz, 15 MHz band)");
+  bench::print_header("Table I", "Per-network throughput fairness under DCN vs the "
+                                 "CCA-Adjustor safety margin (6 networks, CFD=3 MHz)");
 
   const auto channels = phy::evenly_spaced(bench::kBandStart, phy::Mhz{3.0}, 6);
   bench::BandRunParams params;
   params.trials = 5;
-  const bench::BandResult result = bench::run_band(channels, net::Scheme::kDcn, params);
 
-  stats::TablePrinter table{{"network", "throughput (pkt/s)"}};
-  for (std::size_t i = 0; i < result.per_network_pps.size(); ++i) {
-    table.add_row({"N" + std::to_string(i), bench::pps(result.per_network_pps[i])});
-  }
-  table.print();
-  std::printf("\nRelative spread: %.1f%% (paper: ~4%%)   Jain index: %.3f\n",
-              100.0 * stats::relative_spread(result.per_network_pps),
-              stats::jain_index(result.per_network_pps));
-
-  std::printf("\nAblation — CCA-Adjustor safety margin:\n");
   stats::TablePrinter ablation{{"margin (dB)", "overall (pkt/s)", "spread", "Jain"}};
   for (const double margin : {0.0, 2.0, 4.0, 8.0}) {
     double overall = 0.0;
     std::vector<double> per(channels.size(), 0.0);
     for (int trial = 0; trial < params.trials; ++trial) {
-      const std::uint64_t seed = params.seed + static_cast<std::uint64_t>(trial) * 1000003;
+      const std::uint64_t seed = exp::trial_seed(params.seed, trial);
       sim::RandomStream placement{seed, 999};
       const auto specs = net::case1_dense(channels, placement, params.topology);
       net::ScenarioConfig config;

@@ -16,26 +16,6 @@ void add_topology_option(ArgParser& args, const std::string& option,
   args.add_string(option, default_value, "deployment: " + std::string{kTopologyChoices});
 }
 
-bool scheme_from_args(const ArgParser& args, const std::string& option, net::Scheme& out) {
-  const std::string name = args.get_string(option);
-  if (!parse_scheme(name, out)) {
-    std::fprintf(stderr, "unknown --%s '%s' (%s)\n", option.c_str(), name.c_str(),
-                 kSchemeChoices);
-    return false;
-  }
-  return true;
-}
-
-bool topology_from_args(const ArgParser& args, const std::string& option, std::string& out) {
-  out = args.get_string(option);
-  if (!valid_topology(out)) {
-    std::fprintf(stderr, "unknown --%s '%s' (%s)\n", option.c_str(), out.c_str(),
-                 kTopologyChoices);
-    return false;
-  }
-  return true;
-}
-
 std::optional<int> parse_standard(ArgParser& args, int argc, const char* const* argv,
                                   const std::string& program, int first) {
   if (!args.parse(argc - first, argv + first)) {

@@ -1,9 +1,9 @@
 // Shared option vocabulary for the nomc driver tools.
 //
 // Every tool that exposes a channel-access scheme or a deployment topology
-// declares it through these helpers, so the choice strings, help text, and
-// string→enum parsing live in exactly one place (nomc-sim, nomc-compare,
-// nomc-campaign, and the exp spec parser are the consumers).
+// declares it through these helpers, so the choice strings and help text
+// live in exactly one place (nomc-sim and nomc-compare are the consumers).
+// The values are validated where a spec's are: exp::apply_param.
 #pragma once
 
 #include <optional>
@@ -30,14 +30,6 @@ void add_scheme_option(ArgParser& args, const std::string& option,
 /// Declare a topology option (default name "topology").
 void add_topology_option(ArgParser& args, const std::string& option = "topology",
                          const std::string& default_value = "dense");
-
-/// Read + validate a declared scheme option; prints to stderr on failure.
-[[nodiscard]] bool scheme_from_args(const ArgParser& args, const std::string& option,
-                                    net::Scheme& out);
-
-/// Read + validate a declared topology option; prints to stderr on failure.
-[[nodiscard]] bool topology_from_args(const ArgParser& args, const std::string& option,
-                                      std::string& out);
 
 /// The tools' shared main() prologue: parse `argv[first..argc-1]`, print the
 /// error + usage on failure (exit code 2) or the help text on --help (exit

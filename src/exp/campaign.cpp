@@ -126,9 +126,7 @@ TrialResult run_trial(const PointParams& params, int trial, const TrialHook& pre
     topology = topology.with_fixed_power(phy::Dbm{*params.power_dbm});
   }
 
-  // Matches bench::trial_seed and nomc-sim: distinct deployments per trial,
-  // reproducible per point.
-  const std::uint64_t seed = params.seed + static_cast<std::uint64_t>(trial) * 1000003;
+  const std::uint64_t seed = trial_seed(params.seed, trial);
   sim::RandomStream placement{seed, /*index=*/999};
   std::vector<net::NetworkSpec> specs;
   if (params.topology == "clustered") {

@@ -5,14 +5,15 @@
 // records land in point order no matter which point finished first.
 //
 // Determinism contract: a point's record bytes are a pure function of the
-// spec — trials are seeded per point exactly like nomc-sim / bench::trial_seed
-// (seed + trial * 1000003) and merged in seed order, so the store is
+// spec — trials are seeded by trial_seed (seed + trial * 1000003), as in
+// nomc-sim and nomc-compare, and merged in seed order, so the store is
 // byte-identical whether the campaign ran straight through, was interrupted
 // and resumed, or used any (jobs, point_jobs) combination. Checkpoint
 // granularity is one sweep point: resume re-runs at most the points that
 // were in flight.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -49,9 +50,15 @@ struct TrialResult {
   double overall_pps = 0.0;
 };
 
+/// Seed of trial `trial` of a point seeded `seed`: distinct deployments per
+/// trial, reproducible per point. Every multi-trial run in the repo uses it.
+[[nodiscard]] constexpr std::uint64_t trial_seed(std::uint64_t seed, int trial) {
+  return seed + static_cast<std::uint64_t>(trial) * 1000003;
+}
+
 /// Run trial `trial` of an operating point: one deployment seeded
-/// seed + trial * 1000003. The params must be pre-validated (parser or cli
-/// helpers); run_trial asserts on an unknown scheme/topology.
+/// trial_seed(params.seed, trial). The params must be pre-validated
+/// (apply_param); run_trial asserts on an unknown scheme/topology.
 [[nodiscard]] TrialResult run_trial(const PointParams& params, int trial,
                                     const TrialHook& pre_run = {});
 

@@ -32,32 +32,8 @@ TEST(Options, SchemeOptionRoundTrip) {
   const char* argv[] = {"--scheme", "fixed"};
   ASSERT_TRUE(args.parse(2, argv));
   net::Scheme scheme{};
-  ASSERT_TRUE(scheme_from_args(args, "scheme", scheme));
+  ASSERT_TRUE(parse_scheme(args.get_string("scheme"), scheme));
   EXPECT_EQ(scheme, net::Scheme::kFixedCca);
-}
-
-TEST(Options, SchemeFromArgsRejectsUnknownValue) {
-  ArgParser args;
-  add_scheme_option(args, "scheme", "dcn");
-  const char* argv[] = {"--scheme", "bogus"};
-  ASSERT_TRUE(args.parse(2, argv));  // parsing accepts any string...
-  net::Scheme scheme{};
-  EXPECT_FALSE(scheme_from_args(args, "scheme", scheme));  // ...validation rejects
-}
-
-TEST(Options, TopologyOptionDefaultsAndValidates) {
-  ArgParser args;
-  add_topology_option(args);
-  ASSERT_TRUE(args.parse(0, nullptr));
-  std::string topology;
-  ASSERT_TRUE(topology_from_args(args, "topology", topology));
-  EXPECT_EQ(topology, "dense");
-
-  ArgParser args2;
-  add_topology_option(args2);
-  const char* argv[] = {"--topology", "hexagonal"};
-  ASSERT_TRUE(args2.parse(2, argv));
-  EXPECT_FALSE(topology_from_args(args2, "topology", topology));
 }
 
 TEST(Options, HelpTextListsChoices) {

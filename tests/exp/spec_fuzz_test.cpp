@@ -1,15 +1,18 @@
-// Fixed-seed mutation fuzz of the campaign spec parser. Seeds are the
-// example campaigns, put through bit flips, byte inserts and deletes,
-// truncations, line splices and injected non-finite or huge number tokens.
+// Fixed-seed mutation fuzz of the campaign spec parser. Seeds are every
+// example campaign (examples/campaigns/*.campaign, each of which must
+// parse), put through bit flips, byte inserts and deletes, truncations,
+// line splices and injected non-finite or huge number tokens.
 // Every input must come back as a SpecError or as a spec whose every
 // reachable PointParams double is finite; an accepted spec's canonical text
 // must parse back to the same hash.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <random>
 #include <string>
 #include <utility>
@@ -31,13 +34,20 @@ std::string read_file(const std::string& path) {
   return content;
 }
 
+/// Every example campaign, in sorted path order.
+std::vector<std::string> example_paths() {
+  std::vector<std::string> paths;
+  for (const auto& entry : std::filesystem::directory_iterator{NOMC_CAMPAIGNS_DIR}) {
+    if (entry.path().extension() == ".campaign") paths.push_back(entry.path().string());
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
 const std::vector<std::string>& seeds() {
   static const std::vector<std::string> texts = [] {
     std::vector<std::string> out;
-    for (const char* name :
-         {"fig01_cfd.campaign", "fig19_zigbee_vs_dcn.campaign", "fig30_wider_band.campaign"}) {
-      out.push_back(read_file(std::string{NOMC_CAMPAIGNS_DIR} + "/" + name));
-    }
+    for (const std::string& path : example_paths()) out.push_back(read_file(path));
     return out;
   }();
   return texts;
@@ -170,6 +180,16 @@ void expect_finite_grid(const CampaignSpec& spec, const std::string& input) {
       }
       ASSERT_TRUE(all_finite(params)) << "sweep line " << axis.line << " of:\n" << input;
     }
+  }
+}
+
+TEST(SpecFuzz, EveryExampleCampaignParses) {
+  const std::vector<std::string> paths = example_paths();
+  ASSERT_GE(paths.size(), 5u) << NOMC_CAMPAIGNS_DIR;
+  for (const std::string& path : paths) {
+    CampaignSpec spec;
+    SpecError error;
+    EXPECT_TRUE(load_campaign(path, spec, error)) << path << ": " << error.str();
   }
 }
 

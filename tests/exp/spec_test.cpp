@@ -131,6 +131,10 @@ TEST(Spec, UnknownSchemeValueReportsLine) {
   const SpecError error = parse_fail("scheme = zigbee\n");
   EXPECT_EQ(error.line, 1);
   EXPECT_NE(error.message.find("unknown scheme"), std::string::npos);
+  // Topology names are checked the same way.
+  const SpecError topology = parse_fail("cfd = 3\ntopology = hexagonal\n");
+  EXPECT_EQ(topology.line, 2);
+  EXPECT_NE(topology.message.find("unknown topology 'hexagonal'"), std::string::npos);
 }
 
 TEST(Spec, LockstepArityMismatchReportsLine) {

@@ -1,0 +1,138 @@
+// The paper's figure verdicts as assertions. Each TEST runs one full-size
+// example campaign (examples/campaigns/) through exp::run_campaign on all
+// cores, as `nomc-campaign run --jobs 0` does, and checks the claim
+// EXPERIMENTS.md states for that figure. A failure names the claim and the
+// measured value.
+#include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "exp/campaign.hpp"
+#include "exp/result_store.hpp"
+#include "exp/spec.hpp"
+
+namespace nomc::exp {
+namespace {
+
+struct Point {
+  PointParams params;
+  ResultRecord record;
+};
+
+/// Every point of examples/campaigns/<name>.campaign, in grid order, read
+/// back from the store run_campaign wrote.
+std::vector<Point> run_example(const std::string& name) {
+  CampaignSpec spec;
+  SpecError spec_error;
+  if (!load_campaign(std::string{NOMC_CAMPAIGNS_DIR} + "/" + name + ".campaign", spec,
+                     spec_error)) {
+    ADD_FAILURE() << name << ": " << spec_error.str();
+    return {};
+  }
+  // Per-process scratch store: ctest runs each TEST as its own process.
+  const std::string store = ::testing::TempDir() + "nomc_claims_" +
+                            std::to_string(::getpid()) + "_" + name + ".jsonl";
+  CampaignOptions options;
+  options.jobs = 0;
+  options.mode = CampaignOptions::Mode::kOverwrite;
+  options.quiet = true;
+  std::string error;
+  StoreScan scan;
+  const bool ok = run_campaign(spec, store, options, nullptr, error) &&
+                  scan_store(store, spec_hash(spec), scan, error);
+  std::remove(store.c_str());
+  std::remove((store + ".timing").c_str());
+  if (!ok) {
+    ADD_FAILURE() << name << ": " << error;
+    return {};
+  }
+  const std::vector<SweepPoint> grid = expand_grid(spec);
+  std::vector<Point> points;
+  for (ResultRecord& record : scan.records) {
+    points.push_back({grid[static_cast<std::size_t>(record.point)].params, std::move(record)});
+  }
+  return points;
+}
+
+double gain(const Point& without, const Point& with) {
+  return with.record.overall_pps / without.record.overall_pps - 1.0;
+}
+
+TEST(FigureClaims, Fig01ThroughputPeaksAtCfd3) {
+  const std::vector<Point> points = run_example("fig01_cfd");
+  ASSERT_EQ(points.size(), 5u);
+  const Point* best = &points.front();
+  for (const Point& point : points) {
+    if (point.record.overall_pps > best->record.overall_pps) best = &point;
+  }
+  EXPECT_EQ(best->params.cfd_mhz, 3.0)
+      << "Fig. 1 claim: the 12 MHz band's throughput peaks at CFD = 3 MHz; measured peak at CFD = "
+      << best->params.cfd_mhz << " MHz (" << best->record.overall_pps << " pkt/s)";
+}
+
+TEST(FigureClaims, Figs16To18DcnHelpsEveryNetworkAndCfd3BeatsCfd2) {
+  // Grid order: (cfd 2, fixed), (cfd 2, dcn), (cfd 3, fixed), (cfd 3, dcn).
+  const std::vector<Point> points = run_example("fig16_18_dcn_all");
+  ASSERT_EQ(points.size(), 4u);
+  for (std::size_t p = 0; p < points.size(); p += 2) {
+    const ResultRecord& without = points[p].record;
+    const ResultRecord& with = points[p + 1].record;
+    ASSERT_EQ(without.pps.size(), with.pps.size());
+    for (std::size_t n = 0; n < with.pps.size(); ++n) {
+      EXPECT_GT(with.pps[n], without.pps[n])
+          << "Figs. 16-17 claim: every network gains under DCN; at CFD = "
+          << points[p].params.cfd_mhz << " MHz network N" << n << " measured " << with.pps[n]
+          << " pkt/s with DCN vs " << without.pps[n] << " without";
+    }
+  }
+  const double ratio = points[3].record.overall_pps / points[1].record.overall_pps;
+  EXPECT_GT(ratio, 1.0) << "Fig. 18 claim: under DCN, CFD = 3 MHz beats CFD = 2 MHz overall; "
+                           "measured CFD 3 / CFD 2 = "
+                        << ratio;
+}
+
+TEST(FigureClaims, Fig19DcnGainInsideCalibratedBand) {
+  // Point 0: ZigBee (4 channels at 5 MHz, fixed CCA); point 1: DCN design.
+  const std::vector<Point> points = run_example("fig19_zigbee_vs_dcn");
+  ASSERT_EQ(points.size(), 2u);
+  const double measured = gain(points[0], points[1]);
+  EXPECT_TRUE(measured >= 0.38 && measured <= 0.58)
+      << "Fig. 19 claim: DCN/ZigBee overall gain inside the 38-58 % band "
+         "(docs/calibration.md); measured "
+      << 100.0 * measured << " %";
+}
+
+TEST(FigureClaims, TableIDcnIsFair) {
+  const std::vector<Point> points = run_example("table1_fairness");
+  ASSERT_EQ(points.size(), 1u);
+  EXPECT_GE(points[0].record.jain, 0.99)
+      << "Table I claim: DCN keeps the six networks fair (Jain >= 0.99); measured Jain "
+      << points[0].record.jain;
+}
+
+TEST(FigureClaims, Fig30GainRisesWithBandwidth) {
+  // Points pair up as (channels, fixed), (channels, dcn).
+  const std::vector<Point> points = run_example("fig30_wider_band");
+  ASSERT_EQ(points.size(), 6u);
+  std::vector<std::pair<int, double>> gains;  // (channels, DCN gain)
+  for (std::size_t p = 0; p < points.size(); p += 2) {
+    gains.emplace_back(points[p].params.channels, gain(points[p], points[p + 1]));
+  }
+  std::sort(gains.begin(), gains.end());
+  for (std::size_t i = 1; i < gains.size(); ++i) {
+    EXPECT_GT(gains[i].second, gains[i - 1].second)
+        << "Fig. 30 claim: DCN's gain rises strictly with channel count; measured "
+        << 100.0 * gains[i].second << " % at " << gains[i].first << " channels vs "
+        << 100.0 * gains[i - 1].second << " % at " << gains[i - 1].first;
+  }
+}
+
+}  // namespace
+}  // namespace nomc::exp

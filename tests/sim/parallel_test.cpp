@@ -71,7 +71,7 @@ TEST(ParallelRunner, BitIdenticalAcrossJobCounts) {
 }
 
 /// An index-ordered reduction over map() output must not depend on jobs
-/// either — this is exactly how run_band averages trials.
+/// either — this is exactly how exp::merge_trials averages a point's trials.
 TEST(ParallelRunner, OrderedReductionIsStable) {
   auto reduce = [](int jobs) {
     ParallelRunner runner{jobs};

@@ -4,7 +4,7 @@
 #
 # Documentation rots by referencing files that moved and tools that were
 # renamed; this script makes those references part of the test suite. Over
-# docs/*.md and README.md it verifies:
+# docs/*.md, README.md, EXPERIMENTS.md and DESIGN.md it verifies:
 #   1. every backticked repo path (a token starting with src/, docs/,
 #      tools/, bench/, tests/, or examples/) resolves — directories,
 #      globs (`tests/golden/*.jsonl`), `:line` suffixes, and extensionless
@@ -15,7 +15,10 @@
 #      OUTPUT_NAME values) is mentioned in the documentation somewhere;
 #   4. every backticked span whose first word is `nomc-<name>` names a tool
 #      this repo builds, so a deleted or renamed tool cannot linger in a
-#      command line.
+#      command line;
+#   5. every `build/bench/<name>` (or `./build/bench/<name>`), in a code
+#      span or a code block, names a target in bench/CMakeLists.txt, so a
+#      deleted figure bench cannot linger in a command line either.
 # Any failure lists every offending (file, reference) pair, then fails.
 
 if(NOT DEFINED REPO_ROOT)
@@ -23,7 +26,8 @@ if(NOT DEFINED REPO_ROOT)
 endif()
 
 file(GLOB doc_files "${REPO_ROOT}/docs/*.md")
-list(APPEND doc_files "${REPO_ROOT}/README.md")
+list(APPEND doc_files "${REPO_ROOT}/README.md" "${REPO_ROOT}/EXPERIMENTS.md"
+     "${REPO_ROOT}/DESIGN.md")
 list(SORT doc_files)
 
 set(errors "")
@@ -37,6 +41,16 @@ file(STRINGS "${REPO_ROOT}/tools/CMakeLists.txt" output_names
 foreach(line ${output_names})
   string(REGEX MATCH "OUTPUT_NAME ([a-z0-9-]+)" _ "${line}")
   list(APPEND tools "${CMAKE_MATCH_1}")
+endforeach()
+
+# The bench binaries this repo builds, read from bench/CMakeLists.txt
+# (`nomc_figure(<name>)` and `add_executable(<name> ...)`; rule 5).
+set(benches "")
+file(STRINGS "${REPO_ROOT}/bench/CMakeLists.txt" bench_targets
+     REGEX "^(nomc_figure|add_executable)\\([A-Za-z0-9_]+")
+foreach(line ${bench_targets})
+  string(REGEX MATCH "\\(([A-Za-z0-9_]+)" _ "${line}")
+  list(APPEND benches "${CMAKE_MATCH_1}")
 endforeach()
 
 # Resolves one repo-relative path reference; appends to `errors` if broken.
@@ -83,6 +97,22 @@ foreach(doc ${doc_files})
       if(found EQUAL -1)
         set(errors "${errors}  ${doc_name}: unknown tool in `${token}`\n")
       endif()
+    endif()
+  endforeach()
+
+  # 5. Bench command lines name a built bench.
+  #    A trailing `*` (`build/bench/fig*`) must match at least one bench.
+  string(REGEX MATCHALL "build/bench/[A-Za-z0-9_]+[*]?" bench_refs "${text}")
+  foreach(ref ${bench_refs})
+    string(REGEX REPLACE "^build/bench/" "" bench "${ref}")
+    set(hits ${benches})
+    if(bench MATCHES "^(.*)[*]$")
+      list(FILTER hits INCLUDE REGEX "^${CMAKE_MATCH_1}")
+    else()
+      list(FILTER hits INCLUDE REGEX "^${bench}$")
+    endif()
+    if(NOT hits)
+      set(errors "${errors}  ${doc_name}: unknown bench binary `${ref}`\n")
     endif()
   endforeach()
 

@@ -2,19 +2,20 @@
 //
 // Runs two channel-plan/scheme designs over the same set of random
 // deployments (paired seeds) and reports overall throughput as mean ± 95 %
-// CI plus the paired relative gain. Example — the paper's headline:
+// CI plus the paired relative gain. Each design is an exp::PointParams run
+// trial by trial through exp::run_trial, so design A's trial i is trial i
+// of nomc-sim or of a campaign point with the same settings. Example — the
+// paper's headline:
 //
 //   nomc-compare --a-cfd 5 --a-channels 4 --a-scheme fixed --a-links 3
 //                --b-cfd 3 --b-channels 6 --b-scheme dcn --trials 10
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "cli/args.hpp"
 #include "cli/options.hpp"
-#include "net/scenario.hpp"
-#include "net/topology.hpp"
-#include "phy/channel_plan.hpp"
+#include "exp/campaign.hpp"
+#include "exp/spec.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
 
@@ -22,103 +23,74 @@ namespace {
 
 using namespace nomc;
 
-struct Design {
-  double cfd = 3.0;
-  int channels = 6;
-  int links = 2;
-  net::Scheme scheme = net::Scheme::kDcn;
-  std::string scheme_name = "dcn";
-};
+/// Options both designs share, and the keys each design sets through its
+/// own `--a-<key>` / `--b-<key>` option. Every option is a string validated
+/// by exp::apply_param, so the tool accepts exactly what a campaign spec
+/// assignment of the same key accepts.
+constexpr const char* kSharedKeys[] = {"band-start", "topology", "power",  "trials",
+                                       "seed",       "warmup",   "measure"};
+constexpr const char* kDesignKeys[] = {"cfd", "channels", "links", "scheme"};
 
-double run_once(const Design& design, const std::string& topology_name,
-                const net::RandomCaseConfig& base_topology, double band_start,
-                std::uint64_t seed, double warmup_s, double measure_s) {
-  const auto channels =
-      phy::evenly_spaced(phy::Mhz{band_start}, phy::Mhz{design.cfd}, design.channels);
-  net::RandomCaseConfig topology = base_topology;
-  topology.links_per_network = design.links;
-  sim::RandomStream placement{seed, 999};
-  const auto specs = topology_name == "clustered"
-                         ? net::case2_clustered(channels, placement, topology)
-                     : topology_name == "random"
-                         ? net::case3_random(channels, placement, topology)
-                         : net::case1_dense(channels, placement, topology);
-
-  net::ScenarioConfig config;
-  config.seed = seed;
-  net::Scenario scenario{config};
-  scenario.add_networks(specs, design.scheme);
-  scenario.run(sim::SimTime::seconds(warmup_s), sim::SimTime::seconds(measure_s));
-  return scenario.overall_throughput();
+/// Design `prefix` ("a" or "b"). Prints the offending option and
+/// apply_param's message on a bad value.
+bool design_from_args(const cli::ArgParser& args, const std::string& prefix,
+                      exp::PointParams& out) {
+  std::string message;
+  const auto apply = [&](const std::string& key, const std::string& option) {
+    if (exp::apply_param(out, key, args.get_string(option), message)) return true;
+    std::fprintf(stderr, "--%s: %s\n", option.c_str(), message.c_str());
+    return false;
+  };
+  for (const char* key : kSharedKeys) {
+    if (!apply(key, key)) return false;
+  }
+  for (const char* key : kDesignKeys) {
+    if (!apply(key, prefix + "-" + key)) return false;
+  }
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   cli::ArgParser args;
-  args.add_double("band-start", 2458.0, "first channel center (MHz), both designs");
+  args.add_string("band-start", "2458", "first channel center (MHz), both designs");
   cli::add_topology_option(args);
-  args.add_double("power", 0.0, "fixed TX power (dBm); omit for random [-22, 0]");
-  args.add_int("trials", 5, "paired random deployments");
-  args.add_int("seed", 1, "base seed (trial i uses seed + i*1000003)");
-  args.add_double("warmup", 2.0, "warm-up (s)");
-  args.add_double("measure", 8.0, "measurement window (s)");
-  args.add_double("a-cfd", 5.0, "design A: channel distance (MHz)");
-  args.add_int("a-channels", 4, "design A: channel count");
-  args.add_int("a-links", 3, "design A: links per network");
+  args.add_string("power", "random", "fixed TX power (dBm), or random [-22, 0] per node");
+  args.add_string("trials", "5", "paired random deployments");
+  args.add_string("seed", "1", "base seed (trial i uses seed + i*1000003)");
+  args.add_string("warmup", "2", "warm-up (s)");
+  args.add_string("measure", "8", "measurement window (s)");
+  args.add_string("a-cfd", "5", "design A: channel distance (MHz)");
+  args.add_string("a-channels", "4", "design A: channel count");
+  args.add_string("a-links", "3", "design A: links per network");
   cli::add_scheme_option(args, "a-scheme", "fixed", "design A");
-  args.add_double("b-cfd", 3.0, "design B: channel distance (MHz)");
-  args.add_int("b-channels", 6, "design B: channel count");
-  args.add_int("b-links", 2, "design B: links per network");
+  args.add_string("b-cfd", "3", "design B: channel distance (MHz)");
+  args.add_string("b-channels", "6", "design B: channel count");
+  args.add_string("b-links", "2", "design B: links per network");
   cli::add_scheme_option(args, "b-scheme", "dcn", "design B");
 
   if (const auto exit_code = cli::parse_standard(args, argc, argv, argv[0])) {
     return *exit_code;
   }
+  exp::PointParams a;
+  exp::PointParams b;
+  if (!design_from_args(args, "a", a) || !design_from_args(args, "b", b)) return 2;
 
-  Design a;
-  a.cfd = args.get_double("a-cfd");
-  a.channels = args.get_int("a-channels");
-  a.links = args.get_int("a-links");
-  a.scheme_name = args.get_string("a-scheme");
-  Design b;
-  b.cfd = args.get_double("b-cfd");
-  b.channels = args.get_int("b-channels");
-  b.links = args.get_int("b-links");
-  b.scheme_name = args.get_string("b-scheme");
-  if (!cli::scheme_from_args(args, "a-scheme", a.scheme) ||
-      !cli::scheme_from_args(args, "b-scheme", b.scheme)) {
-    return 2;
-  }
-  std::string topology_name;
-  if (!cli::topology_from_args(args, "topology", topology_name)) return 2;
-
-  net::RandomCaseConfig topology;
-  if (args.provided("power")) {
-    topology = topology.with_fixed_power(phy::Dbm{args.get_double("power")});
-  }
-
-  const int trials = args.get_int("trials");
   stats::SummaryStats stats_a;
   stats::SummaryStats stats_b;
   stats::SummaryStats gain;
-  for (int trial = 0; trial < trials; ++trial) {
-    const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed")) +
-                               static_cast<std::uint64_t>(trial) * 1000003;
-    const double result_a =
-        run_once(a, topology_name, topology, args.get_double("band-start"), seed,
-                 args.get_double("warmup"), args.get_double("measure"));
-    const double result_b =
-        run_once(b, topology_name, topology, args.get_double("band-start"), seed,
-                 args.get_double("warmup"), args.get_double("measure"));
+  for (int trial = 0; trial < a.trials; ++trial) {
+    const double result_a = exp::run_trial(a, trial).overall_pps;
+    const double result_b = exp::run_trial(b, trial).overall_pps;
     stats_a.add(result_a);
     stats_b.add(result_b);
     if (result_a > 0.0) gain.add(100.0 * (result_b / result_a - 1.0));
   }
 
-  auto describe = [](const Design& d) {
-    return std::to_string(d.channels) + "ch @ " + stats::TablePrinter::num(d.cfd, 0) +
-           "MHz, " + d.scheme_name;
+  auto describe = [](const exp::PointParams& d) {
+    return std::to_string(d.channels) + "ch @ " + stats::TablePrinter::num(d.cfd_mhz, 0) +
+           "MHz, " + d.scheme;
   };
   stats::TablePrinter table{{"design", "overall (pkt/s)", "±95% CI"}};
   table.add_row({"A: " + describe(a), stats::TablePrinter::num(stats_a.mean(), 1),
@@ -126,7 +98,7 @@ int main(int argc, char** argv) {
   table.add_row({"B: " + describe(b), stats::TablePrinter::num(stats_b.mean(), 1),
                  stats::TablePrinter::num(stats_b.ci95_half_width(), 1)});
   table.print();
-  std::printf("\nB vs A (paired over %d deployments): %+.1f%% ± %.1f%%\n", trials,
+  std::printf("\nB vs A (paired over %d deployments): %+.1f%% ± %.1f%%\n", a.trials,
               gain.mean(), gain.ci95_half_width());
   return 0;
 }
