@@ -16,11 +16,17 @@
 //                adding nothing beyond the 2k contrast (the skip and this
 //                reason are recorded in the JSON).
 //
+// Every point also carries an output digest: 64-bit FNV-1a over the bit
+// pattern of every sense_energy read (warm-up included) and then the event
+// count. The run is deterministic, so two builds that print the same digest
+// for a point simulated the same city bit for bit.
+//
 // Output: BENCH_scaling.json (see docs/scaling.md for how to read it):
 //   {
 //     "tool": "scaling_curve",
 //     "points": [{"nodes": N, "mode": "culled"|"dense", "events": E,
-//                 "wall_ms": W, "events_per_second": R}, ...],
+//                 "wall_ms": W, "events_per_second": R,
+//                 "digest": "<16 hex digits>"}, ...],
 //     "dense_skip_reason": "...",
 //     "hardware_threads": <std::thread::hardware_concurrency()>,
 //     "speedup_at_2000": <culled rate / dense rate at 2000 nodes>
@@ -31,7 +37,9 @@
 // --nodes / --duration pin a single city size and measurement window
 // instead of the default sweep; --smoke shrinks everything for the tier-1
 // smoke test.
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -64,11 +72,28 @@ phy::MediumConfig city_medium_config(bool culled) {
   return config;
 }
 
+/// 64-bit FNV-1a over little-endian 64-bit words (an output digest, not
+/// security).
+class Digest {
+ public:
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xffU;
+      hash_ *= 1099511628211ULL;
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 14695981039346656037ULL;
+};
+
 struct Point {
   int nodes = 0;
   bool culled = true;
   std::uint64_t events = 0;
   double wall_ms = 0.0;
+  std::uint64_t digest = 0;
   [[nodiscard]] double events_per_second() const {
     return wall_ms <= 0.0 ? 0.0 : static_cast<double>(events) * 1e3 / wall_ms;
   }
@@ -108,13 +133,18 @@ class City {
     point.events = scheduler_.executed() - executed_before;
     point.culled = medium_->culling_enabled();
     point.nodes = static_cast<int>(medium_->node_count());
+    Digest digest = reads_;
+    digest.add(point.events);
+    point.digest = digest.value();
     return point;
   }
 
  private:
   void attempt(phy::NodeId node) {
     const phy::Mhz channel = channels_[node];
-    if (medium_->sense_energy(node, channel).value < mac::kZigbeeDefaultCcaThreshold.value) {
+    const double energy_dbm = medium_->sense_energy(node, channel).value;
+    reads_.add(std::bit_cast<std::uint64_t>(energy_dbm));
+    if (energy_dbm < mac::kZigbeeDefaultCcaThreshold.value) {
       phy::Frame frame;
       frame.id = medium_->allocate_frame_id();
       frame.src = node;
@@ -134,6 +164,7 @@ class City {
   std::unique_ptr<phy::Medium> medium_;
   std::vector<phy::Mhz> channels_;
   std::vector<std::int64_t> period_ns_;
+  Digest reads_;  ///< every sense_energy read so far
 };
 
 constexpr const char* kDenseSkipReason =
@@ -153,10 +184,10 @@ void write_json(const std::string& path, const std::vector<Point>& points, doubl
     const Point& p = points[i];
     std::fprintf(out,
                  "    {\"nodes\": %d, \"mode\": \"%s\", \"events\": %llu, "
-                 "\"wall_ms\": %.3f, \"events_per_second\": %.1f}%s\n",
+                 "\"wall_ms\": %.3f, \"events_per_second\": %.1f, \"digest\": \"%016llx\"}%s\n",
                  p.nodes, p.culled ? "culled" : "dense",
                  static_cast<unsigned long long>(p.events), p.wall_ms, p.events_per_second(),
-                 i + 1 < points.size() ? "," : "");
+                 static_cast<unsigned long long>(p.digest), i + 1 < points.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n  \"dense_skip_reason\": \"%s\",\n", kDenseSkipReason);
   // Rates are host-dependent: record the host's thread count beside them.
@@ -212,16 +243,18 @@ int main(int argc, char** argv) {
     City city{nodes, /*culled=*/true};
     const Point p = city.run(warmup, window);
     if (p.nodes == ref_nodes) rate_culled_ref = p.events_per_second();
-    std::printf("culled  %6d nodes: %8llu events in %9.2f ms  (%.0f events/s)\n", p.nodes,
-                static_cast<unsigned long long>(p.events), p.wall_ms, p.events_per_second());
+    std::printf("culled  %6d nodes: %8llu events in %9.2f ms  (%.0f events/s)  digest %016llx\n",
+                p.nodes, static_cast<unsigned long long>(p.events), p.wall_ms,
+                p.events_per_second(), static_cast<unsigned long long>(p.digest));
     points.push_back(p);
   }
   for (const int nodes : dense_sizes) {
     City city{nodes, /*culled=*/false};
     const Point p = city.run(warmup, window);
     if (p.nodes == ref_nodes) rate_dense_ref = p.events_per_second();
-    std::printf("dense   %6d nodes: %8llu events in %9.2f ms  (%.0f events/s)\n", p.nodes,
-                static_cast<unsigned long long>(p.events), p.wall_ms, p.events_per_second());
+    std::printf("dense   %6d nodes: %8llu events in %9.2f ms  (%.0f events/s)  digest %016llx\n",
+                p.nodes, static_cast<unsigned long long>(p.events), p.wall_ms,
+                p.events_per_second(), static_cast<unsigned long long>(p.digest));
     points.push_back(p);
   }
   if (!smoke && pinned_nodes == 0) std::printf("dense  10000 nodes: skipped — O(N^2)\n");

@@ -13,7 +13,8 @@ Medium::Medium(MediumConfig config)
   if (config_.culling.enabled) {
     double cell = config_.culling.cell_size_m;
     if (cell <= 0.0) cell = influence_radius_m(Dbm{0.0});
-    grid_.reset(cell);
+    listener_grid_.reset(cell);
+    frame_grid_.reset(cell);
   }
 }
 
@@ -23,15 +24,20 @@ double Medium::influence_radius_m(Dbm tx_power) const {
 }
 
 NodeId Medium::add_node(Vec2 position) {
+  assert(std::isfinite(position.x) && std::isfinite(position.y) &&
+         "node coordinates must be finite");
   if (positions_.empty()) {
     box_lo_ = position;
     box_hi_ = position;
   }
+  const auto node = static_cast<NodeId>(positions_.size());
   positions_.push_back(position);
   epochs_.push_back(0);
   loss_cache_.emplace_back();
+  listeners_at_.emplace_back();
+  near_.emplace_back();
   grow_box(position);
-  return static_cast<NodeId>(positions_.size() - 1);
+  return node;
 }
 
 void Medium::grow_box(Vec2 position) {
@@ -41,13 +47,19 @@ void Medium::grow_box(Vec2 position) {
   box_lo_ = lo;
   box_hi_ = hi;
   box_diag_sq_ = distance_sq(lo, hi);
-  // The box only grows, so a live frame can only stop covering it.
+  // The box only grows, so a live frame can only stop covering it. A demoted
+  // frame finds its covered set and joins those nodes' lists at its
+  // begin_seq position, and the frame grid; its terms, indexed by rx until
+  // now, go stale.
   for (const LiveEntry& entry : live_slots_) {
     if (!current(entry)) continue;
     ActiveFrame& af = frame_slots_[entry.slot];
     if (af.covers_all && !covers_box(af.radius)) {
       af.covers_all = false;
       ++partial_live_;
+      find_covered(entry.slot);
+      link(entry.slot);
+      add_partial(entry.slot);
     }
   }
 }
@@ -55,7 +67,13 @@ void Medium::grow_box(Vec2 position) {
 Vec2 Medium::position(NodeId node) const { return positions_[local_index(node)]; }
 
 void Medium::set_position(NodeId node, Vec2 position) {
+  assert(std::isfinite(position.x) && std::isfinite(position.y) &&
+         "node coordinates must be finite");
   const std::size_t index = local_index(node);
+  if (config_.culling.enabled && !listeners_at_[index].empty()) {
+    listener_grid_.remove(node, positions_[index]);
+    listener_grid_.insert(node, position);
+  }
   positions_[index] = position;
   // O(1) invalidation of every cached value involving the moved node: other
   // nodes' pair entries and every frame's terms at this node snapshot its
@@ -64,17 +82,84 @@ void Medium::set_position(NodeId node, Vec2 position) {
   ++epochs_[index];
   loss_cache_[index].clear();
   grow_box(position);
-  // Re-bucket the mover's in-flight frames so the spatial index keeps
-  // answering from current positions, and forget their terms at every rx.
-  for (std::size_t i = 0; i < frame_slots_.size(); ++i) {
-    ActiveFrame& af = frame_slots_[i];
-    if (!af.live || af.frame.src != node) continue;
-    af.terms.clear();
-    if (config_.culling.enabled) {
-      grid_.remove(static_cast<std::uint32_t>(i), af.src_pos);
-      grid_.insert(static_cast<std::uint32_t>(i), position);
+  // The mover's in-flight frames: their discs move with it, so every term
+  // goes stale and a partial frame's covered set is found afresh.
+  for (const LiveEntry& entry : live_slots_) {
+    if (!current(entry)) continue;
+    ActiveFrame& af = frame_slots_[entry.slot];
+    if (af.frame.src != node) continue;
+    if (af.covers_all) {
+      af.src_pos = position;
+      bump_generation(af);
+    } else {
+      frame_grid_.remove(entry.slot, af.src_pos);
+      af.src_pos = position;
+      frame_grid_.insert(entry.slot, position);
+      unlink(entry.slot);
+      find_covered(entry.slot);
+      link(entry.slot);
     }
-    af.src_pos = position;
+  }
+  refresh_membership(node);
+}
+
+void Medium::bump_generation(ActiveFrame& af) {
+  if (++af.gen == 0) {
+    // Wrapped: an entry stamped 2^32 generations ago would look current.
+    std::fill(af.terms.begin(), af.terms.end(), RxTerms{});
+    af.gen = 1;
+  }
+}
+
+void Medium::find_covered(std::uint32_t slot) {
+  ActiveFrame& af = frame_slots_[slot];
+  af.covered.clear();
+  listener_grid_.for_each_in_disc(af.src_pos, af.radius, [&](std::uint32_t node) {
+    if (in_disc(af, positions_[node])) af.covered.push_back(node);
+  });
+  std::sort(af.covered.begin(), af.covered.end());
+  af.terms.resize(af.covered.size());
+  bump_generation(af);
+}
+
+void Medium::link(std::uint32_t slot) {
+  const ActiveFrame& af = frame_slots_[slot];
+  for (std::uint32_t k = 0; k < af.covered.size(); ++k) {
+    std::vector<NearEntry>& list = near_[af.covered[k]];
+    // begin_tx appends; only a demotion or a move inserts mid-list.
+    auto at = list.end();
+    while (at != list.begin() && frame_slots_[(at - 1)->slot].begin_seq > af.begin_seq) --at;
+    list.insert(at, {slot, k});
+  }
+}
+
+void Medium::unlink(std::uint32_t slot) {
+  for (const NodeId node : frame_slots_[slot].covered) {
+    std::vector<NearEntry>& list = near_[node];
+    // Frames end roughly in the order they began: the entry sits near the
+    // front of a short list.
+    const auto it = std::find_if(list.begin(), list.end(),
+                                 [slot](const NearEntry& e) { return e.slot == slot; });
+    assert(it != list.end() && "partial frame missing from a covered node's list");
+    list.erase(it);
+  }
+}
+
+void Medium::refresh_membership(NodeId node) {
+  const std::size_t index = local_index(node);
+  if (partial_live_ == 0) return;
+  const Vec2 at = positions_[index];
+  const bool listens = !listeners_at_[index].empty();
+  for (const LiveEntry& entry : live_slots_) {
+    if (!current(entry)) continue;
+    const ActiveFrame& af = frame_slots_[entry.slot];
+    if (af.covers_all || (listens && in_disc(af, at)) ==
+                             std::binary_search(af.covered.begin(), af.covered.end(), node)) {
+      continue;
+    }
+    unlink(entry.slot);
+    find_covered(entry.slot);
+    link(entry.slot);
   }
 }
 
@@ -105,28 +190,51 @@ Dbm Medium::compute_rss(const Frame& frame, NodeId rx) const {
   return frame.tx_power - Db{loss} + shadowing_.sample(frame.id, rx);
 }
 
-Medium::RxTerms& Medium::terms(std::uint32_t slot, NodeId rx) const {
+std::uint32_t Medium::term_index(std::uint32_t slot, NodeId rx) const {
   const ActiveFrame& af = frame_slots_[slot];
-  const auto ri = static_cast<std::uint32_t>(local_index(rx));
-  NodeMap<RxTerms>::Entry& entry = af.terms.find_or_insert(ri);
-  if (entry.key != ri || entry.epoch != epochs_[ri]) {
-    entry.key = ri;
-    entry.epoch = epochs_[ri];
-    entry.value = RxTerms{};
-    entry.value.rss_dbm = compute_rss(af.frame, rx).value;
+  if (af.covers_all) return static_cast<std::uint32_t>(local_index(rx));
+  const auto it = std::lower_bound(af.covered.begin(), af.covered.end(), rx);
+  if (it == af.covered.end() || *it != rx) return kUncovered;
+  return static_cast<std::uint32_t>(it - af.covered.begin());
+}
+
+Medium::RxTerms& Medium::terms(std::uint32_t slot, std::uint32_t k, NodeId rx) const {
+  const ActiveFrame& af = frame_slots_[slot];
+  const std::size_t ri = local_index(rx);
+  assert((af.covers_all ? k == ri : k < af.covered.size() && af.covered[k] == rx) &&
+         "frame-term index does not belong to this receiver");
+  // A covering frame's array is indexed by rx: size it to the node count on
+  // first use (and again if a node joins mid-flight).
+  if (k >= af.terms.size()) af.terms.resize(positions_.size());
+  RxTerms& t = af.terms[k];
+  if (t.gen != af.gen || t.epoch != epochs_[ri]) {
+    t = RxTerms{};
+    t.gen = af.gen;
+    t.epoch = epochs_[ri];
+    t.rss_dbm = compute_rss(af.frame, rx).value;
   }
 #ifndef NDEBUG
   // Debug cross-check: a served entry must equal a fresh computation — no
   // stale RSS survives either endpoint moving.
-  assert(entry.value.rss_dbm == compute_rss(af.frame, rx).value &&
+  assert(t.rss_dbm == compute_rss(af.frame, rx).value &&
          "stale frame-term entry served after node motion");
 #endif
-  return entry.value;
+  return t;
 }
 
-double Medium::leaked_mw(std::uint32_t slot, NodeId rx, Mhz channel, Path path) const {
-  RxTerms& t = terms(slot, rx);
+double Medium::rss_dbm(std::uint32_t slot, std::uint32_t k, NodeId rx) const {
+  if (k == kUncovered) return compute_rss(frame_slots_[slot].frame, rx).value;
+  return terms(slot, k, rx).rss_dbm;
+}
+
+double Medium::leaked_mw(std::uint32_t slot, std::uint32_t k, NodeId rx, Mhz channel,
+                         Path path) const {
   const Frame& f = frame_slots_[slot].frame;
+  if (k == kUncovered) {
+    const Mhz delta = frequency_distance(f.channel, channel);
+    return to_milliwatts(compute_rss(f, rx) - leak_attenuation(f, delta, path)).value;
+  }
+  RxTerms& t = terms(slot, k, rx);
   if (t.channel_mhz[path] != channel.value) {
     t.channel_mhz[path] = channel.value;
     const Mhz delta = frequency_distance(f.channel, channel);
@@ -151,43 +259,104 @@ double Medium::leaked_mw(std::uint32_t slot, NodeId rx, Mhz channel, Path path) 
 void Medium::add_listener(MediumListener* listener, NodeId node) {
   assert(listener != nullptr);
   assert(node < positions_.size() && "listeners must listen at a registered node");
+  const bool first = listeners_at_[node].empty();
+  listeners_at_[node].push_back(static_cast<std::uint32_t>(listeners_.size()));
   listeners_.push_back({listener, node});
+  if (first) listening_changed(node);
 }
 
 void Medium::remove_listener(MediumListener* listener) {
-  listeners_.erase(std::remove_if(listeners_.begin(), listeners_.end(),
-                                  [listener](const ListenerEntry& e) {
-                                    return e.listener == listener;
-                                  }),
-                   listeners_.end());
+  std::vector<NodeId> nodes;
+  for (const ListenerEntry& e : listeners_) {
+    if (e.listener == listener) nodes.push_back(e.node);
+  }
+  std::erase_if(listeners_, [listener](const ListenerEntry& e) { return e.listener == listener; });
+  // The indices behind the removed entry shifted: rebuild the node index.
+  for (std::vector<std::uint32_t>& at : listeners_at_) at.clear();
+  for (std::uint32_t i = 0; i < listeners_.size(); ++i) {
+    listeners_at_[listeners_[i].node].push_back(i);
+  }
+  for (const NodeId node : nodes) {
+    if (listeners_at_[node].empty()) listening_changed(node);
+  }
 }
 
-void Medium::notify_listeners(const Frame& frame, Vec2 src_pos, double radius, bool start) {
+void Medium::listening_changed(NodeId node) {
+  if (!config_.culling.enabled) return;
+  const Vec2 at = positions_[local_index(node)];
+  if (listeners_at_[node].empty()) {
+    listener_grid_.remove(node, at);
+  } else {
+    listener_grid_.insert(node, at);
+  }
+  refresh_membership(node);
+}
+
+void Medium::add_partial(std::uint32_t slot) {
+  const ActiveFrame& af = frame_slots_[slot];
+  frame_grid_.insert(slot, af.src_pos);
+  max_partial_radius_ = std::max(max_partial_radius_, af.radius);
+}
+
+void Medium::remove_partial(std::uint32_t slot) {
+  frame_grid_.remove(slot, frame_slots_[slot].src_pos);
+  if (--partial_live_ == 0) max_partial_radius_ = 0.0;
+}
+
+void Medium::notify_listeners(std::uint32_t slot, bool start) {
   // With culling on, a listener beyond the influence disc could not measure
   // the frame anyway (its RSS sits below the receive floor); skipping the
   // callback only moves where error-segment RNG draws are anchored. At paper
   // scale the disc exceeds the deployment span, so nothing is ever skipped
   // and the serial draw sequence is unchanged.
-  const bool cull = config_.culling.enabled;
-  const double r2 = radius * radius;
-  for (const ListenerEntry& e : listeners_) {
-    if (cull && distance_sq(positions_[local_index(e.node)], src_pos) > r2) continue;
+  const ActiveFrame& af = frame_slots_[slot];
+  // Copied: a listener may begin a transmission, growing frame_slots_.
+  const Frame frame = af.frame;
+  const auto call = [&frame, start](MediumListener* listener) {
     if (start) {
-      e.listener->on_tx_start(frame);
+      listener->on_tx_start(frame);
     } else {
-      e.listener->on_tx_end(frame);
+      listener->on_tx_end(frame);
     }
+  };
+  // A partial frame reaches the listeners at its covered nodes, gathered
+  // before the first callback and put in registration order (which is
+  // usually node order already).
+  std::vector<std::uint32_t> order;
+  if (!af.covers_all && !listeners_.empty()) {
+    for (const NodeId node : af.covered) {
+      order.insert(order.end(), listeners_at_[node].begin(), listeners_at_[node].end());
+    }
+    if (!std::is_sorted(order.begin(), order.end())) std::sort(order.begin(), order.end());
   }
+#ifndef NDEBUG
+  // Debug cross-check against the brute-force scan: every listener inside
+  // the disc (all of them for a covering frame), in registration order.
+  {
+    std::vector<std::uint32_t> scan;
+    for (std::uint32_t i = 0; i < listeners_.size(); ++i) {
+      if (!config_.culling.enabled || in_disc(af, positions_[listeners_[i].node])) {
+        scan.push_back(i);
+      }
+    }
+    assert((af.covers_all ? scan.size() == listeners_.size() : scan == order) &&
+           "notified listeners differ from the brute-force scan");
+  }
+#endif
+  if (af.covers_all) {
+    for (const ListenerEntry& e : listeners_) call(e.listener);
+    return;
+  }
+  for (const std::uint32_t i : order) call(listeners_[i].listener);
 }
 
 void Medium::begin_tx(const Frame& frame) {
   assert(frame.id != 0 && "allocate the frame id through the medium");
   assert(slot_of_.find(frame.id) == slot_of_.end() && "frame id already on the air");
-  const Vec2 src_pos = positions_[local_index(frame.src)];
-  const double radius = influence_radius_m(frame.tx_power);
-  // Claim the slot before notifying, so the listeners' rss() queries already
-  // fill the frame's terms; it stays out of gather() (not live, not in the
-  // grid) until after, so listeners observe the pre-change interference set.
+  // Claim the slot and find the covered set before notifying, so the
+  // listeners' rss() queries already fill the frame's terms; it stays off
+  // the live list and the near_ lists until after, so listeners observe the
+  // pre-change interference set.
   std::uint32_t slot;
   if (!free_frame_slots_.empty()) {
     slot = free_frame_slots_.back();
@@ -199,23 +368,27 @@ void Medium::begin_tx(const Frame& frame) {
   {
     ActiveFrame& af = frame_slots_[slot];
     af.frame = frame;
-    af.src_pos = src_pos;
-    af.radius = radius;
-    af.terms.clear();
+    af.src_pos = positions_[local_index(frame.src)];
+    af.radius = influence_radius_m(frame.tx_power);
+    af.covers_all = covers_box(af.radius);
+    if (af.covers_all) {
+      bump_generation(af);
+    } else {
+      find_covered(slot);
+    }
   }
   slot_of_.emplace(frame.id, slot);
-  notify_listeners(frame, src_pos, radius, /*start=*/true);
+  notify_listeners(slot, /*start=*/true);
   // Re-reference: a listener may have begun a transmission, growing
   // frame_slots_.
   ActiveFrame& af = frame_slots_[slot];
   af.begin_seq = next_begin_seq_++;
   af.live = true;
-  af.covers_all = covers_box(af.radius);
-  if (!af.covers_all) ++partial_live_;
   live_slots_.push_back({af.begin_seq, slot});
-  if (config_.culling.enabled) {
-    grid_.insert(slot, af.src_pos);
-    max_active_radius_ = std::max(max_active_radius_, af.radius);
+  if (!af.covers_all) {
+    ++partial_live_;
+    link(slot);
+    add_partial(slot);
   }
   ++active_count_;
 }
@@ -223,24 +396,20 @@ void Medium::begin_tx(const Frame& frame) {
 void Medium::end_tx(FrameId id) {
   auto it = slot_of_.find(id);
   assert(it != slot_of_.end() && "end_tx for a frame that is not on the air");
-  // Copy before notifying: a listener may begin a transmission, growing
-  // frame_slots_ and invalidating the reference.
-  const Frame frame = frame_slots_[it->second].frame;
-  const Vec2 src_pos = frame_slots_[it->second].src_pos;
-  const double radius = frame_slots_[it->second].radius;
-  notify_listeners(frame, src_pos, radius, /*start=*/false);
+  notify_listeners(it->second, /*start=*/false);
   // Re-find: a listener may have started a transmission, rehashing slot_of_.
   it = slot_of_.find(id);
   assert(it != slot_of_.end());
   const std::uint32_t slot = it->second;
   ActiveFrame& af = frame_slots_[slot];
-  if (config_.culling.enabled) grid_.remove(slot, af.src_pos);
+  if (!af.covers_all) {
+    unlink(slot);
+    remove_partial(slot);
+  }
   af.live = false;
-  if (!af.covers_all) --partial_live_;
   free_frame_slots_.push_back(slot);
   slot_of_.erase(it);
   --active_count_;
-  if (active_count_ == 0) max_active_radius_ = 0.0;
   // The frame's live-list entry is now stale. Sweep stale entries once they
   // exceed a quarter of the live ones: amortised O(1) per end_tx, where
   // erasing in place would shift the whole list (frames end roughly in the
@@ -256,11 +425,11 @@ Dbm Medium::rss(const Frame& frame, NodeId rx) const {
   // Off the air (e.g. a receiver finalizing after end_tx): recompute; the
   // shadowing draw is a pure hash of (seed, frame, rx), so the value agrees.
   if (it == slot_of_.end()) return compute_rss(frame, rx);
-  const double rss_dbm = terms(it->second, rx).rss_dbm;
+  const double value = rss_dbm(it->second, term_index(it->second, rx), rx);
   // The entry belongs to the on-air frame with this id; the caller's copy
   // must describe the same transmission.
-  assert(rss_dbm == compute_rss(frame, rx).value && "rss() asked about a different frame");
-  return Dbm{rss_dbm};
+  assert(value == compute_rss(frame, rx).value && "rss() asked about a different frame");
+  return Dbm{value};
 }
 
 Db Medium::rejection_db(Mhz delta, Path path) const {
@@ -294,70 +463,116 @@ bool Medium::inter_channel_audible(const Frame& frame, NodeId rx, Mhz channel) c
   return leaks_above_noise(frame, rss(frame, rx), channel);
 }
 
-void Medium::gather(NodeId node, bool ordered) const {
-  scratch_.clear();
-  const Vec2 at = positions_[local_index(node)];
-  grid_.for_each_in_disc(at, max_active_radius_, [&](std::uint32_t slot) {
-    const ActiveFrame& af = frame_slots_[slot];
-    if (distance_sq(at, af.src_pos) <= af.radius * af.radius) {
-      scratch_.emplace_back(af.begin_seq, slot);
-    }
-  });
-  // begin_seq order == begin_tx order: the dense path accumulated frames in
-  // insertion order, and float addition is order-sensitive, so replaying
-  // that exact order keeps culled and exhaustive results bit-identical
-  // whenever they see the same candidate set.
-  if (ordered) std::sort(scratch_.begin(), scratch_.end());
-}
-
 template <typename Visit>
-bool Medium::any_candidate(NodeId node, bool ordered, bool force_exhaustive, Visit visit) const {
-  if (!config_.culling.enabled || force_exhaustive || partial_live_ == 0) {
+bool Medium::any_candidate(NodeId node, bool force_exhaustive, Visit visit) const {
 #ifndef NDEBUG
-    check_live_list(node);
+  check_candidates(node);
 #endif
-    for (const LiveEntry& entry : live_slots_) {
-      if (current(entry) && visit(entry.slot)) return true;
+  const std::size_t index = local_index(node);
+  // Every live frame partial (city scale): a node with a listener reads its
+  // own list; any other node gathers from the frame grid (it is not in any
+  // covered set, so its terms are computed uncached).
+  if (partial_live_ == active_count_ && !force_exhaustive) {
+    if (!listeners_at_[index].empty()) {
+      for (const NearEntry& e : near_[index]) {
+        if (visit(e.slot, e.k)) return true;
+      }
+      return false;
+    }
+    for (const LiveEntry& entry : gather(node)) {
+      if (visit(entry.slot, kUncovered)) return true;
     }
     return false;
   }
-  gather(node, ordered);
-  for (const auto& candidate : scratch_) {
-    if (visit(candidate.second)) return true;
+  // Otherwise the live list: every frame when every one covers the box
+  // (paper scale) or when forced exhaustive, else filtered by the exact disc
+  // test (a mix of covering and partial frames).
+  const Vec2 at = positions_[index];
+  const bool filter = partial_live_ > 0 && !force_exhaustive;
+  for (const LiveEntry& entry : live_slots_) {
+    if (!current(entry)) continue;
+    const ActiveFrame& af = frame_slots_[entry.slot];
+    if (af.covers_all) {
+      if (visit(entry.slot, static_cast<std::uint32_t>(index))) return true;
+    } else if (!filter || in_disc(af, at)) {
+      if (visit(entry.slot, term_index(entry.slot, node))) return true;
+    }
   }
   return false;
 }
 
+const std::vector<Medium::LiveEntry>& Medium::gather(NodeId node) const {
+  scratch_.clear();
+  const Vec2 at = positions_[local_index(node)];
+  frame_grid_.for_each_in_disc(at, max_partial_radius_, [&](std::uint32_t slot) {
+    const ActiveFrame& af = frame_slots_[slot];
+    if (in_disc(af, at)) scratch_.push_back({af.begin_seq, slot});
+  });
+  std::sort(scratch_.begin(), scratch_.end(),
+            [](const LiveEntry& a, const LiveEntry& b) { return a.begin_seq < b.begin_seq; });
+  return scratch_;
+}
+
 #ifndef NDEBUG
-void Medium::check_live_list(NodeId node) const {
+void Medium::check_candidates(NodeId node) const {
   // The live list's current entries are every live frame, once, in
-  // begin_seq order ...
-  std::vector<std::uint32_t> current_slots;
+  // begin_seq order; a covering frame passes the exact disc test at every
+  // node (the monotone box argument) ...
+  const Vec2 at = positions_[local_index(node)];
+  std::size_t live = 0;
+  std::size_t partial = 0;
+  std::vector<NearEntry> expected;
   for (std::size_t i = 0; i < live_slots_.size(); ++i) {
     assert((i == 0 || live_slots_[i - 1].begin_seq < live_slots_[i].begin_seq) &&
            "live list out of begin_seq order");
-    if (current(live_slots_[i])) current_slots.push_back(live_slots_[i].slot);
-  }
-  assert(current_slots.size() == active_count_ && "live list lost or duplicated a frame");
-  // ... and while every live frame covers the deployment, they are exactly
-  // the grid gather's sorted candidate list.
-  if (config_.culling.enabled && partial_live_ == 0) {
-    gather(node, /*ordered=*/true);
-    assert(scratch_.size() == current_slots.size() && "live list differs from the grid gather");
-    for (std::size_t i = 0; i < scratch_.size(); ++i) {
-      assert(scratch_[i].second == current_slots[i] && "live list differs from the grid gather");
+    const LiveEntry& entry = live_slots_[i];
+    if (!current(entry)) continue;
+    ++live;
+    const ActiveFrame& af = frame_slots_[entry.slot];
+    if (af.covers_all) {
+      assert((!config_.culling.enabled || in_disc(af, at)) &&
+             "a covering frame fails the disc test");
+      continue;
     }
+    ++partial;
+    if (in_disc(af, at)) {
+      expected.push_back({entry.slot, term_index(entry.slot, node)});
+    }
+  }
+  assert(live == active_count_ && "live list lost or duplicated a frame");
+  assert(partial == partial_live_ && "partial-frame count drifted");
+  // ... and the node's list is exactly the live partial frames that cover
+  // it, filtered from the live list, with its covered-set positions. A node
+  // without a listener is on no list: it gathers the same frames from the
+  // frame grid.
+  const std::vector<NearEntry>& near = near_[local_index(node)];
+  if (listeners_at_[local_index(node)].empty()) {
+    assert(near.empty() && "a node without a listener is on a frame's list");
+    if (!config_.culling.enabled) return;
+    const std::vector<LiveEntry>& gathered = gather(node);
+    assert(gathered.size() == expected.size() && "gather differs from the live-list filter");
+    for (std::size_t i = 0; i < gathered.size(); ++i) {
+      assert(gathered[i].slot == expected[i].slot && expected[i].k == kUncovered &&
+             "gather differs from the live-list filter");
+    }
+    return;
+  }
+  assert(near.size() == expected.size() && "near list differs from the live-list filter");
+  for (std::size_t i = 0; i < near.size(); ++i) {
+    assert(near[i].slot == expected[i].slot && near[i].k == expected[i].k &&
+           expected[i].k != kUncovered &&
+           "near list differs from the live-list filter");
   }
 }
 #endif
 
 MilliWatts Medium::accumulate(NodeId node, Mhz channel, FrameId exclude, Path path) const {
   MilliWatts total = noise_mw_;
-  any_candidate(node, /*ordered=*/true, /*force_exhaustive=*/false, [&](std::uint32_t slot) {
+  any_candidate(node, /*force_exhaustive=*/false, [&](std::uint32_t slot, std::uint32_t k) {
     const Frame& f = frame_slots_[slot].frame;
     // A node never senses its own signal.
     if (f.id != exclude && f.src != node) {
-      total += MilliWatts{leaked_mw(slot, node, channel, path)};
+      total += MilliWatts{leaked_mw(slot, k, node, channel, path)};
     }
     return false;
   });
@@ -377,12 +592,12 @@ Dbm Medium::interference(NodeId rx, Mhz channel, FrameId exclude) const {
 bool Medium::carrier_present(NodeId node, Mhz channel, Dbm sensitivity) const {
   // Culling guarantees frames outside the candidate set sit below the
   // receive floor; a detector tuned below that floor could still hear them,
-  // so such a query scans exhaustively instead of trusting the grid.
+  // so such a query scans every live frame instead of trusting the discs.
   const bool force_exhaustive = sensitivity.value < cull_floor_dbm();
-  return any_candidate(node, /*ordered=*/false, force_exhaustive, [&](std::uint32_t slot) {
+  return any_candidate(node, force_exhaustive, [&](std::uint32_t slot, std::uint32_t k) {
     const Frame& f = frame_slots_[slot].frame;
     return f.src != node && same_channel(f.channel, channel) &&
-           Dbm{terms(slot, node).rss_dbm} >= sensitivity;
+           Dbm{rss_dbm(slot, k, node)} >= sensitivity;
   });
 }
 
@@ -391,12 +606,12 @@ Medium::Overlap Medium::overlap(NodeId rx, Mhz channel, FrameId exclude) const {
   // the inter-channel noise-floor test nor meaningfully collide co-channel;
   // the candidate set suffices.
   Overlap result;
-  any_candidate(rx, /*ordered=*/false, /*force_exhaustive=*/false, [&](std::uint32_t slot) {
+  any_candidate(rx, /*force_exhaustive=*/false, [&](std::uint32_t slot, std::uint32_t k) {
     const Frame& f = frame_slots_[slot].frame;
     if (f.id == exclude || f.src == rx) return false;
     if (same_channel(f.channel, channel)) {
       result.co = true;
-    } else if (leaks_above_noise(f, Dbm{terms(slot, rx).rss_dbm}, channel)) {
+    } else if (leaks_above_noise(f, Dbm{rss_dbm(slot, k, rx)}, channel)) {
       result.inter = true;
     }
     return false;

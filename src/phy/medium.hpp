@@ -19,17 +19,35 @@
 // simulated second. With culling enabled (the default) every frame carries a
 // conservative *influence radius*: the distance at which its strongest
 // plausible RSS (tx power + a shadowing cap) falls `margin_db` below the
-// noise floor. A uniform hash grid over transmitter positions lets a query
-// visit only frames whose influence disc covers the querying node; frames
-// beyond their radius are invisible to all queries (their contribution is
-// provably below the receive floor). At paper scale the radius exceeds the
-// deployment span, nothing is culled, and every result is bit-identical to
-// the exhaustive path — which is pinned by tests and keeps the golden stores
-// byte-stable. Whether that is the case is known without a query: each live
-// frame records whether its radius covers the diagonal of the nodes'
-// bounding box, and while every live frame does, queries walk an ordered
-// list of the live frames instead of the grid (same candidates, same order,
-// no distance tests, no sort).
+// noise floor. Frames beyond their radius are invisible to all queries
+// (their contribution is provably below the receive floor). At paper scale
+// the radius exceeds the deployment span, nothing is culled, and every
+// result is bit-identical to the exhaustive path — which is pinned by tests
+// and keeps the golden stores byte-stable.
+//
+// Every query asks which in-flight frames cover a receiver, and the medium
+// keeps that answer instead of rebuilding it per read:
+//   * each live frame records whether its radius covers the diagonal of the
+//     nodes' bounding box (`covers_all`). Such a frame reaches every node,
+//     and while every live frame does, queries walk an ordered list of the
+//     live frames;
+//   * a frame that does not (`partial`) finds the nodes with a listener
+//     inside its disc once, at begin_tx, through a uniform hash grid over
+//     those nodes' positions, and is appended to each such node's `near_`
+//     list. Those lists stay in begin_tx order, so a query at a listening
+//     node reads its list and sums in exactly the order the exhaustive path
+//     does. Radios are listeners and read each frame many times, so the
+//     list upkeep pays off there;
+//   * a node without a listener reads rarely, so partial frames are also
+//     bucketed by transmitter position in a second grid, and a query there
+//     gathers the covering frames from it and sorts them by begin_tx order;
+//   * listeners are notified through the covered set, in registration
+//     order; a covering frame notifies every listener.
+// Motion keeps all of it exact: set_position re-buckets the node and its
+// in-flight frames, updates its membership in every live partial frame,
+// and recomputes the covered set of each frame it is sending; a node that
+// gains its first listener or loses its last one updates its membership
+// the same way.
 //
 // Hot-path caching: every query reduces to per-(frame, rx) terms — the
 // frame's RSS at the receiver (tx power minus a position-determined path
@@ -41,15 +59,18 @@
 //     entries snapshot the other endpoint's motion epoch — set_position
 //     invalidates every pair involving the moved node in O(1) by bumping
 //     its epoch;
-//   * everything per frame lives on the in-flight frame's slot: a sparse map
-//     keyed by rx index holding the RSS (stamped with the rx's motion
-//     epoch) and the sensing- and decode-path milliwatts (each stamped with
-//     the rx channel it was computed for). A claimed slot starts empty, and
-//     a transmitter's move clears its in-flight frames' maps;
+//   * everything per frame lives in one dense array on the in-flight
+//     frame's slot, indexed by the rx's position in the frame's covered set
+//     (partial frames) or by the rx index itself (covering frames). An
+//     entry holds the RSS and the sensing- and decode-path milliwatts (each
+//     stamped with the rx channel it was computed for), and is valid while
+//     its stamps equal the slot's generation and the rx's motion epoch, so
+//     claiming a slot or moving its transmitter clears it in O(1);
 //   * rejection attenuation is tabulated per channel distance, which takes
 //     only a handful of values.
 // Every memoized value is the same double a fresh computation yields (debug
-// builds assert it on every hit), so caching never moves a result.
+// builds assert it on every hit, and check every list read against a
+// brute-force filter of the live frames), so caching never moves a result.
 // The caches make the const query methods write to mutable state; a Medium
 // is single-threaded like the Scenario that owns it (parallel replication
 // runs one Medium per thread — see sim/parallel.hpp).
@@ -92,8 +113,9 @@ struct CullingConfig {
   /// Shadowing head-room, in sigmas, folded into the influence radius so a
   /// lucky constructive fade cannot push a culled frame above the floor.
   double shadow_cap_sigma = 6.0;
-  /// Grid cell edge in metres; <= 0 derives it from the influence radius of
-  /// a nominal 0 dBm transmitter (queries then touch ~3x3 cells).
+  /// Cell edge of the listener-node and frame grids in metres; <= 0
+  /// derives it from the influence radius of a nominal 0 dBm transmitter
+  /// (a covered-set lookup or a gather then touches ~3x3 cells).
   double cell_size_m = 0.0;
 };
 
@@ -116,9 +138,12 @@ class Medium {
   Medium& operator=(const Medium&) = delete;
 
   /// Registers a node at `position`; returns its id (dense, starting at 0).
+  /// Precondition: both coordinates are finite (asserted).
   NodeId add_node(Vec2 position);
   [[nodiscard]] std::size_t node_count() const { return positions_.size(); }
   [[nodiscard]] Vec2 position(NodeId node) const;
+  /// Moves a node, also mid-flight. Precondition: both coordinates are
+  /// finite (asserted).
   void set_position(NodeId node, Vec2 position);
 
   /// Listeners (radios) are notified of tx start/end. `node` is the
@@ -126,10 +151,11 @@ class Medium {
   /// delivered only to listeners inside the frame's influence disc —
   /// beyond it the frame is unobservable by construction, so skipping the
   /// callback only re-anchors where error-segment RNG draws happen, never
-  /// what a receiver can measure. Assumes listeners do not move across an
-  /// influence boundary while a frame is in flight (static deployments;
-  /// paper-scale discs exceed the deployment span, so nothing is ever
-  /// skipped there).
+  /// what a receiver can measure. Listeners are called in registration
+  /// order. A frame's end reaches the listeners inside its disc at that
+  /// moment, so a listener that moved across the boundary mid-flight sees
+  /// only one of the two callbacks (paper-scale discs exceed the deployment
+  /// span, so nothing is ever skipped there).
   void add_listener(MediumListener* listener, NodeId node);
   void remove_listener(MediumListener* listener);
 
@@ -193,37 +219,55 @@ class Medium {
   /// rejection, SINR) or the CCA energy detector (sensing rejection).
   enum Path : std::size_t { kDecode = 0, kSensing = 1 };
 
-  /// The per-(frame, rx) terms every query is built from. The RSS is valid
-  /// while the map entry's epoch equals the rx's motion epoch; each path's
-  /// milliwatts are valid for the rx channel stamped beside them (NaN: not
-  /// computed yet).
+  /// The per-(frame, rx) terms every query is built from. The entry is
+  /// valid while `gen` equals its slot's generation and `epoch` the rx's
+  /// motion epoch; each path's milliwatts are valid for the rx channel
+  /// stamped beside them (NaN: not computed yet).
   struct RxTerms {
     double rss_dbm = 0.0;
     double channel_mhz[2] = {std::numeric_limits<double>::quiet_NaN(),
                              std::numeric_limits<double>::quiet_NaN()};
     double leaked_mw[2] = {0.0, 0.0};
+    std::uint32_t gen = 0;  ///< 0 is never a current slot generation
+    std::uint32_t epoch = 0;
   };
 
+  /// Term index of an rx outside a partial frame's disc: its RSS is
+  /// computed on demand and never cached.
+  static constexpr std::uint32_t kUncovered = ~std::uint32_t{0};
+
   /// An in-flight frame, pool-allocated: slots are recycled through a free
-  /// list so steady-state begin/end traffic does not allocate, and the grid
-  /// can refer to frames by stable 32-bit slot index.
+  /// list so steady-state begin/end traffic does not allocate, and the
+  /// near_ lists can refer to frames by stable 32-bit slot index.
   struct ActiveFrame {
     Frame frame{};
-    Vec2 src_pos{};               ///< transmitter position as bucketed in the grid
+    Vec2 src_pos{};               ///< transmitter position the disc is centred on
     std::uint64_t begin_seq = 0;  ///< global begin_tx order: fixes summation order
     double radius = 0.0;          ///< influence radius in metres
-    bool live = false;            ///< in the grid, current on live_slots_
+    bool live = false;            ///< current on live_slots_ (and near_, if partial)
     bool covers_all = false;      ///< radius spans the node bounding box
-    /// Memoized terms keyed by rx index; emptied when the slot is
-    /// claimed and when the transmitter moves.
-    mutable NodeMap<RxTerms> terms;
+    /// Partial frames only: every node inside the disc, ascending.
+    std::vector<NodeId> covered;
+    /// Memoized terms, indexed by the rx's position in `covered` (partial
+    /// frames) or by the rx index (covering frames).
+    mutable std::vector<RxTerms> terms;
+    /// Bumped when every entry of `terms` goes stale: the slot is claimed,
+    /// its transmitter moves, or its covered set changes.
+    std::uint32_t gen = 0;
+  };
+
+  /// A live partial frame on the near_ list of a node it covers.
+  struct NearEntry {
+    std::uint32_t slot = 0;
+    std::uint32_t k = 0;  ///< the node's position in the frame's covered set
   };
 
   [[nodiscard]] MilliWatts accumulate(NodeId node, Mhz channel, FrameId exclude,
                                       Path path) const;
-  /// Deliver on_tx_start/on_tx_end for `frame` to every listener inside its
-  /// influence disc (all listeners when culling is off).
-  void notify_listeners(const Frame& frame, Vec2 src_pos, double radius, bool start);
+  /// Deliver on_tx_start/on_tx_end for the frame in `slot`, in registration
+  /// order, to the listeners at its covered nodes (partial frames) or to
+  /// every listener (covering frames, or culling off).
+  void notify_listeners(std::uint32_t slot, bool start);
   /// How much of frame `f`'s energy leaks into a receiver tuned `delta` away
   /// on `path`: the receiver's filter curve, floored by the transmitter's
   /// own emission mask when one is attached (a wide transmitter puts power
@@ -237,10 +281,18 @@ class Medium {
   [[nodiscard]] bool leaks_above_noise(const Frame& f, Dbm rss, Mhz channel) const;
   /// RSS of `frame` at `rx` from scratch (bar the pair path-loss cache).
   [[nodiscard]] Dbm compute_rss(const Frame& frame, NodeId rx) const;
-  /// The memoized terms of the frame in `slot` at `rx`, with the RSS filled.
-  [[nodiscard]] RxTerms& terms(std::uint32_t slot, NodeId rx) const;
+  /// Where the frame in `slot` keeps its terms at `rx`: the rx index for a
+  /// covering frame, else the rx's position in the covered set, or
+  /// kUncovered.
+  [[nodiscard]] std::uint32_t term_index(std::uint32_t slot, NodeId rx) const;
+  /// The memoized terms of the frame in `slot` at `rx` (term index `k`),
+  /// with the RSS filled.
+  [[nodiscard]] RxTerms& terms(std::uint32_t slot, std::uint32_t k, NodeId rx) const;
+  /// RSS of the frame in `slot` at `rx`, cached unless `k` is kUncovered.
+  [[nodiscard]] double rss_dbm(std::uint32_t slot, std::uint32_t k, NodeId rx) const;
   /// The milliwatts the frame in `slot` leaks into `rx` tuned to `channel`.
-  [[nodiscard]] double leaked_mw(std::uint32_t slot, NodeId rx, Mhz channel, Path path) const;
+  [[nodiscard]] double leaked_mw(std::uint32_t slot, std::uint32_t k, NodeId rx, Mhz channel,
+                                 Path path) const;
   /// Memoized PL(distance(a, b)); entries staled by either endpoint moving.
   [[nodiscard]] double cached_loss_db(NodeId a, NodeId b) const;
 
@@ -256,31 +308,49 @@ class Medium {
     return config_.noise_floor.value - config_.culling.margin_db;
   }
   /// Would a frame of influence radius `radius` reach every node, wherever
-  /// in the bounding box both ends sit?
-  [[nodiscard]] bool covers_box(double radius) const { return box_diag_sq_ <= radius * radius; }
+  /// in the bounding box both ends sit? Always, with culling off.
+  [[nodiscard]] bool covers_box(double radius) const {
+    return !config_.culling.enabled || box_diag_sq_ <= radius * radius;
+  }
+  /// The exact disc test: is `at` inside the influence disc of `af`?
+  [[nodiscard]] static bool in_disc(const ActiveFrame& af, Vec2 at) {
+    return distance_sq(at, af.src_pos) <= af.radius * af.radius;
+  }
   /// Extend the node bounding box to `position`, demoting live frames that
   /// no longer cover it.
   void grow_box(Vec2 position);
-  /// Calls `visit(slot)` for every frame relevant to `node` until a call
-  /// returns true, and returns whether one did. The relevant frames are all
-  /// live frames when culling is off, forced exhaustive, or every live frame
-  /// covers the bounding box (then read straight off live_slots_); else the
-  /// frames whose influence disc covers `node`, via gather(). Candidates come
-  /// in begin_seq order when `ordered`, so floating-point accumulation
-  /// replays begin_tx order exactly.
+  /// Stale every memoized term of the frame in `slot`.
+  void bump_generation(ActiveFrame& af);
+  /// Fill the covered set of the (partial) frame in `slot` from the
+  /// listener grid and size its term array to it.
+  void find_covered(std::uint32_t slot);
+  /// Enter / remove the live partial frame in `slot` on the near_ lists of
+  /// its covered nodes, each at its begin_seq position.
+  void link(std::uint32_t slot);
+  void unlink(std::uint32_t slot);
+  /// Re-find the covered set of every live partial frame that gained or
+  /// lost `node`, which has just moved or gained or lost its listeners.
+  void refresh_membership(NodeId node);
+  /// `node` has just gained its first listener or lost its last one.
+  void listening_changed(NodeId node);
+  /// Enter / remove the partial frame in `slot` on the frame grid.
+  void add_partial(std::uint32_t slot);
+  void remove_partial(std::uint32_t slot);
+  /// Calls `visit(slot, k)` for every frame relevant to `node`, with `k` its
+  /// term index there, until a call returns true, and returns whether one
+  /// did. The relevant frames are all live frames when forced exhaustive,
+  /// else the frames whose influence disc covers `node`. Either way they
+  /// come in begin_seq order, so floating-point accumulation replays
+  /// begin_tx order exactly.
   template <typename Visit>
-  bool any_candidate(NodeId node, bool ordered, bool force_exhaustive, Visit visit) const;
-  /// Fills scratch_ with (begin_seq, slot) for every frame in the grid
-  /// whose influence disc covers `node`, sorted when `ordered`.
-  void gather(NodeId node, bool ordered) const;
+  bool any_candidate(NodeId node, bool force_exhaustive, Visit visit) const;
 #ifndef NDEBUG
-  /// Debug cross-check of the live list against the frame slots and, when
-  /// the grid is equivalent, against gather(node).
-  void check_live_list(NodeId node) const;
+  /// Debug cross-check of the live list and of near_[node] against the
+  /// frame slots filtered by the exact disc test.
+  void check_candidates(NodeId node) const;
 #endif
 
-  /// A registered listener and the node it listens at (for notification
-  /// culling against the influence disc).
+  /// A registered listener and the node it listens at.
   struct ListenerEntry {
     MediumListener* listener = nullptr;
     NodeId node = kNoNode;
@@ -292,14 +362,24 @@ class Medium {
   /// Bumped when the node moves; loss-cache and frame-term entries snapshot
   /// it (see below).
   std::vector<std::uint32_t> epochs_;
+  /// In registration order.
   std::vector<ListenerEntry> listeners_;
+  /// listeners_at_[node]: indices into listeners_ of the listeners at node,
+  /// ascending.
+  std::vector<std::vector<std::uint32_t>> listeners_at_;
   FrameId next_frame_id_ = 1;
 
-  // -- Active set (slot pool + spatial index) ----------------------------
+  // -- Active set (slot pool, live list, per-node frame lists) -----------
   std::vector<ActiveFrame> frame_slots_;
   std::vector<std::uint32_t> free_frame_slots_;
   std::unordered_map<FrameId, std::uint32_t> slot_of_;
-  SpatialFrameGrid grid_;
+  /// Every node with a listener, bucketed by position (culling on only).
+  SpatialGrid listener_grid_;
+  /// Every live partial frame's slot, bucketed by its transmitter's
+  /// position, and the largest radius among them (reset when none is
+  /// left).
+  SpatialGrid frame_grid_;
+  double max_partial_radius_ = 0.0;
   std::size_t active_count_ = 0;
   std::uint64_t next_begin_seq_ = 0;
   /// One entry per frame made live, in begin_seq order. An entry goes stale
@@ -314,6 +394,13 @@ class Medium {
     return af.live && af.begin_seq == entry.begin_seq;
   }
   std::vector<LiveEntry> live_slots_;
+  /// The live partial frames whose disc covers `node`, from the frame grid,
+  /// in begin_seq order (valid until the next call).
+  [[nodiscard]] const std::vector<LiveEntry>& gather(NodeId node) const;
+  mutable std::vector<LiveEntry> scratch_;
+  /// near_[node]: the live partial frames whose disc covers node, in
+  /// begin_seq order.
+  std::vector<std::vector<NearEntry>> near_;
   /// Live frames whose influence radius does not cover the bounding box.
   std::size_t partial_live_ = 0;
   /// Bounding box of every position any node has held, and its squared
@@ -321,9 +408,6 @@ class Medium {
   Vec2 box_lo_{};
   Vec2 box_hi_{};
   double box_diag_sq_ = 0.0;
-  /// Largest influence radius among frames begun this busy period; bounds
-  /// the query disc. Reset when the air goes quiet.
-  double max_active_radius_ = 0.0;
 
   // -- Memoization (see the header comment) ------------------------------
   /// loss_cache_[a] maps b -> PL(a, b) stamped with b's epoch at compute
@@ -339,8 +423,6 @@ class Medium {
   mutable std::vector<RejectionRow> rejection_table_;
   /// to_milliwatts(noise_floor), the starting value of every accumulation.
   MilliWatts noise_mw_{};
-  /// Query candidate buffer, reused across queries (single-threaded).
-  mutable std::vector<std::pair<std::uint64_t, std::uint32_t>> scratch_;
 };
 
 }  // namespace nomc::phy

@@ -1,18 +1,19 @@
-// Small open-addressing map from node id to a cached value.
+// Small open-addressing map from node id to a cached double: the medium's
+// pairwise path-loss cache, one map per node.
 //
-// The medium's hot-path memoization (pairwise path loss, per-frame RSS and
-// leaked power) used to live in dense per-node arrays — O(N) per frame and
-// O(N^2) overall, which is exactly what a city-scale node count cannot
-// afford. With spatial culling a node only ever asks about its ~tens of
-// radio neighbours, so the caches are sparse: this map stores just the keys
-// actually queried, with open addressing and power-of-two sizing so a lookup
-// is one or two cache probes and never hashes through std::unordered_map
-// machinery.
+// The pair loss used to live in a dense N×N array — O(N^2) memory, which is
+// exactly what a city-scale node count cannot afford. With spatial culling
+// a node only ever asks about its ~tens of radio neighbours, so the cache is
+// sparse: this map stores just the keys actually queried, with open
+// addressing and power-of-two sizing so a lookup is one or two cache probes
+// and never hashes through std::unordered_map machinery. (Per-frame terms
+// live in a dense array on the frame's slot instead, indexed by the
+// receiver's position in the frame's covered set; see phy/medium.hpp.)
 //
-// Each entry carries a caller-managed epoch tag. The caches use it for O(1)
-// motion invalidation: entries snapshot a node's motion epoch at compute
-// time, so bumping that node's epoch atomically stales every cached value
-// that depends on its position without walking anything (see
+// Each entry carries a caller-managed epoch tag. The cache uses it for O(1)
+// motion invalidation: entries snapshot the other endpoint's motion epoch at
+// compute time, so bumping that node's epoch atomically stales every cached
+// value that depends on its position without walking anything (see
 // Medium::set_position).
 #pragma once
 
@@ -23,13 +24,12 @@
 
 namespace nomc::phy {
 
-template <class Value>
-class NodeMap {
+class NodeValueMap {
  public:
   struct Entry {
     std::uint32_t key = kEmpty;
     std::uint32_t epoch = 0;
-    Value value{};
+    double value = 0.0;
   };
 
   /// Sentinel: no node id (they are dense, starting at 0) ever equals it.
@@ -65,10 +65,6 @@ class NodeMap {
 
   [[nodiscard]] std::size_t size() const { return size_; }
 
-  /// Iteration support for debug cross-checks (order is not deterministic;
-  /// never feed it into an output or a float accumulation).
-  [[nodiscard]] const std::vector<Entry>& raw_entries() const { return table_; }
-
  private:
   [[nodiscard]] std::size_t index_of(std::uint32_t key) const {
     // Fibonacci hashing spreads the dense, sequential node ids.
@@ -92,8 +88,5 @@ class NodeMap {
   std::vector<Entry> table_;
   std::size_t size_ = 0;
 };
-
-/// Node id -> cached double (the medium's pairwise path-loss cache).
-using NodeValueMap = NodeMap<double>;
 
 }  // namespace nomc::phy

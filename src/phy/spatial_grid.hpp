@@ -1,20 +1,24 @@
-// Uniform hash grid over the sources of in-flight frames.
+// Uniform hash grid over node positions.
 //
-// The medium's interference queries used to walk every active frame — O(N)
-// per CCA read, O(N^2) per simulated second at city scale. The grid buckets
-// active frames by their transmitter's cell so a query only visits the
-// cells that intersect the receiver's interference disc (the receive-floor
-// radius, see docs/scaling.md). Cell size is the receive-floor radius of a
-// nominal transmitter, so a query touches a small constant number of cells.
+// A frame whose influence disc (the receive-floor radius, see
+// docs/scaling.md) does not cover the whole deployment finds the receivers
+// it covers once, when it starts: the grid buckets every node by its cell,
+// so that lookup only visits the cells that intersect the frame's disc.
+// Cell size is the receive-floor radius of a nominal transmitter, so a
+// lookup touches a small constant number of cells.
 //
-// Determinism: the grid's only job is to produce a candidate *set*; every
-// caller either reduces it with an order-independent operation (boolean
-// queries) or sorts candidates by frame insertion sequence before any
-// floating-point accumulation (Medium::accumulate). Cell iteration order is
-// a fixed row-major walk of the disc's bounding box; the hash-map fallback
+// Determinism: the grid's only job is to produce a candidate *set*; the
+// medium applies the exact per-node distance test and sorts the survivors by
+// node id before anything depends on their order. Cell iteration order is a
+// fixed row-major walk of the disc's bounding box; the hash-map fallback
 // below never feeds an ordered consumer directly.
+//
+// Precondition: every position handed in is finite. Cell indices come from
+// casting floor(coordinate / cell) to int64_t, which is undefined behaviour
+// for NaN and infinities (the medium asserts it on add_node/set_position).
 #pragma once
 
+#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <unordered_map>
@@ -24,7 +28,7 @@
 
 namespace nomc::phy {
 
-class SpatialFrameGrid {
+class SpatialGrid {
  public:
   /// Drops all content and sets the cell edge length.
   void reset(double cell_size_m) {
@@ -35,21 +39,21 @@ class SpatialFrameGrid {
 
   [[nodiscard]] double cell_size() const { return cell_size_; }
 
-  void insert(std::uint32_t slot, Vec2 pos) {
+  void insert(std::uint32_t id, Vec2 pos) {
     std::vector<std::uint32_t>& cell = cells_[key_of(pos)];
     if (cell.capacity() == 0 && !spare_.empty()) {
       cell = std::move(spare_.back());  // recycle a retired cell's storage
       spare_.pop_back();
     }
-    cell.push_back(slot);
+    cell.push_back(id);
   }
 
-  void remove(std::uint32_t slot, Vec2 pos) {
+  void remove(std::uint32_t id, Vec2 pos) {
     const auto it = cells_.find(key_of(pos));
     if (it == cells_.end()) return;
     std::vector<std::uint32_t>& cell = it->second;
     for (std::size_t i = 0; i < cell.size(); ++i) {
-      if (cell[i] == slot) {
+      if (cell[i] == id) {
         cell[i] = cell.back();
         cell.pop_back();
         break;
@@ -62,9 +66,9 @@ class SpatialFrameGrid {
     }
   }
 
-  /// Calls `fn(slot)` for every frame bucketed in a cell that intersects the
+  /// Calls `fn(id)` for every id bucketed in a cell that intersects the
   /// axis-aligned bounding box of the disc (center, radius). Callers apply
-  /// the exact per-frame distance test; the grid only prunes cells.
+  /// the exact per-id distance test; the grid only prunes cells.
   template <typename Fn>
   void for_each_in_disc(Vec2 center, double radius, Fn&& fn) const {
     const std::int64_t cx0 = cell_of(center.x - radius);
@@ -73,13 +77,12 @@ class SpatialFrameGrid {
     const std::int64_t cy1 = cell_of(center.y + radius);
     const std::uint64_t span_x = static_cast<std::uint64_t>(cx1 - cx0) + 1;
     const std::uint64_t span_y = static_cast<std::uint64_t>(cy1 - cy0) + 1;
-    // A disc much larger than the occupied region (paper-scale deployments
-    // are a single cell wide) would probe mostly-empty cells; visiting the
-    // occupied cells directly is then strictly cheaper.
+    // A disc much larger than the occupied region would probe mostly-empty
+    // cells; visiting the occupied cells directly is then strictly cheaper.
     if (span_x > cells_.size() && span_x * span_y > cells_.size()) {
       for (const auto& [key, cell] : cells_) {
         (void)key;
-        for (const std::uint32_t slot : cell) fn(slot);
+        for (const std::uint32_t id : cell) fn(id);
       }
       return;
     }
@@ -87,13 +90,14 @@ class SpatialFrameGrid {
       for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
         const auto it = cells_.find(make_key(cx, cy));
         if (it == cells_.end()) continue;
-        for (const std::uint32_t slot : it->second) fn(slot);
+        for (const std::uint32_t id : it->second) fn(id);
       }
     }
   }
 
  private:
   [[nodiscard]] std::int64_t cell_of(double v) const {
+    assert(std::isfinite(v) && "spatial grid coordinates must be finite");
     return static_cast<std::int64_t>(std::floor(v / cell_size_));
   }
   [[nodiscard]] static std::uint64_t make_key(std::int64_t cx, std::int64_t cy) {

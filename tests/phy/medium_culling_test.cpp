@@ -7,14 +7,18 @@
 // through identical histories and require every query to agree BIT FOR BIT
 // (EXPECT_EQ on doubles, no tolerance) — the property that keeps the golden
 // stores byte-stable. City-scale tests then pin that far-field frames really
-// are dropped within the documented error bound, and that motion keeps the
-// caches and the grid coherent.
+// are dropped within the documented error bound, that every answer equals a
+// brute-force filter of the live frames by the exact disc test, and that
+// motion keeps the caches and the per-node frame lists coherent.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "phy/medium.hpp"
@@ -297,14 +301,17 @@ TEST(MediumCulling, FrameTermMemoMatchesFreshlyBuiltMediumAfterMidFrameChanges) 
   EXPECT_NE(bits(before.rss(wideband, a).value), bits(warm.rss(wideband, a).value));
 }
 
-TEST(MediumCulling, LiveListAndGridGatherAgreeAsFramesStopCoveringTheField) {
+TEST(MediumCulling, LiveListAndNearListsAgreeAsFramesStopCoveringTheField) {
   // While every live frame's influence radius spans the nodes' bounding-box
   // diagonal, queries read the ordered live list; once one does not, they
-  // walk the grid. Build a field where low-power frames from the centre
-  // reach every node yet do not cover the diagonal, so the culled medium
-  // switches paths while culling nothing, and require it to equal a
-  // culling-off medium bit for bit in every phase — including after a node
-  // moves out far enough that the full-power frames stop covering too.
+  // read the per-node lists of partial frames at listening nodes and gather
+  // them from the frame grid elsewhere (or, with both kinds live, filter
+  // the live list by the disc test). Build a field where low-power
+  // frames from the centre reach every node yet do not cover the diagonal,
+  // so the culled medium switches paths while culling nothing, and require
+  // it to equal a culling-off medium bit for bit in every phase — including
+  // after a node moves out far enough that the full-power frames stop
+  // covering too.
   TwinMediums twins;
   const double r_hi = twins.culled.influence_radius_m(Dbm{0.0});
   const double r_lo = twins.culled.influence_radius_m(Dbm{-5.0});
@@ -324,6 +331,13 @@ TEST(MediumCulling, LiveListAndGridGatherAgreeAsFramesStopCoveringTheField) {
   const NodeId c0 = twins.add_node({0.0, 0.0});
   const NodeId c1 = twins.add_node({3.0, -2.0});
   const NodeId c2 = twins.add_node({-4.0, 1.0});
+  // Listeners at three of the seven nodes: their reads take the lists, the
+  // other four nodes' the gather.
+  struct Silent final : MediumListener {
+    void on_tx_start(const Frame&) override {}
+    void on_tx_end(const Frame&) override {}
+  } silent;
+  for (const NodeId node : {a, c0, c1}) twins.culled.add_listener(&silent, node);
 
   auto expect_all_views = [&twins](const std::vector<Frame>& on_air) {
     twins.expect_identical_views(on_air);
@@ -341,7 +355,7 @@ TEST(MediumCulling, LiveListAndGridGatherAgreeAsFramesStopCoveringTheField) {
   on_air.push_back(twins.begin(a, kChannels[0]));
   on_air.push_back(twins.begin(c0, kChannels[1]));
   expect_all_views(on_air);
-  // Phase 2: low-power centre frames join (grid path, nothing culled).
+  // Phase 2: low-power centre frames join (mixed path, nothing culled).
   on_air.push_back(twins.begin(c1, kChannels[0], Dbm{-5.0}));
   on_air.push_back(twins.begin(b, kChannels[2]));
   on_air.push_back(twins.begin(c2, kChannels[2], Dbm{-5.0}));
@@ -369,6 +383,7 @@ TEST(MediumCulling, LiveListAndGridGatherAgreeAsFramesStopCoveringTheField) {
   expect_all_views(on_air);
   for (const Frame& frame : on_air) twins.end(frame.id);
   expect_all_views({});
+  twins.culled.remove_listener(&silent);
 }
 
 TEST(MediumCulling, ReceiverMovingOutOfACoveringFrameStopsHearingIt) {
@@ -402,7 +417,8 @@ TEST(MediumCulling, CityScaleAggregateErrorStaysWithinDocumentedBound) {
   // below the receive floor, ≤ 0.41 dB in aggregate. Check that against the
   // dense medium on a 2,000-node city (50 m grid, urban n = 3.5, six
   // channels, one node in six on the air at 0 dBm) where the influence
-  // radius is a small fraction of the field, so the grid path really culls.
+  // radius is a small fraction of the field, so the partial frames really
+  // cull.
   constexpr int kNodes = 2000;
   constexpr int kSide = 45;
   MediumConfig config = config_with(true);
@@ -452,10 +468,276 @@ TEST(MediumCulling, CityScaleAggregateErrorStaysWithinDocumentedBound) {
       if (error > 0.0) ++differing;
     }
   }
-  EXPECT_GT(differing, 0) << "nothing was culled; the field does not exercise the grid";
+  EXPECT_GT(differing, 0) << "nothing was culled; the field exercises no partial frame";
   EXPECT_LE(worst_db, 0.41) << "aggregate culling error above the documented bound";
   RecordProperty("worst_db_x1e6", static_cast<int>(worst_db * 1e6));
 }
+
+/// One listener callback as a medium delivered it.
+struct Notification {
+  int listener = 0;
+  bool start = false;
+  FrameId frame = 0;
+  friend bool operator==(const Notification&, const Notification&) = default;
+};
+
+class LoggingListener final : public MediumListener {
+ public:
+  LoggingListener(int id, std::vector<Notification>& log) : id_{id}, log_{log} {}
+  void on_tx_start(const Frame& frame) override { log_.push_back({id_, true, frame.id}); }
+  void on_tx_end(const Frame& frame) override { log_.push_back({id_, false, frame.id}); }
+
+ private:
+  int id_;
+  std::vector<Notification>& log_;
+};
+
+/// The culled medium's contract, computed the slow way: every live frame in
+/// begin order, kept if the receiver lies inside its influence disc (the
+/// exact `distance² ≤ R²` test at the current positions), every RSS
+/// computed from the propagation model. No grid, no lists, no caches.
+struct DiscOracle {
+  struct Live {
+    Frame frame;
+    double radius = 0.0;
+  };
+
+  explicit DiscOracle(const MediumConfig& c)
+      : config{c}, shadowing{c.shadowing_sigma_db, c.seed} {}
+
+  [[nodiscard]] bool covers(const Live& f, NodeId node) const {
+    return distance_sq(positions[node], positions[f.frame.src]) <= f.radius * f.radius;
+  }
+  [[nodiscard]] Dbm rss(const Frame& f, NodeId rx) const {
+    const Db loss = config.path_loss.loss(distance(positions[f.src], positions[rx]));
+    return f.tx_power - loss + shadowing.sample(f.id, rx);
+  }
+  [[nodiscard]] double energy(NodeId node, Mhz channel, FrameId exclude,
+                              const ChannelRejection& rejection) const {
+    MilliWatts total = to_milliwatts(config.noise_floor);
+    for (const Live& f : live) {
+      if (f.frame.id == exclude || f.frame.src == node || !covers(f, node)) continue;
+      const Mhz delta = frequency_distance(f.frame.channel, channel);
+      total += to_milliwatts(rss(f.frame, node) - rejection.attenuation(delta));
+    }
+    return to_dbm(total).value;
+  }
+  [[nodiscard]] Medium::Overlap overlap(NodeId rx, Mhz channel, FrameId exclude) const {
+    Medium::Overlap result;
+    for (const Live& f : live) {
+      if (f.frame.id == exclude || f.frame.src == rx || !covers(f, rx)) continue;
+      if (same_channel(f.frame.channel, channel)) {
+        result.co = true;
+      } else {
+        const Mhz delta = frequency_distance(f.frame.channel, channel);
+        result.inter = result.inter || rss(f.frame, rx) - config.rejection.attenuation(delta) >
+                                           config.noise_floor;
+      }
+    }
+    return result;
+  }
+  [[nodiscard]] bool carrier(NodeId node, Mhz channel, Dbm sensitivity) const {
+    const bool exhaustive =
+        sensitivity.value < config.noise_floor.value - config.culling.margin_db;
+    for (const Live& f : live) {
+      if (!exhaustive && !covers(f, node)) continue;
+      if (f.frame.src != node && same_channel(f.frame.channel, channel) &&
+          rss(f.frame, node) >= sensitivity) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  MediumConfig config;
+  ShadowingField shadowing;
+  std::vector<Vec2> positions;
+  std::vector<Live> live;  ///< begin order
+};
+
+TEST(MediumCulling, EveryQueryMatchesABruteForceDiscFilterThroughCityChurn) {
+  // A random begin/end history on a 1 km city field where the 0 dBm frames
+  // cover a ~190 m disc (partial frames: the per-node lists, and the frame
+  // grid for nodes without a listener) and one 35 dBm frame covers the
+  // whole field (the mixed path). Mid-flight a receiver and a transmitter
+  // move, a node joins, a node loses its only listener and another gains
+  // its first, and a node moving out grows the box past the big frame's
+  // radius (a demotion). After
+  // every step each query must equal the brute-force oracle bit for bit,
+  // and the listener callbacks must be exactly the oracle's: the listeners
+  // inside the disc, in registration order.
+  MediumConfig config = config_with(true);
+  config.path_loss = LogDistancePathLoss{3.5, Db{40.0}, 1.0};
+  Medium medium{config};
+  DiscOracle oracle{config};
+  sim::SplitMix64 mix{4242};
+  auto coord = [&mix] { return static_cast<double>(mix.next() % 100'000) / 100.0; };
+  for (int i = 0; i < 90; ++i) {
+    const Vec2 at{coord(), coord()};
+    ASSERT_EQ(medium.add_node(at), oracle.positions.size());
+    oracle.positions.push_back(at);
+  }
+  const Dbm big_power{35.0};
+  ASSERT_GT(medium.influence_radius_m(big_power), std::sqrt(2.0) * 1000.0);
+  ASSERT_LT(medium.influence_radius_m(Dbm{0.0}), 250.0);
+
+  // A listener at every node but every sixth, registered out of node order
+  // (a stride-37 walk), plus a second one at node 14.
+  std::vector<Notification> log;
+  std::vector<Notification> expected_log;
+  std::vector<std::unique_ptr<LoggingListener>> listeners;
+  std::vector<std::pair<int, NodeId>> registered;  // (listener, node), registration order
+  auto listen_at = [&](NodeId node) {
+    const int id = static_cast<int>(listeners.size());
+    listeners.push_back(std::make_unique<LoggingListener>(id, log));
+    medium.add_listener(listeners.back().get(), node);
+    registered.emplace_back(id, node);
+  };
+  for (int i = 0; i <= 90; ++i) {
+    const NodeId node = i < 90 ? static_cast<NodeId>(i * 37 % 90) : 14;
+    if (node % 6 != 5) listen_at(node);
+  }
+  auto expect_notifications = [&](const DiscOracle::Live& f, bool start) {
+    for (const auto& [id, node] : registered) {
+      if (oracle.covers(f, node)) expected_log.push_back({id, start, f.frame.id});
+    }
+  };
+
+  FrameId big = 0;
+  auto begin = [&](NodeId src, Mhz channel, Dbm power) {
+    Frame frame;
+    frame.id = medium.allocate_frame_id();
+    frame.src = src;
+    frame.channel = channel;
+    frame.tx_power = power;
+    frame.psdu_bytes = 100;
+    const DiscOracle::Live live{frame, medium.influence_radius_m(power)};
+    expect_notifications(live, /*start=*/true);
+    medium.begin_tx(frame);
+    oracle.live.push_back(live);
+    return frame.id;
+  };
+  auto end = [&](FrameId id) {
+    const auto it = std::find_if(oracle.live.begin(), oracle.live.end(),
+                                 [id](const DiscOracle::Live& f) { return f.frame.id == id; });
+    ASSERT_NE(it, oracle.live.end());
+    expect_notifications(*it, /*start=*/false);
+    medium.end_tx(id);
+    oracle.live.erase(it);
+  };
+  auto move = [&](NodeId node, Vec2 to) {
+    medium.set_position(node, to);
+    oracle.positions[node] = to;
+  };
+  auto expect_oracle_answers = [&](int step) {
+    ASSERT_EQ(medium.active_count(), oracle.live.size());
+    for (NodeId node = 0; node < medium.node_count(); ++node) {
+      for (const Mhz channel : kChannels) {
+        ASSERT_EQ(bits(medium.sense_energy(node, channel).value),
+                  bits(oracle.energy(node, channel, 0, config.sensing_rejection)))
+            << "sense_energy at node " << node << ", step " << step;
+        ASSERT_EQ(bits(medium.interference(node, channel, 0).value),
+                  bits(oracle.energy(node, channel, 0, config.rejection)))
+            << "interference at node " << node << ", step " << step;
+        const Medium::Overlap a = medium.overlap(node, channel, 0);
+        const Medium::Overlap b = oracle.overlap(node, channel, 0);
+        ASSERT_EQ(a.co, b.co) << "node " << node << ", step " << step;
+        ASSERT_EQ(a.inter, b.inter) << "node " << node << ", step " << step;
+        for (const Dbm sensitivity : {Dbm{-77.0}, Dbm{-200.0}}) {
+          ASSERT_EQ(medium.carrier_present(node, channel, sensitivity),
+                    oracle.carrier(node, channel, sensitivity))
+              << "carrier_present at node " << node << ", step " << step;
+        }
+      }
+      for (const DiscOracle::Live& f : oracle.live) {
+        ASSERT_EQ(bits(medium.interference(node, f.frame.channel, f.frame.id).value),
+                  bits(oracle.energy(node, f.frame.channel, f.frame.id, config.rejection)))
+            << "interference excluding frame " << f.frame.id << " at node " << node;
+        ASSERT_EQ(bits(medium.rss(f.frame, node).value), bits(oracle.rss(f.frame, node).value))
+            << "rss of frame " << f.frame.id << " at node " << node;
+      }
+    }
+    ASSERT_EQ(log, expected_log) << "listener callbacks diverged by step " << step;
+  };
+
+  bool demoted = false;
+  for (int step = 0; step < 80; ++step) {
+    if (step == 10) {
+      big = begin(45, kChannels[1], big_power);
+    } else if (step == 20) {
+      move(57, {coord(), coord()});  // a listening receiver, mid-flight
+    } else if (step == 25) {
+      // The transmitter of the oldest live partial frame.
+      const auto it = std::find_if(oracle.live.begin(), oracle.live.end(),
+                                   [big](const DiscOracle::Live& f) { return f.frame.id != big; });
+      ASSERT_NE(it, oracle.live.end());
+      move(it->frame.src, {coord(), coord()});
+    } else if (step == 30) {
+      // Node 58's only listener.
+      ASSERT_EQ(registered[4].second, 58u);
+      medium.remove_listener(listeners[4].get());
+      std::erase_if(registered, [](const auto& entry) { return entry.first == 4; });
+    } else if (step == 31) {
+      begin(5, kChannels[0], Dbm{0.0});  // a frame whose disc holds node 5
+    } else if (step == 32) {
+      listen_at(5);  // node 5's first listener, mid-flight
+    } else if (step == 35) {
+      const Vec2 at{coord(), coord()};
+      ASSERT_EQ(medium.add_node(at), oracle.positions.size());
+      oracle.positions.push_back(at);
+    } else if (step == 40) {
+      // Node 88 leaves the field: the box's diagonal outgrows the big frame.
+      move(88, {2400.0, 2400.0});
+      ASSERT_GT(std::sqrt(2.0) * 2400.0, medium.influence_radius_m(big_power));
+      demoted = true;
+    } else if (step == 50) {
+      end(big);
+    } else if (oracle.live.size() < 14 && mix.next() % 3 != 0) {
+      const auto src = static_cast<NodeId>(mix.next() % 90);
+      const Dbm power{-5.0 * static_cast<double>(mix.next() % 3)};  // 0, -5, -10 dBm
+      begin(src, kChannels[mix.next() % 3], power);
+    } else if (!oracle.live.empty()) {
+      // Any live frame but the big one: ends out of begin order too.
+      const DiscOracle::Live& f = oracle.live[mix.next() % oracle.live.size()];
+      if (f.frame.id != big) end(f.frame.id);
+    }
+    expect_oracle_answers(step);
+  }
+  ASSERT_TRUE(demoted);
+  while (!oracle.live.empty()) end(oracle.live.front().frame.id);
+  expect_oracle_answers(80);
+  EXPECT_GT(log.size(), 500u) << "too few callbacks to pin the notification order";
+  for (const auto& listener : listeners) medium.remove_listener(listener.get());
+}
+
+#ifndef NDEBUG
+TEST(MediumCulling, NonFiniteCoordinatesFailThePrecondition) {
+  // Node positions feed the grids' floor(x / cell) → int64_t cast,
+  // undefined for NaN and infinities: add_node and set_position assert.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH(
+      {
+        Medium medium{config_with(true)};
+        medium.add_node({kNan, 0.0});
+      },
+      "finite");
+  EXPECT_DEATH(
+      {
+        Medium medium{config_with(false)};
+        medium.add_node({0.0, -kInf});
+      },
+      "finite");
+  EXPECT_DEATH(
+      {
+        Medium medium{config_with(true)};
+        const NodeId node = medium.add_node({0.0, 0.0});
+        medium.set_position(node, {kInf, 1.0});
+      },
+      "finite");
+}
+#endif
 
 TEST(MediumCulling, InfluenceRadiusCoversPaperScaleAndBoundsCityScale) {
   Medium medium{config_with(true)};
@@ -496,7 +778,7 @@ TEST(MediumCulling, FarFieldFrameIsInvisibleAndBoundedBelowFloor) {
   EXPECT_LT(exhaustive_db - culled_db, 0.5);  // well under margin's 10·log10(1.1)
 
   // A sub-floor carrier-sense threshold must still hear the far carrier:
-  // that query bypasses the grid (exhaustive fallback).
+  // that query scans every live frame (exhaustive fallback).
   EXPECT_TRUE(culled.carrier_present(rx_c, kChannels[0], Dbm{-200.0}));
   EXPECT_FALSE(culled.carrier_present(rx_c, kChannels[0], Dbm{-77.0}));
 }
@@ -516,13 +798,13 @@ TEST(MediumCulling, MovingActiveTransmitterRebucketsItsFrames) {
   medium.begin_tx(frame);
   EXPECT_NEAR(medium.sense_energy(sensor, kChannels[0]).value, -40.0, 0.01);
 
-  // Carry the in-flight frame out of range: the grid must re-bucket it and
-  // the loss cache must forget the old geometry.
+  // Carry the in-flight frame out of range: its covered set must be found
+  // afresh and the loss cache must forget the old geometry.
   medium.set_position(tx, {r * 3.0, 0.0});
   EXPECT_EQ(medium.sense_energy(sensor, kChannels[0]).value, medium.noise_floor().value);
 
   // And back: the frame reappears at full strength (no stale cache, no lost
-  // grid entry), then ends cleanly from its re-bucketed cell.
+  // list entry), then ends cleanly from its recomputed covered set.
   medium.set_position(tx, {0.0, 0.0});
   EXPECT_NEAR(medium.sense_energy(sensor, kChannels[0]).value, -40.0, 0.01);
   medium.end_tx(frame.id);
