@@ -55,7 +55,9 @@ double run_design(const char* name, std::span<const phy::Mhz> channels,
                               : scenario.fixed_cca(n, l).threshold().value,
           1);
     }
-    table.add_row({"N" + std::to_string(n),
+    std::string network = "N";
+    network += std::to_string(n);
+    table.add_row({network,
                    stats::TablePrinter::num(scenario.network_channel(n).value, 0),
                    stats::TablePrinter::num(result.throughput_pps, 1),
                    stats::TablePrinter::num(100.0 * prr, 1) + "%", thresholds});

@@ -56,7 +56,11 @@ int main() {
             scenario.medium().position(scenario.sender_radio(n, l).node());
         const phy::Vec2 partner_pos =
             scenario.medium().position(scenario.sender_radio(n, partner).node());
-        table.add_row({"N" + std::to_string(n) + "/L" + std::to_string(l),
+        std::string name = "N";
+        name += std::to_string(n);
+        name += "/L";
+        name += std::to_string(l);
+        table.add_row({name,
                        stats::TablePrinter::num(distance(self_pos, partner_pos), 1),
                        stats::TablePrinter::num(scenario.adjustor(n, l)->threshold().value, 1),
                        stats::TablePrinter::num(result.links[l].throughput_pps, 1)});

@@ -7,8 +7,6 @@
 #include <tuple>
 #include <utility>
 
-#include "sim/parallel.hpp"
-
 namespace nomc::lint {
 
 namespace {
@@ -348,13 +346,6 @@ std::string Baseline::serialize(const std::vector<Finding>& findings) {
 
 namespace {
 
-/// Per-file stage result for the parallel scan.
-struct FileStage {
-  FileLint lint;
-  std::string error;
-  bool ok = true;
-};
-
 /// The stale-tracking rules are exempt from staleness themselves, so a
 /// justified meta-suppression does not demand an infinite tower of allows.
 [[nodiscard]] bool meta_rule(const std::string& rule) {
@@ -383,30 +374,15 @@ bool run_lint(const RunOptions& options, RunResult& result, std::string& error) 
   }
   result.file_count = files.size();
 
-  // Per-file stage, parallel. Each file's work is pure and self-contained;
-  // map() returns in index order, so the merge below is independent of the
-  // job count and the output stays byte-identical at any --jobs.
-  sim::ParallelRunner pool{options.jobs};
-  std::vector<FileStage> stages =
-      pool.map(static_cast<int>(files.size()), [&](int index) {
-        FileStage stage;
-        stage.ok = lint_file(files[static_cast<std::size_t>(index)], options.root_prefix,
-                             stage.lint, stage.error);
-        return stage;
-      });
-  for (const FileStage& stage : stages) {
-    if (!stage.ok) {
-      error = stage.error;
-      return false;
-    }
-  }
-
+  // Per-file stage, in collection order.
+  std::vector<FileLint> stages(files.size());
   std::vector<Finding>& findings = result.findings;
   std::map<std::string, std::size_t> stage_of_path;
   std::set<std::string> modules_on_disk;
   std::vector<IncludeEdge> edges;
-  for (std::size_t i = 0; i < stages.size(); ++i) {
-    FileLint& lint = stages[i].lint;
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    FileLint& lint = stages[i];
+    if (!lint_file(files[i], options.root_prefix, lint, error)) return false;
     stage_of_path.emplace(files[i], i);
     if (!lint.module.empty()) modules_on_disk.insert(lint.module);
     edges.insert(edges.end(), std::make_move_iterator(lint.edges.begin()),
@@ -431,7 +407,7 @@ bool run_lint(const RunOptions& options, RunResult& result, std::string& error) 
       if (it != stage_of_path.end()) {
         std::vector<Finding> one;
         one.push_back(std::move(finding));
-        apply_sites(stages[it->second].lint.sites, one);
+        apply_sites(stages[it->second].sites, one);
         finding = std::move(one.front());
       }
       findings.push_back(std::move(finding));
@@ -441,7 +417,7 @@ bool run_lint(const RunOptions& options, RunResult& result, std::string& error) 
   // Stale-suppression pass: every directive must have earned its keep by
   // now (per-file rules and the graph pass both mark usage).
   for (std::size_t i = 0; i < stages.size(); ++i) {
-    std::vector<SuppressionSite>& sites = stages[i].lint.sites;
+    std::vector<SuppressionSite>& sites = stages[i].sites;
     std::vector<Finding> stale;
     for (const SuppressionSite& site : sites) {
       if (site.used || meta_rule(site.rule)) continue;

@@ -2,7 +2,7 @@
 // suppressions and the checked-in baseline, renders clang-style
 // diagnostics, and orchestrates the whole-program passes (include-graph
 // architecture rules, stale-suppression and stale-baseline detection)
-// behind a deterministic parallel scan.
+// over one serial scan.
 //
 // Suppression syntax, inside any comment — the tag is `nomc-lint:`
 // followed by one or more directives:
@@ -136,7 +136,6 @@ struct RunOptions {
   std::string root_prefix;         ///< stripped before module mapping ("" = repo-relative)
   std::string layers_path;         ///< layering spec; empty skips the arch pass
   std::string baseline_path;       ///< baseline file; empty skips the baseline pass
-  int jobs = 1;                    ///< sim::resolve_jobs semantics (0 = hardware)
 };
 
 struct RunResult {
@@ -144,11 +143,9 @@ struct RunResult {
   std::vector<Finding> findings;  ///< globally sorted: (path, line, col, rule)
 };
 
-/// Scan + per-file rules in parallel (sim::ParallelRunner), then the
-/// whole-program passes: architecture rules against the layering spec,
-/// lint-stale-suppress, baseline matching, lint-stale-baseline. The result
-/// is byte-identical at any job count: per-file work is pure, results merge
-/// in collection order, and the global passes are serial over that order.
+/// Scan + per-file rules in collection order, then the whole-program
+/// passes: architecture rules against the layering spec,
+/// lint-stale-suppress, baseline matching, lint-stale-baseline.
 bool run_lint(const RunOptions& options, RunResult& result, std::string& error);
 
 /// `file:line:col: warning: message [rule-id]`

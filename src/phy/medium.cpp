@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace nomc::phy {
 
@@ -26,90 +27,24 @@ double Medium::influence_radius_m(Dbm tx_power) const {
 NodeId Medium::add_node(Vec2 position) {
   assert(std::isfinite(position.x) && std::isfinite(position.y) &&
          "node coordinates must be finite");
+  if (active_count_ != 0) throw std::logic_error{"Medium::add_node while a frame is on the air"};
   if (positions_.empty()) {
     box_lo_ = position;
     box_hi_ = position;
   }
+  box_lo_ = {std::min(box_lo_.x, position.x), std::min(box_lo_.y, position.y)};
+  box_hi_ = {std::max(box_hi_.x, position.x), std::max(box_hi_.y, position.y)};
+  box_diag_sq_ = distance_sq(box_lo_, box_hi_);
   const auto node = static_cast<NodeId>(positions_.size());
   positions_.push_back(position);
-  epochs_.push_back(0);
+  listening_.push_back(false);
   loss_cache_.emplace_back();
   listeners_at_.emplace_back();
   near_.emplace_back();
-  grow_box(position);
   return node;
 }
 
-void Medium::grow_box(Vec2 position) {
-  const Vec2 lo{std::min(box_lo_.x, position.x), std::min(box_lo_.y, position.y)};
-  const Vec2 hi{std::max(box_hi_.x, position.x), std::max(box_hi_.y, position.y)};
-  if (lo == box_lo_ && hi == box_hi_) return;
-  box_lo_ = lo;
-  box_hi_ = hi;
-  box_diag_sq_ = distance_sq(lo, hi);
-  // The box only grows, so a live frame can only stop covering it. A demoted
-  // frame finds its covered set and joins those nodes' lists at its
-  // begin_seq position, and the frame grid; its terms, indexed by rx until
-  // now, go stale.
-  for (const LiveEntry& entry : live_slots_) {
-    if (!current(entry)) continue;
-    ActiveFrame& af = frame_slots_[entry.slot];
-    if (af.covers_all && !covers_box(af.radius)) {
-      af.covers_all = false;
-      ++partial_live_;
-      find_covered(entry.slot);
-      link(entry.slot);
-      add_partial(entry.slot);
-    }
-  }
-}
-
 Vec2 Medium::position(NodeId node) const { return positions_[local_index(node)]; }
-
-void Medium::set_position(NodeId node, Vec2 position) {
-  assert(std::isfinite(position.x) && std::isfinite(position.y) &&
-         "node coordinates must be finite");
-  const std::size_t index = local_index(node);
-  if (config_.culling.enabled && !listeners_at_[index].empty()) {
-    listener_grid_.remove(node, positions_[index]);
-    listener_grid_.insert(node, position);
-  }
-  positions_[index] = position;
-  // O(1) invalidation of every cached value involving the moved node: other
-  // nodes' pair entries and every frame's terms at this node snapshot its
-  // epoch and now fail the check; the node's own map is dropped outright
-  // (capacity retained).
-  ++epochs_[index];
-  loss_cache_[index].clear();
-  grow_box(position);
-  // The mover's in-flight frames: their discs move with it, so every term
-  // goes stale and a partial frame's covered set is found afresh.
-  for (const LiveEntry& entry : live_slots_) {
-    if (!current(entry)) continue;
-    ActiveFrame& af = frame_slots_[entry.slot];
-    if (af.frame.src != node) continue;
-    if (af.covers_all) {
-      af.src_pos = position;
-      bump_generation(af);
-    } else {
-      frame_grid_.remove(entry.slot, af.src_pos);
-      af.src_pos = position;
-      frame_grid_.insert(entry.slot, position);
-      unlink(entry.slot);
-      find_covered(entry.slot);
-      link(entry.slot);
-    }
-  }
-  refresh_membership(node);
-}
-
-void Medium::bump_generation(ActiveFrame& af) {
-  if (++af.gen == 0) {
-    // Wrapped: an entry stamped 2^32 generations ago would look current.
-    std::fill(af.terms.begin(), af.terms.end(), RxTerms{});
-    af.gen = 1;
-  }
-}
 
 void Medium::find_covered(std::uint32_t slot) {
   ActiveFrame& af = frame_slots_[slot];
@@ -118,19 +53,13 @@ void Medium::find_covered(std::uint32_t slot) {
     if (in_disc(af, positions_[node])) af.covered.push_back(node);
   });
   std::sort(af.covered.begin(), af.covered.end());
-  af.terms.resize(af.covered.size());
-  bump_generation(af);
 }
 
 void Medium::link(std::uint32_t slot) {
+  // Frames link only at begin_tx, so appending keeps each list in begin_seq
+  // order.
   const ActiveFrame& af = frame_slots_[slot];
-  for (std::uint32_t k = 0; k < af.covered.size(); ++k) {
-    std::vector<NearEntry>& list = near_[af.covered[k]];
-    // begin_tx appends; only a demotion or a move inserts mid-list.
-    auto at = list.end();
-    while (at != list.begin() && frame_slots_[(at - 1)->slot].begin_seq > af.begin_seq) --at;
-    list.insert(at, {slot, k});
-  }
+  for (std::uint32_t k = 0; k < af.covered.size(); ++k) near_[af.covered[k]].push_back({slot, k});
 }
 
 void Medium::unlink(std::uint32_t slot) {
@@ -145,39 +74,19 @@ void Medium::unlink(std::uint32_t slot) {
   }
 }
 
-void Medium::refresh_membership(NodeId node) {
-  const std::size_t index = local_index(node);
-  if (partial_live_ == 0) return;
-  const Vec2 at = positions_[index];
-  const bool listens = !listeners_at_[index].empty();
-  for (const LiveEntry& entry : live_slots_) {
-    if (!current(entry)) continue;
-    const ActiveFrame& af = frame_slots_[entry.slot];
-    if (af.covers_all || (listens && in_disc(af, at)) ==
-                             std::binary_search(af.covered.begin(), af.covered.end(), node)) {
-      continue;
-    }
-    unlink(entry.slot);
-    find_covered(entry.slot);
-    link(entry.slot);
-  }
-}
-
 double Medium::cached_loss_db(NodeId a, NodeId b) const {
   const std::size_t ai = local_index(a);
   const std::size_t bi = local_index(b);
   NodeValueMap::Entry& entry = loss_cache_[ai].find_or_insert(b);
-  if (entry.key != b || entry.epoch != epochs_[bi]) {
+  if (entry.key != b) {
     entry.key = b;
-    entry.epoch = epochs_[bi];
     entry.value = config_.path_loss.loss(distance(positions_[ai], positions_[bi])).value;
   }
 #ifndef NDEBUG
-  // Debug cross-check: a served cache hit must equal a fresh computation —
-  // i.e. no stale entry survives motion invalidation. (Release builds skip
-  // this; it turns every hit into a recompute.)
+  // Debug cross-check: a served cache hit must equal a fresh computation.
+  // (Release builds skip this; it turns every hit into a recompute.)
   assert(entry.value == config_.path_loss.loss(distance(positions_[ai], positions_[bi])).value &&
-         "stale path-loss cache entry served after node motion");
+         "stale path-loss cache entry served");
 #endif
   return entry.value;
 }
@@ -200,24 +109,17 @@ std::uint32_t Medium::term_index(std::uint32_t slot, NodeId rx) const {
 
 Medium::RxTerms& Medium::terms(std::uint32_t slot, std::uint32_t k, NodeId rx) const {
   const ActiveFrame& af = frame_slots_[slot];
-  const std::size_t ri = local_index(rx);
-  assert((af.covers_all ? k == ri : k < af.covered.size() && af.covered[k] == rx) &&
+  assert((af.covers_all ? k == local_index(rx) : k < af.covered.size() && af.covered[k] == rx) &&
          "frame-term index does not belong to this receiver");
-  // A covering frame's array is indexed by rx: size it to the node count on
-  // first use (and again if a node joins mid-flight).
-  if (k >= af.terms.size()) af.terms.resize(positions_.size());
   RxTerms& t = af.terms[k];
-  if (t.gen != af.gen || t.epoch != epochs_[ri]) {
+  if (t.gen != af.gen) {
     t = RxTerms{};
     t.gen = af.gen;
-    t.epoch = epochs_[ri];
     t.rss_dbm = compute_rss(af.frame, rx).value;
   }
 #ifndef NDEBUG
-  // Debug cross-check: a served entry must equal a fresh computation — no
-  // stale RSS survives either endpoint moving.
-  assert(t.rss_dbm == compute_rss(af.frame, rx).value &&
-         "stale frame-term entry served after node motion");
+  // Debug cross-check: a served entry must equal a fresh computation.
+  assert(t.rss_dbm == compute_rss(af.frame, rx).value && "stale frame-term entry served");
 #endif
   return t;
 }
@@ -259,37 +161,25 @@ double Medium::leaked_mw(std::uint32_t slot, std::uint32_t k, NodeId rx, Mhz cha
 void Medium::add_listener(MediumListener* listener, NodeId node) {
   assert(listener != nullptr);
   assert(node < positions_.size() && "listeners must listen at a registered node");
-  const bool first = listeners_at_[node].empty();
+  if (active_count_ != 0) {
+    throw std::logic_error{"Medium::add_listener while a frame is on the air"};
+  }
   listeners_at_[node].push_back(static_cast<std::uint32_t>(listeners_.size()));
   listeners_.push_back({listener, node});
-  if (first) listening_changed(node);
+  if (!listening_[node]) {
+    listening_[node] = true;
+    if (config_.culling.enabled) listener_grid_.insert(node, positions_[node]);
+  }
 }
 
 void Medium::remove_listener(MediumListener* listener) {
-  std::vector<NodeId> nodes;
-  for (const ListenerEntry& e : listeners_) {
-    if (e.listener == listener) nodes.push_back(e.node);
-  }
   std::erase_if(listeners_, [listener](const ListenerEntry& e) { return e.listener == listener; });
   // The indices behind the removed entry shifted: rebuild the node index.
+  // The node keeps listening, so no covered set or near_ list changes.
   for (std::vector<std::uint32_t>& at : listeners_at_) at.clear();
   for (std::uint32_t i = 0; i < listeners_.size(); ++i) {
     listeners_at_[listeners_[i].node].push_back(i);
   }
-  for (const NodeId node : nodes) {
-    if (listeners_at_[node].empty()) listening_changed(node);
-  }
-}
-
-void Medium::listening_changed(NodeId node) {
-  if (!config_.culling.enabled) return;
-  const Vec2 at = positions_[local_index(node)];
-  if (listeners_at_[node].empty()) {
-    listener_grid_.remove(node, at);
-  } else {
-    listener_grid_.insert(node, at);
-  }
-  refresh_membership(node);
 }
 
 void Medium::add_partial(std::uint32_t slot) {
@@ -371,10 +261,14 @@ void Medium::begin_tx(const Frame& frame) {
     af.src_pos = positions_[local_index(frame.src)];
     af.radius = influence_radius_m(frame.tx_power);
     af.covers_all = covers_box(af.radius);
-    if (af.covers_all) {
-      bump_generation(af);
-    } else {
-      find_covered(slot);
+    if (!af.covers_all) find_covered(slot);
+    // A covering frame keeps its terms by rx index, a partial one by
+    // covered-set position.
+    af.terms.resize(af.covers_all ? positions_.size() : af.covered.size());
+    if (++af.gen == 0) {
+      // Wrapped: an entry stamped 2^32 generations ago would look current.
+      std::fill(af.terms.begin(), af.terms.end(), RxTerms{});
+      af.gen = 1;
     }
   }
   slot_of_.emplace(frame.id, slot);
@@ -469,11 +363,11 @@ bool Medium::any_candidate(NodeId node, bool force_exhaustive, Visit visit) cons
   check_candidates(node);
 #endif
   const std::size_t index = local_index(node);
-  // Every live frame partial (city scale): a node with a listener reads its
-  // own list; any other node gathers from the frame grid (it is not in any
+  // Every live frame partial (city scale): a listening node reads its own
+  // list; any other node gathers from the frame grid (it is not in any
   // covered set, so its terms are computed uncached).
   if (partial_live_ == active_count_ && !force_exhaustive) {
-    if (!listeners_at_[index].empty()) {
+    if (listening_[index]) {
       for (const NearEntry& e : near_[index]) {
         if (visit(e.slot, e.k)) return true;
       }
@@ -543,11 +437,11 @@ void Medium::check_candidates(NodeId node) const {
   assert(partial == partial_live_ && "partial-frame count drifted");
   // ... and the node's list is exactly the live partial frames that cover
   // it, filtered from the live list, with its covered-set positions. A node
-  // without a listener is on no list: it gathers the same frames from the
-  // frame grid.
+  // that never had a listener is on no list: it gathers the same frames
+  // from the frame grid.
   const std::vector<NearEntry>& near = near_[local_index(node)];
-  if (listeners_at_[local_index(node)].empty()) {
-    assert(near.empty() && "a node without a listener is on a frame's list");
+  if (!listening_[local_index(node)]) {
+    assert(near.empty() && "a node that never had a listener is on a frame's list");
     if (!config_.culling.enabled) return;
     const std::vector<LiveEntry>& gathered = gather(node);
     assert(gathered.size() == expected.size() && "gather differs from the live-list filter");

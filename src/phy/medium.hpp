@@ -31,23 +31,26 @@
 //     nodes' bounding box (`covers_all`). Such a frame reaches every node,
 //     and while every live frame does, queries walk an ordered list of the
 //     live frames;
-//   * a frame that does not (`partial`) finds the nodes with a listener
-//     inside its disc once, at begin_tx, through a uniform hash grid over
-//     those nodes' positions, and is appended to each such node's `near_`
-//     list. Those lists stay in begin_tx order, so a query at a listening
-//     node reads its list and sums in exactly the order the exhaustive path
-//     does. Radios are listeners and read each frame many times, so the
-//     list upkeep pays off there;
-//   * a node without a listener reads rarely, so partial frames are also
-//     bucketed by transmitter position in a second grid, and a query there
-//     gathers the covering frames from it and sorts them by begin_tx order;
+//   * a frame that does not (`partial`) finds the listening nodes inside its
+//     disc once, at begin_tx, through a uniform hash grid over those nodes'
+//     positions, and is appended to each such node's `near_` list. Those
+//     lists stay in begin_tx order, so a query at a listening node reads its
+//     list and sums in exactly the order the exhaustive path does. Radios
+//     are listeners and read each frame many times, so the list upkeep pays
+//     off there;
+//   * a node that never had a listener reads rarely, so partial frames are
+//     also bucketed by transmitter position in a second grid, and a query
+//     there gathers the covering frames from it and sorts them by begin_tx
+//     order;
 //   * listeners are notified through the covered set, in registration
 //     order; a covering frame notifies every listener.
-// Motion keeps all of it exact: set_position re-buckets the node and its
-// in-flight frames, updates its membership in every live partial frame,
-// and recomputes the covered set of each frame it is sending; a node that
-// gains its first listener or loses its last one updates its membership
-// the same way.
+// All of it rests on a static geometry: nodes never move, and nodes and
+// listeners join only while no frame is on the air (add_node and
+// add_listener throw otherwise). A node counts as listening from its first
+// add_listener on, so the bounding box, every covered set and every near_
+// list stay valid for a frame's whole time on the air. remove_listener is
+// legal at any time (a scenario tears its radios down mid-flight); it only
+// stops that listener's callbacks.
 //
 // Hot-path caching: every query reduces to per-(frame, rx) terms — the
 // frame's RSS at the receiver (tx power minus a position-determined path
@@ -55,17 +58,14 @@
 // into the receiver's tuned channel on the sensing and decode paths. Those
 // are asked for once per relevant frame per CCA/SINR evaluation, millions of
 // times per run, so each is computed once:
-//   * pairwise path loss lives in per-node open-addressing maps whose
-//     entries snapshot the other endpoint's motion epoch — set_position
-//     invalidates every pair involving the moved node in O(1) by bumping
-//     its epoch;
+//   * pairwise path loss lives in per-node open-addressing maps;
 //   * everything per frame lives in one dense array on the in-flight
 //     frame's slot, indexed by the rx's position in the frame's covered set
 //     (partial frames) or by the rx index itself (covering frames). An
 //     entry holds the RSS and the sensing- and decode-path milliwatts (each
 //     stamped with the rx channel it was computed for), and is valid while
-//     its stamps equal the slot's generation and the rx's motion epoch, so
-//     claiming a slot or moving its transmitter clears it in O(1);
+//     its stamp equals the slot's generation, so claiming a slot clears it
+//     in O(1);
 //   * rejection attenuation is tabulated per channel distance, which takes
 //     only a handful of values.
 // Every memoized value is the same double a fresh computation yields (debug
@@ -137,14 +137,12 @@ class Medium {
   Medium(const Medium&) = delete;
   Medium& operator=(const Medium&) = delete;
 
-  /// Registers a node at `position`; returns its id (dense, starting at 0).
-  /// Precondition: both coordinates are finite (asserted).
+  /// Registers a node at `position`, where it stays; returns its id (dense,
+  /// starting at 0). Precondition: both coordinates are finite (asserted).
+  /// Throws std::logic_error while a frame is on the air.
   NodeId add_node(Vec2 position);
   [[nodiscard]] std::size_t node_count() const { return positions_.size(); }
   [[nodiscard]] Vec2 position(NodeId node) const;
-  /// Moves a node, also mid-flight. Precondition: both coordinates are
-  /// finite (asserted).
-  void set_position(NodeId node, Vec2 position);
 
   /// Listeners (radios) are notified of tx start/end. `node` is the
   /// listener's own node: with culling enabled, notifications are
@@ -152,10 +150,9 @@ class Medium {
   /// beyond it the frame is unobservable by construction, so skipping the
   /// callback only re-anchors where error-segment RNG draws happen, never
   /// what a receiver can measure. Listeners are called in registration
-  /// order. A frame's end reaches the listeners inside its disc at that
-  /// moment, so a listener that moved across the boundary mid-flight sees
-  /// only one of the two callbacks (paper-scale discs exceed the deployment
-  /// span, so nothing is ever skipped there).
+  /// order. add_listener throws std::logic_error while a frame is on the
+  /// air; remove_listener is legal at any time and stops that listener's
+  /// callbacks, while its node keeps counting as listening.
   void add_listener(MediumListener* listener, NodeId node);
   void remove_listener(MediumListener* listener);
 
@@ -220,16 +217,15 @@ class Medium {
   enum Path : std::size_t { kDecode = 0, kSensing = 1 };
 
   /// The per-(frame, rx) terms every query is built from. The entry is
-  /// valid while `gen` equals its slot's generation and `epoch` the rx's
-  /// motion epoch; each path's milliwatts are valid for the rx channel
-  /// stamped beside them (NaN: not computed yet).
+  /// valid while `gen` equals its slot's generation; each path's milliwatts
+  /// are valid for the rx channel stamped beside them (NaN: not computed
+  /// yet).
   struct RxTerms {
     double rss_dbm = 0.0;
     double channel_mhz[2] = {std::numeric_limits<double>::quiet_NaN(),
                              std::numeric_limits<double>::quiet_NaN()};
     double leaked_mw[2] = {0.0, 0.0};
     std::uint32_t gen = 0;  ///< 0 is never a current slot generation
-    std::uint32_t epoch = 0;
   };
 
   /// Term index of an rx outside a partial frame's disc: its RSS is
@@ -246,13 +242,12 @@ class Medium {
     double radius = 0.0;          ///< influence radius in metres
     bool live = false;            ///< current on live_slots_ (and near_, if partial)
     bool covers_all = false;      ///< radius spans the node bounding box
-    /// Partial frames only: every node inside the disc, ascending.
+    /// Partial frames only: every listening node inside the disc, ascending.
     std::vector<NodeId> covered;
     /// Memoized terms, indexed by the rx's position in `covered` (partial
     /// frames) or by the rx index (covering frames).
     mutable std::vector<RxTerms> terms;
-    /// Bumped when every entry of `terms` goes stale: the slot is claimed,
-    /// its transmitter moves, or its covered set changes.
+    /// Bumped when the slot is claimed, which stales every entry of `terms`.
     std::uint32_t gen = 0;
   };
 
@@ -293,7 +288,7 @@ class Medium {
   /// The milliwatts the frame in `slot` leaks into `rx` tuned to `channel`.
   [[nodiscard]] double leaked_mw(std::uint32_t slot, std::uint32_t k, NodeId rx, Mhz channel,
                                  Path path) const;
-  /// Memoized PL(distance(a, b)); entries staled by either endpoint moving.
+  /// Memoized PL(distance(a, b)).
   [[nodiscard]] double cached_loss_db(NodeId a, NodeId b) const;
 
   /// Dense storage index of a registered node.
@@ -316,23 +311,13 @@ class Medium {
   [[nodiscard]] static bool in_disc(const ActiveFrame& af, Vec2 at) {
     return distance_sq(at, af.src_pos) <= af.radius * af.radius;
   }
-  /// Extend the node bounding box to `position`, demoting live frames that
-  /// no longer cover it.
-  void grow_box(Vec2 position);
-  /// Stale every memoized term of the frame in `slot`.
-  void bump_generation(ActiveFrame& af);
   /// Fill the covered set of the (partial) frame in `slot` from the
-  /// listener grid and size its term array to it.
+  /// listener grid.
   void find_covered(std::uint32_t slot);
-  /// Enter / remove the live partial frame in `slot` on the near_ lists of
-  /// its covered nodes, each at its begin_seq position.
+  /// Append the live partial frame in `slot` to / remove it from the near_
+  /// lists of its covered nodes.
   void link(std::uint32_t slot);
   void unlink(std::uint32_t slot);
-  /// Re-find the covered set of every live partial frame that gained or
-  /// lost `node`, which has just moved or gained or lost its listeners.
-  void refresh_membership(NodeId node);
-  /// `node` has just gained its first listener or lost its last one.
-  void listening_changed(NodeId node);
   /// Enter / remove the partial frame in `slot` on the frame grid.
   void add_partial(std::uint32_t slot);
   void remove_partial(std::uint32_t slot);
@@ -359,9 +344,9 @@ class Medium {
   MediumConfig config_;
   ShadowingField shadowing_;
   std::vector<Vec2> positions_;
-  /// Bumped when the node moves; loss-cache and frame-term entries snapshot
-  /// it (see below).
-  std::vector<std::uint32_t> epochs_;
+  /// listening_[node]: the node has had a listener (it is then on the
+  /// listener grid and in the covered sets of the partial frames over it).
+  std::vector<bool> listening_;
   /// In registration order.
   std::vector<ListenerEntry> listeners_;
   /// listeners_at_[node]: indices into listeners_ of the listeners at node,
@@ -373,7 +358,7 @@ class Medium {
   std::vector<ActiveFrame> frame_slots_;
   std::vector<std::uint32_t> free_frame_slots_;
   std::unordered_map<FrameId, std::uint32_t> slot_of_;
-  /// Every node with a listener, bucketed by position (culling on only).
+  /// Every listening node, bucketed by position (culling on only).
   SpatialGrid listener_grid_;
   /// Every live partial frame's slot, bucketed by its transmitter's
   /// position, and the largest radius among them (reset when none is
@@ -403,16 +388,13 @@ class Medium {
   std::vector<std::vector<NearEntry>> near_;
   /// Live frames whose influence radius does not cover the bounding box.
   std::size_t partial_live_ = 0;
-  /// Bounding box of every position any node has held, and its squared
-  /// diagonal. It only grows.
+  /// Bounding box of the nodes, and its squared diagonal.
   Vec2 box_lo_{};
   Vec2 box_hi_{};
   double box_diag_sq_ = 0.0;
 
   // -- Memoization (see the header comment) ------------------------------
-  /// loss_cache_[a] maps b -> PL(a, b) stamped with b's epoch at compute
-  /// time. A move bumps the mover's epoch and clears its own map: every
-  /// stale pair then fails the epoch check on its next lookup.
+  /// loss_cache_[a] maps b -> PL(a, b).
   mutable std::vector<NodeValueMap> loss_cache_;
   /// Both rejection curves at each channel distance seen so far: at most
   /// one row per pair of channels in use, a handful in practice.

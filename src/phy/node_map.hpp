@@ -9,12 +9,8 @@
 // and never hashes through std::unordered_map machinery. (Per-frame terms
 // live in a dense array on the frame's slot instead, indexed by the
 // receiver's position in the frame's covered set; see phy/medium.hpp.)
-//
-// Each entry carries a caller-managed epoch tag. The cache uses it for O(1)
-// motion invalidation: entries snapshot the other endpoint's motion epoch at
-// compute time, so bumping that node's epoch atomically stales every cached
-// value that depends on its position without walking anything (see
-// Medium::set_position).
+// Nodes never move, so an entry, once filled, stays valid for the map's
+// lifetime.
 #pragma once
 
 #include <cstddef>
@@ -28,7 +24,6 @@ class NodeValueMap {
  public:
   struct Entry {
     std::uint32_t key = kEmpty;
-    std::uint32_t epoch = 0;
     double value = 0.0;
   };
 
@@ -36,8 +31,8 @@ class NodeValueMap {
   static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
 
   /// Returns the entry for `key`, inserting an empty-keyed slot if absent.
-  /// The caller checks `entry.key != key` (or an epoch mismatch) to decide
-  /// whether the cached value must be (re)computed, then fills all fields.
+  /// The caller checks `entry.key != key` to decide whether the value must
+  /// be computed, then fills both fields.
   [[nodiscard]] Entry& find_or_insert(std::uint32_t key) {
     if (table_.empty()) grow();
     for (;;) {
@@ -54,13 +49,6 @@ class NodeValueMap {
       }
       grow();
     }
-  }
-
-  /// Drop every entry, keeping the allocated capacity (maps are reused).
-  void clear() {
-    if (size_ == 0) return;
-    for (Entry& e : table_) e = Entry{};
-    size_ = 0;
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }

@@ -31,11 +31,6 @@ Radio::Radio(sim::Scheduler& scheduler, Medium& medium, sim::RandomStream rng, N
 
 Radio::~Radio() { medium_.remove_listener(this); }
 
-void Radio::set_channel(Mhz channel) {
-  assert(state_ == State::kIdle && "retuning mid-frame is not modelled");
-  config_.channel = channel;
-}
-
 Dbm Radio::sense_energy() const { return medium_.sense_energy(self_, config_.channel); }
 
 void Radio::account_energy_until(sim::SimTime t) {

@@ -75,9 +75,6 @@ class Radio final : public MediumListener {
   [[nodiscard]] NodeId node() const { return self_; }
   [[nodiscard]] Mhz channel() const { return config_.channel; }
 
-  /// Retune. Only valid while idle (the MAC never retunes mid-frame).
-  void set_channel(Mhz channel);
-
   void set_listener(RadioListener* listener) { listener_ = listener; }
 
   /// Instantaneous energy read on the tuned channel (CCA's input).

@@ -15,7 +15,7 @@
 //
 // Precondition: every position handed in is finite. Cell indices come from
 // casting floor(coordinate / cell) to int64_t, which is undefined behaviour
-// for NaN and infinities (the medium asserts it on add_node/set_position).
+// for NaN and infinities (the medium asserts it in add_node).
 #pragma once
 
 #include <cassert>

@@ -382,7 +382,10 @@ TEST(Campaign, WideGridFinishesUnderCheckpointBackPressure) {
   // and block in submit, yet the point at the cursor is always in flight.
   std::string text = "name = wide_grid\ntopology = dense\npower = 0\nwarmup = 0\n";
   text += "measure = 0.02\nsweep seed =";
-  for (int seed = 1; seed <= 48; ++seed) text += " " + std::to_string(seed);
+  for (int seed = 1; seed <= 48; ++seed) {
+    text += ' ';
+    text += std::to_string(seed);
+  }
   const CampaignSpec spec = parse_spec(text + "\n");
   std::string error;
   CampaignStats stats;

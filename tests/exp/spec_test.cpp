@@ -212,7 +212,10 @@ TEST(Spec, LoadMissingFileFailsWithoutLine) {
 
 std::string sweep_line(const std::string& key, int values) {
   std::string line = "sweep " + key + " =";
-  for (int i = 1; i <= values; ++i) line += " " + std::to_string(i);
+  for (int i = 1; i <= values; ++i) {
+    line += ' ';
+    line += std::to_string(i);
+  }
   return line + "\n";
 }
 
@@ -292,7 +295,10 @@ TEST(Spec, FormatRoundTripsRandomSpecs) {
       text += "sweep cfd/channels =";
       const int steps = 2 + (int)(rng() % 3);
       for (int s = 0; s < steps; ++s) {
-        text += " " + std::to_string(1 + rng() % 9) + "/" + std::to_string(1 + rng() % 6);
+        text += ' ';
+        text += std::to_string(1 + rng() % 9);
+        text += '/';
+        text += std::to_string(1 + rng() % 6);
       }
       text += "\n";
     }

@@ -329,8 +329,8 @@ TEST(Checkpointer, ConcurrentSubmittersSerializeInSlotOrder) {
   threads.reserve(kSlots);
   for (int slot = kSlots - 1; slot >= 0; --slot) {
     threads.emplace_back([&checkpointer, slot] {
-      EXPECT_TRUE(checkpointer.submit(slot, "r" + std::to_string(slot),
-                                      "t" + std::to_string(slot), ""));
+      EXPECT_TRUE(checkpointer.submit(slot, 'r' + std::to_string(slot),
+                                      't' + std::to_string(slot), ""));
     });
   }
   // nomc-lint: allow(det-raw-thread)
@@ -338,7 +338,11 @@ TEST(Checkpointer, ConcurrentSubmittersSerializeInSlotOrder) {
   std::string error;
   EXPECT_TRUE(checkpointer.finish(error)) << error;
   std::string expected;
-  for (int slot = 0; slot < kSlots; ++slot) expected += "r" + std::to_string(slot) + "\n";
+  for (int slot = 0; slot < kSlots; ++slot) {
+    expected += 'r';
+    expected += std::to_string(slot);
+    expected += '\n';
+  }
   EXPECT_EQ(fx.store_bytes(), expected);
 }
 

@@ -676,29 +676,5 @@ TEST(LintStale, StaleBaselineFixture) {
   EXPECT_EQ(baselined, 1);
 }
 
-// ---- Parallel determinism ------------------------------------------------
-
-TEST(LintParallel, RunLintIsByteIdenticalAtAnyJobCount) {
-  auto render = [](int jobs) {
-    RunOptions options;
-    options.roots = {std::string{NOMC_LINT_FIXTURE_DIR}};
-    options.jobs = jobs;
-    RunResult result;
-    std::string error;
-    EXPECT_TRUE(run_lint(options, result, error)) << error;
-    std::string out;
-    for (const Finding& finding : result.findings) {
-      out += format_diagnostic(finding);
-      out += finding.suppressed ? " S" : finding.baselined ? " B" : " F";
-      out += '\n';
-    }
-    return std::make_pair(result.file_count, out);
-  };
-  const auto serial = render(1);
-  EXPECT_FALSE(serial.second.empty());  // fixtures fire by construction
-  EXPECT_EQ(render(2), serial);
-  EXPECT_EQ(render(7), serial);
-}
-
 }  // namespace
 }  // namespace nomc::lint

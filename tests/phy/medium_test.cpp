@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 namespace nomc::phy {
@@ -31,8 +32,42 @@ TEST(Medium, NodeRegistration) {
   EXPECT_EQ(b, 1u);
   EXPECT_EQ(medium.node_count(), 2u);
   EXPECT_EQ(medium.position(b), (Vec2{3.0, 4.0}));
-  medium.set_position(b, {1.0, 1.0});
-  EXPECT_EQ(medium.position(b), (Vec2{1.0, 1.0}));
+}
+
+TEST(Medium, NodesAndListenersJoinOnlyBetweenFrames) {
+  // The medium's covered sets and frame lists assume a static geometry
+  // while frames are on the air: joining mid-flight throws, in every build
+  // type, and leaves the medium as it was.
+  struct Counting final : MediumListener {
+    void on_tx_start(const Frame&) override { ++calls; }
+    void on_tx_end(const Frame&) override { ++calls; }
+    int calls = 0;
+  } early, late;
+  Medium medium{quiet_config()};
+  const NodeId tx = medium.add_node({0.0, 0.0});
+  medium.add_listener(&early, tx);
+  const Frame first = make_frame(medium, tx, Mhz{2460.0});
+  medium.begin_tx(first);
+  EXPECT_THROW((void)medium.add_node({1.0, 0.0}), std::logic_error);
+  EXPECT_THROW(medium.add_listener(&late, tx), std::logic_error);
+  EXPECT_EQ(medium.node_count(), 1u);
+  medium.end_tx(first.id);
+  EXPECT_EQ(early.calls, 2);
+  EXPECT_EQ(late.calls, 0);
+
+  // Between frames both succeed, and the new listener hears the next frame.
+  const NodeId rx = medium.add_node({1.0, 0.0});
+  EXPECT_EQ(rx, 1u);
+  medium.add_listener(&late, rx);
+  const Frame second = make_frame(medium, tx, Mhz{2460.0});
+  medium.begin_tx(second);
+  // Removing a listener stays legal mid-flight and stops its callbacks.
+  medium.remove_listener(&early);
+  medium.end_tx(second.id);
+  EXPECT_EQ(early.calls, 3);
+  EXPECT_EQ(late.calls, 2);
+  EXPECT_NEAR(medium.rss(second, rx).value, -40.0, 1e-9);
+  medium.remove_listener(&late);
 }
 
 TEST(Medium, FrameIdsAreUniqueAndNonZero) {

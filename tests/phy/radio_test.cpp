@@ -287,21 +287,6 @@ TEST_F(RadioTest, SenseEnergyReflectsMedium) {
   EXPECT_NEAR(sensor->sense_energy().value, expected, 0.05);
 }
 
-TEST_F(RadioTest, SetChannelRetunes) {
-  const NodeId a = node(0, 0);
-  const NodeId b = node(0, 2);
-  auto tx = radio(a, Mhz{2463.0});
-  auto rx = radio(b, Mhz{2460.0});
-  CollectingListener listener;
-  rx->set_listener(&listener);
-
-  rx->set_channel(Mhz{2463.0});
-  EXPECT_EQ(rx->channel().value, 2463.0);
-  tx->transmit(frame(a, b, Mhz{2463.0}));
-  scheduler_.run_all();
-  EXPECT_EQ(listener.received.size(), 1u);
-}
-
 TEST_F(RadioTest, ErrorFractionConsistentWithBitErrors) {
   const NodeId a = node(0, 0);
   const NodeId jammer = node(0.2, 2);

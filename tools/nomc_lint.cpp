@@ -8,17 +8,15 @@
 // against the layering spec (tools/nomc_layers.txt) and flag stale
 // suppressions and stale baseline entries. Diagnostics are clang-style
 // (`file:line:col: warning: ... [rule-id]`); findings are suppressible
-// inline or via the checked-in baseline. Output is byte-identical at any
-// --jobs value. Exit status: 0 clean, 1 new findings, 2 usage or I/O error
-// — so CI can require it. See docs/static_analysis.md.
+// inline or via the checked-in baseline. Exit status: 0 clean, 1 new
+// findings, 2 usage or I/O error — so CI can require it. See
+// docs/static_analysis.md.
 //
 //   nomc-lint                      lint src/ tools/ bench/ tests/
-//   nomc-lint --jobs 0             same, one scan thread per hardware thread
 //   nomc-lint src/phy              lint one tree
 //   nomc-lint --list-rules         print the rule catalog
 //   nomc-lint --write-baseline     re-admit all current findings
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -42,8 +40,6 @@ int usage(std::FILE* out) {
       "violations).\n"
       "\n"
       "options:\n"
-      "  --jobs <n>          parallel scan threads (0 = all hardware threads;\n"
-      "                      default 1; output is identical at any value)\n"
       "  --layers <file>     module layering spec for the architecture pass\n"
       "                      (default: tools/nomc_layers.txt; the pass is\n"
       "                      skipped when the default is absent)\n"
@@ -76,7 +72,6 @@ int main(int argc, char** argv) {
   bool use_baseline = true;
   bool write_baseline = false;
   bool verbose = false;
-  int jobs = 1;
   std::vector<std::string> roots;
 
   for (int i = 1; i < argc; ++i) {
@@ -87,19 +82,6 @@ int main(int argc, char** argv) {
         std::printf("%-24s %s\n", rule.id, rule.summary);
       }
       return 0;
-    }
-    if (arg == "--jobs") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "nomc-lint: --jobs needs a number\n");
-        return 2;
-      }
-      char* end = nullptr;
-      jobs = static_cast<int>(std::strtol(argv[++i], &end, 10));
-      if (end == nullptr || *end != '\0' || jobs < 0) {
-        std::fprintf(stderr, "nomc-lint: bad --jobs value '%s'\n", argv[i]);
-        return 2;
-      }
-      continue;
     }
     if (arg == "--layers") {
       if (i + 1 >= argc) {
@@ -144,7 +126,6 @@ int main(int argc, char** argv) {
   lint::RunOptions options;
   options.roots = roots.empty() ? std::vector<std::string>{"src", "tools", "bench", "tests"}
                                 : roots;
-  options.jobs = jobs;
   if (use_layers && (layers_explicit || file_exists(layers_path.c_str()))) {
     // The default spec may legitimately be absent (a partial checkout, a
     // fixture tree); an explicitly requested one may not.
