@@ -5,7 +5,8 @@
 // every node running a CCA-gated periodic sender. Each attempt is one
 // scheduler event plus one sense_energy read — the exact pair that
 // dominates every figure bench — so events/second here is the substrate's
-// end-to-end speed limit.
+// end-to-end speed limit. Every node registers a listener, as a radio
+// does, so the medium reads, and notifies, the way it does under radios.
 //
 // Two experiments:
 //   * culled   — spatial interference culling on (the default config);
@@ -16,17 +17,20 @@
 //                adding nothing beyond the 2k contrast (the skip and this
 //                reason are recorded in the JSON).
 //
-// Every point also carries an output digest: 64-bit FNV-1a over the bit
-// pattern of every sense_energy read (warm-up included) and then the event
-// count. The run is deterministic, so two builds that print the same digest
-// for a point simulated the same city bit for bit.
+// Every point also carries two output digests, both 64-bit FNV-1a and
+// warm-up included: `digest` over the bit pattern of every sense_energy
+// read and then the event count, and `notify_digest` over every listener
+// callback in order (node, start or end, frame id). The run is
+// deterministic, so two builds that print the same digests for a point
+// simulated the same city bit for bit and told the same listeners.
 //
 // Output: BENCH_scaling.json (see docs/scaling.md for how to read it):
 //   {
 //     "tool": "scaling_curve",
 //     "points": [{"nodes": N, "mode": "culled"|"dense", "events": E,
 //                 "wall_ms": W, "events_per_second": R,
-//                 "digest": "<16 hex digits>"}, ...],
+//                 "digest": "<16 hex digits>",
+//                 "notify_digest": "<16 hex digits>"}, ...],
 //     "dense_skip_reason": "...",
 //     "hardware_threads": <std::thread::hardware_concurrency()>,
 //     "speedup_at_2000": <culled rate / dense rate at 2000 nodes>
@@ -94,6 +98,7 @@ struct Point {
   std::uint64_t events = 0;
   double wall_ms = 0.0;
   std::uint64_t digest = 0;
+  std::uint64_t notify_digest = 0;
   [[nodiscard]] double events_per_second() const {
     return wall_ms <= 0.0 ? 0.0 : static_cast<double>(events) * 1e3 / wall_ms;
   }
@@ -109,10 +114,12 @@ class City {
     int s = 1;
     while (s * s < nodes) ++s;
     sim::SplitMix64 mix{static_cast<std::uint64_t>(nodes) * 2 + (culled ? 1 : 0)};
+    listeners_.reserve(static_cast<std::size_t>(nodes));  // registered addresses stay put
     for (int i = 0; i < nodes; ++i) {
       const double x = static_cast<double>(i % s) * kSpacingM;
       const double y = static_cast<double>(i / s) * kSpacingM;
-      medium_->add_node({x, y});
+      const phy::NodeId id = medium_->add_node({x, y});
+      medium_->add_listener(&listeners_.emplace_back(id, notified_), id);
       channels_.push_back(phy::Mhz{2445.0 + 3.0 * static_cast<double>(i % kChannelCount)});
       // First attempt spread across one period; cadence jittered +/- 25%.
       period_ns_.push_back(20'000'000 + static_cast<std::int64_t>(mix.next() % 10'000'000));
@@ -136,10 +143,27 @@ class City {
     Digest digest = reads_;
     digest.add(point.events);
     point.digest = digest.value();
+    point.notify_digest = notified_.value();
     return point;
   }
 
  private:
+  /// A radio's stand-in: hashes every callback it gets.
+  class Listener final : public phy::MediumListener {
+   public:
+    Listener(phy::NodeId node, Digest& digest) : node_{node}, digest_{digest} {}
+    void on_tx_start(const phy::Frame& frame) override { record(1, frame); }
+    void on_tx_end(const phy::Frame& frame) override { record(0, frame); }
+
+   private:
+    void record(std::uint64_t start, const phy::Frame& frame) {
+      digest_.add(std::uint64_t{node_} << 1 | start);
+      digest_.add(frame.id);
+    }
+    phy::NodeId node_;
+    Digest& digest_;
+  };
+
   void attempt(phy::NodeId node) {
     const phy::Mhz channel = channels_[node];
     const double energy_dbm = medium_->sense_energy(node, channel).value;
@@ -164,7 +188,9 @@ class City {
   std::unique_ptr<phy::Medium> medium_;
   std::vector<phy::Mhz> channels_;
   std::vector<std::int64_t> period_ns_;
-  Digest reads_;  ///< every sense_energy read so far
+  Digest reads_;     ///< every sense_energy read so far
+  Digest notified_;  ///< every listener callback so far
+  std::vector<Listener> listeners_;
 };
 
 constexpr const char* kDenseSkipReason =
@@ -184,10 +210,13 @@ void write_json(const std::string& path, const std::vector<Point>& points, doubl
     const Point& p = points[i];
     std::fprintf(out,
                  "    {\"nodes\": %d, \"mode\": \"%s\", \"events\": %llu, "
-                 "\"wall_ms\": %.3f, \"events_per_second\": %.1f, \"digest\": \"%016llx\"}%s\n",
+                 "\"wall_ms\": %.3f, \"events_per_second\": %.1f, \"digest\": \"%016llx\", "
+                 "\"notify_digest\": \"%016llx\"}%s\n",
                  p.nodes, p.culled ? "culled" : "dense",
                  static_cast<unsigned long long>(p.events), p.wall_ms, p.events_per_second(),
-                 static_cast<unsigned long long>(p.digest), i + 1 < points.size() ? "," : "");
+                 static_cast<unsigned long long>(p.digest),
+                 static_cast<unsigned long long>(p.notify_digest),
+                 i + 1 < points.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n  \"dense_skip_reason\": \"%s\",\n", kDenseSkipReason);
   // Rates are host-dependent: record the host's thread count beside them.
@@ -243,18 +272,22 @@ int main(int argc, char** argv) {
     City city{nodes, /*culled=*/true};
     const Point p = city.run(warmup, window);
     if (p.nodes == ref_nodes) rate_culled_ref = p.events_per_second();
-    std::printf("culled  %6d nodes: %8llu events in %9.2f ms  (%.0f events/s)  digest %016llx\n",
+    std::printf("culled  %6d nodes: %8llu events in %9.2f ms  (%.0f events/s)  digest %016llx"
+                "  notify %016llx\n",
                 p.nodes, static_cast<unsigned long long>(p.events), p.wall_ms,
-                p.events_per_second(), static_cast<unsigned long long>(p.digest));
+                p.events_per_second(), static_cast<unsigned long long>(p.digest),
+                static_cast<unsigned long long>(p.notify_digest));
     points.push_back(p);
   }
   for (const int nodes : dense_sizes) {
     City city{nodes, /*culled=*/false};
     const Point p = city.run(warmup, window);
     if (p.nodes == ref_nodes) rate_dense_ref = p.events_per_second();
-    std::printf("dense   %6d nodes: %8llu events in %9.2f ms  (%.0f events/s)  digest %016llx\n",
+    std::printf("dense   %6d nodes: %8llu events in %9.2f ms  (%.0f events/s)  digest %016llx"
+                "  notify %016llx\n",
                 p.nodes, static_cast<unsigned long long>(p.events), p.wall_ms,
-                p.events_per_second(), static_cast<unsigned long long>(p.digest));
+                p.events_per_second(), static_cast<unsigned long long>(p.digest),
+                static_cast<unsigned long long>(p.notify_digest));
     points.push_back(p);
   }
   if (!smoke && pinned_nodes == 0) std::printf("dense  10000 nodes: skipped — O(N^2)\n");

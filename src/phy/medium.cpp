@@ -15,7 +15,6 @@ Medium::Medium(MediumConfig config)
     double cell = config_.culling.cell_size_m;
     if (cell <= 0.0) cell = influence_radius_m(Dbm{0.0});
     listener_grid_.reset(cell);
-    frame_grid_.reset(cell);
   }
 }
 
@@ -24,10 +23,17 @@ double Medium::influence_radius_m(Dbm tx_power) const {
   return config_.path_loss.distance_for_loss(Db{tx_power.value + shadow_cap - cull_floor_dbm()});
 }
 
+void Medium::require_no_frame(const char* message) const {
+  // slot_of_ holds a frame from the start of its announcement on, so a
+  // listener called for the first frame on the air is refused too.
+  if (!slot_of_.empty()) throw std::logic_error{message};
+}
+
 NodeId Medium::add_node(Vec2 position) {
   assert(std::isfinite(position.x) && std::isfinite(position.y) &&
          "node coordinates must be finite");
-  if (active_count_ != 0) throw std::logic_error{"Medium::add_node while a frame is on the air"};
+  require_no_frame("Medium::add_node while a frame is on the air");
+  forget_reaches();
   if (positions_.empty()) {
     box_lo_ = position;
     box_hi_ = position;
@@ -38,32 +44,134 @@ NodeId Medium::add_node(Vec2 position) {
   const auto node = static_cast<NodeId>(positions_.size());
   positions_.push_back(position);
   listening_.push_back(false);
-  loss_cache_.emplace_back();
   listeners_at_.emplace_back();
+  reaches_.emplace_back();
   near_.emplace_back();
   return node;
 }
 
 Vec2 Medium::position(NodeId node) const { return positions_[local_index(node)]; }
 
-void Medium::find_covered(std::uint32_t slot) {
-  ActiveFrame& af = frame_slots_[slot];
-  af.covered.clear();
-  listener_grid_.for_each_in_disc(af.src_pos, af.radius, [&](std::uint32_t node) {
-    if (in_disc(af, positions_[node])) af.covered.push_back(node);
-  });
-  std::sort(af.covered.begin(), af.covered.end());
+void Medium::add_listener(MediumListener* listener, NodeId node) {
+  assert(listener != nullptr);
+  assert(node < positions_.size() && "listeners must listen at a registered node");
+  require_no_frame("Medium::add_listener while a frame is on the air");
+  forget_reaches();
+  const auto index = static_cast<std::uint32_t>(listeners_.size());
+  listeners_at_[node].push_back(index);
+  listeners_.push_back({listener, node});
+  registered_.emplace(listener, index);
+  if (!listening_[node]) {
+    listening_[node] = true;
+    if (config_.culling.enabled) listener_grid_.insert(node, positions_[node]);
+  }
 }
+
+void Medium::remove_listener(MediumListener* listener) {
+  // Mark the registrations removed rather than erase them: every index into
+  // listeners_ stays valid, so the reaches keep their listener lists.
+  const auto [first, last] = registered_.equal_range(listener);
+  for (auto it = first; it != last; ++it) listeners_[it->second].listener = nullptr;
+  registered_.erase(first, last);
+}
+
+void Medium::forget_reaches() {
+  if (reaches_empty_) return;
+  for (std::vector<std::unique_ptr<Reach>>& of_src : reaches_) of_src.clear();
+  reaches_empty_ = true;
+}
+
+const Medium::Reach& Medium::reach(NodeId src, Dbm tx_power) {
+  std::vector<std::unique_ptr<Reach>>& of_src = reaches_[local_index(src)];
+  for (const std::unique_ptr<Reach>& known : of_src) {
+    if (known->tx_power_dbm == tx_power.value) {
+#ifndef NDEBUG
+      check_reach(src, *known);
+#endif
+      return *known;
+    }
+  }
+  Reach& r = *of_src.emplace_back(std::make_unique<Reach>());
+  reaches_empty_ = false;
+  r.tx_power_dbm = tx_power.value;
+  r.radius = influence_radius_m(tx_power);
+  r.covers_all = covers_box(r.radius);
+  if (r.covers_all) {
+    r.loss_db.resize(positions_.size());
+    for (NodeId rx = 0; rx < positions_.size(); ++rx) r.loss_db[rx] = pair_loss_db(src, rx);
+  } else {
+    const Vec2 at = positions_[local_index(src)];
+    listener_grid_.for_each_in_disc(at, r.radius, [&](std::uint32_t node) {
+      if (distance_sq(positions_[node], at) <= r.radius * r.radius) r.covered.push_back(node);
+    });
+    std::sort(r.covered.begin(), r.covered.end());
+    r.loss_db.resize(r.covered.size());
+    for (std::uint32_t k = 0; k < r.covered.size(); ++k) {
+      r.loss_db[k] = pair_loss_db(src, r.covered[k]);
+      for (const std::uint32_t index : listeners_at_[r.covered[k]]) {
+        if (listeners_[index].listener != nullptr) r.listeners.push_back({index, k});
+      }
+    }
+    // Node order is usually registration order already.
+    const auto by_index = [](const Reach::Listener& x, const Reach::Listener& y) {
+      return x.index < y.index;
+    };
+    if (!std::is_sorted(r.listeners.begin(), r.listeners.end(), by_index)) {
+      std::sort(r.listeners.begin(), r.listeners.end(), by_index);
+    }
+  }
+#ifndef NDEBUG
+  check_reach(src, r);
+#endif
+  return r;
+}
+
+#ifndef NDEBUG
+void Medium::check_reach(NodeId src, const Reach& reach) const {
+  assert(reach.radius == influence_radius_m(Dbm{reach.tx_power_dbm}) && "stale reach radius");
+  assert(reach.covers_all == covers_box(reach.radius) && "stale reach coverage");
+  // Every listening node inside the disc, ascending (none listed for a
+  // covering reach) ...
+  const Vec2 at = positions_[local_index(src)];
+  const double r_sq = reach.radius * reach.radius;
+  std::vector<NodeId> covered;
+  for (NodeId node = 0; node < positions_.size(); ++node) {
+    if (!reach.covers_all && listening_[node] && distance_sq(positions_[node], at) <= r_sq) {
+      covered.push_back(node);
+    }
+  }
+  assert(covered == reach.covered && "reach differs from the brute-force disc scan");
+  assert(reach.loss_db.size() == (reach.covers_all ? positions_.size() : covered.size()));
+  for (std::size_t k = 0; k < reach.loss_db.size(); ++k) {
+    assert(reach.loss_db[k] ==
+               pair_loss_db(src, static_cast<NodeId>(reach.covers_all ? k : covered[k])) &&
+           "stale reach path loss");
+  }
+  // ... and the registrations still in place at them, in registration order.
+  std::vector<Reach::Listener> scan;
+  for (std::uint32_t i = 0; i < listeners_.size(); ++i) {
+    const auto it = std::lower_bound(covered.begin(), covered.end(), listeners_[i].node);
+    if (listeners_[i].listener != nullptr && it != covered.end() && *it == listeners_[i].node) {
+      scan.push_back({i, static_cast<std::uint32_t>(it - covered.begin())});
+    }
+  }
+  std::vector<Reach::Listener> kept;
+  for (const Reach::Listener& e : reach.listeners) {
+    if (listeners_[e.index].listener != nullptr) kept.push_back(e);
+  }
+  assert(kept == scan && "reach listeners differ from the brute-force scan");
+}
+#endif
 
 void Medium::link(std::uint32_t slot) {
   // Frames link only at begin_tx, so appending keeps each list in begin_seq
   // order.
-  const ActiveFrame& af = frame_slots_[slot];
-  for (std::uint32_t k = 0; k < af.covered.size(); ++k) near_[af.covered[k]].push_back({slot, k});
+  const std::vector<NodeId>& covered = frame_slots_[slot].reach->covered;
+  for (std::uint32_t k = 0; k < covered.size(); ++k) near_[covered[k]].push_back({slot, k});
 }
 
 void Medium::unlink(std::uint32_t slot) {
-  for (const NodeId node : frame_slots_[slot].covered) {
+  for (const NodeId node : frame_slots_[slot].reach->covered) {
     std::vector<NearEntry>& list = near_[node];
     // Frames end roughly in the order they began: the entry sits near the
     // front of a short list.
@@ -74,48 +182,36 @@ void Medium::unlink(std::uint32_t slot) {
   }
 }
 
-double Medium::cached_loss_db(NodeId a, NodeId b) const {
-  const std::size_t ai = local_index(a);
-  const std::size_t bi = local_index(b);
-  NodeValueMap::Entry& entry = loss_cache_[ai].find_or_insert(b);
-  if (entry.key != b) {
-    entry.key = b;
-    entry.value = config_.path_loss.loss(distance(positions_[ai], positions_[bi])).value;
-  }
-#ifndef NDEBUG
-  // Debug cross-check: a served cache hit must equal a fresh computation.
-  // (Release builds skip this; it turns every hit into a recompute.)
-  assert(entry.value == config_.path_loss.loss(distance(positions_[ai], positions_[bi])).value &&
-         "stale path-loss cache entry served");
-#endif
-  return entry.value;
+double Medium::pair_loss_db(NodeId a, NodeId b) const {
+  return config_.path_loss.loss(distance(positions_[local_index(a)], positions_[local_index(b)]))
+      .value;
 }
 
-Dbm Medium::compute_rss(const Frame& frame, NodeId rx) const {
-  const double loss = cached_loss_db(frame.src, rx);
+double Medium::rss_with_loss(const Frame& frame, NodeId rx, double loss_db) const {
   if (shadowing_.sigma_db() <= 0.0) {
-    return frame.tx_power - Db{loss};
+    return (frame.tx_power - Db{loss_db}).value;
   }
-  return frame.tx_power - Db{loss} + shadowing_.sample(frame.id, rx);
+  return (frame.tx_power - Db{loss_db} + shadowing_.sample(frame.id, rx)).value;
 }
 
 std::uint32_t Medium::term_index(std::uint32_t slot, NodeId rx) const {
-  const ActiveFrame& af = frame_slots_[slot];
-  if (af.covers_all) return static_cast<std::uint32_t>(local_index(rx));
-  const auto it = std::lower_bound(af.covered.begin(), af.covered.end(), rx);
-  if (it == af.covered.end() || *it != rx) return kUncovered;
-  return static_cast<std::uint32_t>(it - af.covered.begin());
+  const Reach& reach = *frame_slots_[slot].reach;
+  if (reach.covers_all) return static_cast<std::uint32_t>(local_index(rx));
+  const auto it = std::lower_bound(reach.covered.begin(), reach.covered.end(), rx);
+  if (it == reach.covered.end() || *it != rx) return kUncovered;
+  return static_cast<std::uint32_t>(it - reach.covered.begin());
 }
 
 Medium::RxTerms& Medium::terms(std::uint32_t slot, std::uint32_t k, NodeId rx) const {
   const ActiveFrame& af = frame_slots_[slot];
-  assert((af.covers_all ? k == local_index(rx) : k < af.covered.size() && af.covered[k] == rx) &&
+  assert((af.reach->covers_all ? k == local_index(rx)
+                               : k < af.reach->covered.size() && af.reach->covered[k] == rx) &&
          "frame-term index does not belong to this receiver");
   RxTerms& t = af.terms[k];
   if (t.gen != af.gen) {
     t = RxTerms{};
     t.gen = af.gen;
-    t.rss_dbm = compute_rss(af.frame, rx).value;
+    t.rss_dbm = rss_with_loss(af.frame, rx, af.reach->loss_db[k]);
   }
 #ifndef NDEBUG
   // Debug cross-check: a served entry must equal a fresh computation.
@@ -158,92 +254,43 @@ double Medium::leaked_mw(std::uint32_t slot, std::uint32_t k, NodeId rx, Mhz cha
   return t.leaked_mw[path];
 }
 
-void Medium::add_listener(MediumListener* listener, NodeId node) {
-  assert(listener != nullptr);
-  assert(node < positions_.size() && "listeners must listen at a registered node");
-  if (active_count_ != 0) {
-    throw std::logic_error{"Medium::add_listener while a frame is on the air"};
-  }
-  listeners_at_[node].push_back(static_cast<std::uint32_t>(listeners_.size()));
-  listeners_.push_back({listener, node});
-  if (!listening_[node]) {
-    listening_[node] = true;
-    if (config_.culling.enabled) listener_grid_.insert(node, positions_[node]);
-  }
-}
-
-void Medium::remove_listener(MediumListener* listener) {
-  std::erase_if(listeners_, [listener](const ListenerEntry& e) { return e.listener == listener; });
-  // The indices behind the removed entry shifted: rebuild the node index.
-  // The node keeps listening, so no covered set or near_ list changes.
-  for (std::vector<std::uint32_t>& at : listeners_at_) at.clear();
-  for (std::uint32_t i = 0; i < listeners_.size(); ++i) {
-    listeners_at_[listeners_[i].node].push_back(i);
-  }
-}
-
-void Medium::add_partial(std::uint32_t slot) {
-  const ActiveFrame& af = frame_slots_[slot];
-  frame_grid_.insert(slot, af.src_pos);
-  max_partial_radius_ = std::max(max_partial_radius_, af.radius);
-}
-
-void Medium::remove_partial(std::uint32_t slot) {
-  frame_grid_.remove(slot, frame_slots_[slot].src_pos);
-  if (--partial_live_ == 0) max_partial_radius_ = 0.0;
-}
-
 void Medium::notify_listeners(std::uint32_t slot, bool start) {
   // With culling on, a listener beyond the influence disc could not measure
   // the frame anyway (its RSS sits below the receive floor); skipping the
   // callback only moves where error-segment RNG draws are anchored. At paper
   // scale the disc exceeds the deployment span, so nothing is ever skipped
   // and the serial draw sequence is unchanged.
-  const ActiveFrame& af = frame_slots_[slot];
-  // Copied: a listener may begin a transmission, growing frame_slots_.
-  const Frame frame = af.frame;
-  const auto call = [&frame, start](MediumListener* listener) {
+  //
+  // Copied: a listener may begin a transmission, growing frame_slots_ (the
+  // reach itself is heap-held and outlives every frame that uses it).
+  const Frame frame = frame_slots_[slot].frame;
+  const Reach& reach = *frame_slots_[slot].reach;
+  // Restored at the end: a listener may start a frame, announced in turn.
+  const Announcement outer = announced_;
+  const auto call = [&](std::uint32_t index, std::uint32_t k) {
+    const ListenerEntry& entry = listeners_[index];
+    if (entry.listener == nullptr) return;  // removed
+    announced_ = {frame.id, slot, k, entry.node};
     if (start) {
-      listener->on_tx_start(frame);
+      entry.listener->on_tx_start(frame);
     } else {
-      listener->on_tx_end(frame);
+      entry.listener->on_tx_end(frame);
     }
   };
-  // A partial frame reaches the listeners at its covered nodes, gathered
-  // before the first callback and put in registration order (which is
-  // usually node order already).
-  std::vector<std::uint32_t> order;
-  if (!af.covers_all && !listeners_.empty()) {
-    for (const NodeId node : af.covered) {
-      order.insert(order.end(), listeners_at_[node].begin(), listeners_at_[node].end());
-    }
-    if (!std::is_sorted(order.begin(), order.end())) std::sort(order.begin(), order.end());
+  // No registration can join during the calls (add_listener throws), so
+  // listeners_ keeps its size.
+  if (reach.covers_all) {
+    for (std::uint32_t i = 0; i < listeners_.size(); ++i) call(i, listeners_[i].node);
+  } else {
+    for (const Reach::Listener& e : reach.listeners) call(e.index, e.k);
   }
-#ifndef NDEBUG
-  // Debug cross-check against the brute-force scan: every listener inside
-  // the disc (all of them for a covering frame), in registration order.
-  {
-    std::vector<std::uint32_t> scan;
-    for (std::uint32_t i = 0; i < listeners_.size(); ++i) {
-      if (!config_.culling.enabled || in_disc(af, positions_[listeners_[i].node])) {
-        scan.push_back(i);
-      }
-    }
-    assert((af.covers_all ? scan.size() == listeners_.size() : scan == order) &&
-           "notified listeners differ from the brute-force scan");
-  }
-#endif
-  if (af.covers_all) {
-    for (const ListenerEntry& e : listeners_) call(e.listener);
-    return;
-  }
-  for (const std::uint32_t i : order) call(listeners_[i].listener);
+  announced_ = outer;
 }
 
 void Medium::begin_tx(const Frame& frame) {
   assert(frame.id != 0 && "allocate the frame id through the medium");
   assert(slot_of_.find(frame.id) == slot_of_.end() && "frame id already on the air");
-  // Claim the slot and find the covered set before notifying, so the
+  // Claim the slot and look up the reach before notifying, so the
   // listeners' rss() queries already fill the frame's terms; it stays off
   // the live list and the near_ lists until after, so listeners observe the
   // pre-change interference set.
@@ -258,13 +305,8 @@ void Medium::begin_tx(const Frame& frame) {
   {
     ActiveFrame& af = frame_slots_[slot];
     af.frame = frame;
-    af.src_pos = positions_[local_index(frame.src)];
-    af.radius = influence_radius_m(frame.tx_power);
-    af.covers_all = covers_box(af.radius);
-    if (!af.covers_all) find_covered(slot);
-    // A covering frame keeps its terms by rx index, a partial one by
-    // covered-set position.
-    af.terms.resize(af.covers_all ? positions_.size() : af.covered.size());
+    af.reach = &reach(frame.src, frame.tx_power);
+    af.terms.resize(af.reach->loss_db.size());
     if (++af.gen == 0) {
       // Wrapped: an entry stamped 2^32 generations ago would look current.
       std::fill(af.terms.begin(), af.terms.end(), RxTerms{});
@@ -279,10 +321,9 @@ void Medium::begin_tx(const Frame& frame) {
   af.begin_seq = next_begin_seq_++;
   af.live = true;
   live_slots_.push_back({af.begin_seq, slot});
-  if (!af.covers_all) {
+  if (!af.reach->covers_all) {
     ++partial_live_;
     link(slot);
-    add_partial(slot);
   }
   ++active_count_;
 }
@@ -296,9 +337,9 @@ void Medium::end_tx(FrameId id) {
   assert(it != slot_of_.end());
   const std::uint32_t slot = it->second;
   ActiveFrame& af = frame_slots_[slot];
-  if (!af.covers_all) {
+  if (!af.reach->covers_all) {
     unlink(slot);
-    remove_partial(slot);
+    --partial_live_;
   }
   af.live = false;
   free_frame_slots_.push_back(slot);
@@ -315,11 +356,18 @@ void Medium::end_tx(FrameId id) {
 
 Dbm Medium::rss(const Frame& frame, NodeId rx) const {
   assert(rx < positions_.size());
-  const auto it = slot_of_.find(frame.id);
-  // Off the air (e.g. a receiver finalizing after end_tx): recompute; the
-  // shadowing draw is a pure hash of (seed, frame, rx), so the value agrees.
-  if (it == slot_of_.end()) return compute_rss(frame, rx);
-  const double value = rss_dbm(it->second, term_index(it->second, rx), rx);
+  double value;
+  if (frame.id == announced_.frame && rx == announced_.node) {
+    // A listener asking, at its own node, about the frame it is being told
+    // of: its slot and term index are known.
+    value = rss_dbm(announced_.slot, announced_.k, rx);
+  } else {
+    const auto it = slot_of_.find(frame.id);
+    // Off the air (e.g. a receiver finalizing after end_tx): recompute; the
+    // shadowing draw is a pure hash of (seed, frame, rx), so the value agrees.
+    if (it == slot_of_.end()) return compute_rss(frame, rx);
+    value = rss_dbm(it->second, term_index(it->second, rx), rx);
+  }
   // The entry belongs to the on-air frame with this id; the caller's copy
   // must describe the same transmission.
   assert(value == compute_rss(frame, rx).value && "rss() asked about a different frame");
@@ -364,47 +412,29 @@ bool Medium::any_candidate(NodeId node, bool force_exhaustive, Visit visit) cons
 #endif
   const std::size_t index = local_index(node);
   // Every live frame partial (city scale): a listening node reads its own
-  // list; any other node gathers from the frame grid (it is not in any
-  // covered set, so its terms are computed uncached).
-  if (partial_live_ == active_count_ && !force_exhaustive) {
-    if (listening_[index]) {
-      for (const NearEntry& e : near_[index]) {
-        if (visit(e.slot, e.k)) return true;
-      }
-      return false;
-    }
-    for (const LiveEntry& entry : gather(node)) {
-      if (visit(entry.slot, kUncovered)) return true;
+  // list.
+  if (partial_live_ == active_count_ && !force_exhaustive && listening_[index]) {
+    for (const NearEntry& e : near_[index]) {
+      if (visit(e.slot, e.k)) return true;
     }
     return false;
   }
   // Otherwise the live list: every frame when every one covers the box
   // (paper scale) or when forced exhaustive, else filtered by the exact disc
-  // test (a mix of covering and partial frames).
+  // test (a mix of covering and partial frames, or a node that never had a
+  // listener: it is on no list, and its terms are computed uncached).
   const Vec2 at = positions_[index];
   const bool filter = partial_live_ > 0 && !force_exhaustive;
   for (const LiveEntry& entry : live_slots_) {
     if (!current(entry)) continue;
     const ActiveFrame& af = frame_slots_[entry.slot];
-    if (af.covers_all) {
+    if (af.reach->covers_all) {
       if (visit(entry.slot, static_cast<std::uint32_t>(index))) return true;
     } else if (!filter || in_disc(af, at)) {
       if (visit(entry.slot, term_index(entry.slot, node))) return true;
     }
   }
   return false;
-}
-
-const std::vector<Medium::LiveEntry>& Medium::gather(NodeId node) const {
-  scratch_.clear();
-  const Vec2 at = positions_[local_index(node)];
-  frame_grid_.for_each_in_disc(at, max_partial_radius_, [&](std::uint32_t slot) {
-    const ActiveFrame& af = frame_slots_[slot];
-    if (in_disc(af, at)) scratch_.push_back({af.begin_seq, slot});
-  });
-  std::sort(scratch_.begin(), scratch_.end(),
-            [](const LiveEntry& a, const LiveEntry& b) { return a.begin_seq < b.begin_seq; });
-  return scratch_;
 }
 
 #ifndef NDEBUG
@@ -423,7 +453,7 @@ void Medium::check_candidates(NodeId node) const {
     if (!current(entry)) continue;
     ++live;
     const ActiveFrame& af = frame_slots_[entry.slot];
-    if (af.covers_all) {
+    if (af.reach->covers_all) {
       assert((!config_.culling.enabled || in_disc(af, at)) &&
              "a covering frame fails the disc test");
       continue;
@@ -437,18 +467,10 @@ void Medium::check_candidates(NodeId node) const {
   assert(partial == partial_live_ && "partial-frame count drifted");
   // ... and the node's list is exactly the live partial frames that cover
   // it, filtered from the live list, with its covered-set positions. A node
-  // that never had a listener is on no list: it gathers the same frames
-  // from the frame grid.
+  // that never had a listener is on no list: its reads filter the live list.
   const std::vector<NearEntry>& near = near_[local_index(node)];
   if (!listening_[local_index(node)]) {
     assert(near.empty() && "a node that never had a listener is on a frame's list");
-    if (!config_.culling.enabled) return;
-    const std::vector<LiveEntry>& gathered = gather(node);
-    assert(gathered.size() == expected.size() && "gather differs from the live-list filter");
-    for (std::size_t i = 0; i < gathered.size(); ++i) {
-      assert(gathered[i].slot == expected[i].slot && expected[i].k == kUncovered &&
-             "gather differs from the live-list filter");
-    }
     return;
   }
   assert(near.size() == expected.size() && "near list differs from the live-list filter");

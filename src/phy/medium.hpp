@@ -25,51 +25,56 @@
 // result is bit-identical to the exhaustive path — which is pinned by tests
 // and keeps the golden stores byte-stable.
 //
-// Every query asks which in-flight frames cover a receiver, and the medium
-// keeps that answer instead of rebuilding it per read:
-//   * each live frame records whether its radius covers the diagonal of the
+// Every query asks which in-flight frames cover a receiver. Nodes never
+// move, so where a frame can reach is a property of the deployment, not of
+// the frame: the medium memoises one *reach* per (source, tx power), built
+// on the first begin_tx with that key. A reach holds
+//   * the influence radius, and whether it covers the diagonal of the
 //     nodes' bounding box (`covers_all`). Such a frame reaches every node,
 //     and while every live frame does, queries walk an ordered list of the
 //     live frames;
-//   * a frame that does not (`partial`) finds the listening nodes inside its
-//     disc once, at begin_tx, through a uniform hash grid over those nodes'
-//     positions, and is appended to each such node's `near_` list. Those
-//     lists stay in begin_tx order, so a query at a listening node reads its
-//     list and sums in exactly the order the exhaustive path does. Radios
-//     are listeners and read each frame many times, so the list upkeep pays
-//     off there;
-//   * a node that never had a listener reads rarely, so partial frames are
-//     also bucketed by transmitter position in a second grid, and a query
-//     there gathers the covering frames from it and sorts them by begin_tx
-//     order;
-//   * listeners are notified through the covered set, in registration
-//     order; a covering frame notifies every listener.
+//   * for a frame that does not (`partial`), every listening node inside
+//     its disc, ascending, found once through a uniform hash grid over the
+//     listening nodes' positions, and the listeners at those nodes in
+//     registration order. begin_tx appends a partial frame to each such
+//     node's `near_` list, and notifies those listeners (a covering frame
+//     notifies every listener). The lists stay in begin_tx order, so a query
+//     at a listening node reads its list and sums in exactly the order the
+//     exhaustive path does;
+//   * the pair path loss from the source to each node it reaches.
+// A node that never had a listener is on no list; a read there walks the
+// live list with the exact disc test. No product code reads there: radios
+// and MACs read at their own node, which listens.
 // All of it rests on a static geometry: nodes never move, and nodes and
-// listeners join only while no frame is on the air (add_node and
-// add_listener throw otherwise). A node counts as listening from its first
-// add_listener on, so the bounding box, every covered set and every near_
-// list stay valid for a frame's whole time on the air. remove_listener is
-// legal at any time (a scenario tears its radios down mid-flight); it only
-// stops that listener's callbacks.
+// listeners join only while no frame is claimed (add_node and add_listener
+// throw otherwise, also from a callback announcing the first frame) and
+// clear the memo. A node counts as listening from its first add_listener
+// on, so every reach and every near_ list stays valid for a frame's whole
+// time on the air. remove_listener is legal at any time (a scenario tears
+// its radios down mid-flight); it marks the registration removed, which
+// stops that listener's callbacks and leaves every index in place.
 //
 // Hot-path caching: every query reduces to per-(frame, rx) terms — the
-// frame's RSS at the receiver (tx power minus a position-determined path
-// loss plus a hash-determined shadowing draw) and the linear power it leaks
-// into the receiver's tuned channel on the sensing and decode paths. Those
-// are asked for once per relevant frame per CCA/SINR evaluation, millions of
-// times per run, so each is computed once:
-//   * pairwise path loss lives in per-node open-addressing maps;
+// frame's RSS at the receiver (tx power minus the reach's pair loss plus a
+// hash-determined shadowing draw) and the linear power it leaks into the
+// receiver's tuned channel on the sensing and decode paths. Those are asked
+// for once per relevant frame per CCA/SINR evaluation, millions of times per
+// run, so each is computed once:
 //   * everything per frame lives in one dense array on the in-flight
-//     frame's slot, indexed by the rx's position in the frame's covered set
-//     (partial frames) or by the rx index itself (covering frames). An
-//     entry holds the RSS and the sensing- and decode-path milliwatts (each
-//     stamped with the rx channel it was computed for), and is valid while
-//     its stamp equals the slot's generation, so claiming a slot clears it
-//     in O(1);
+//     frame's slot, indexed like the reach's losses: by the rx's position in
+//     the covered set (partial frames) or by the rx index itself (covering
+//     frames). An entry holds the RSS and the sensing- and decode-path
+//     milliwatts (each stamped with the rx channel it was computed for), and
+//     is valid while its stamp equals the slot's generation, so claiming a
+//     slot clears it in O(1). A read outside a partial frame's covered set
+//     computes the RSS, loss included, afresh;
+//   * while a listener is told of a frame, rss() for that frame at the
+//     listener's node goes straight to its entry;
 //   * rejection attenuation is tabulated per channel distance, which takes
 //     only a handful of values.
 // Every memoized value is the same double a fresh computation yields (debug
-// builds assert it on every hit, and check every list read against a
+// builds assert it on every hit, check every reach against a brute-force
+// scan of the nodes and listeners, and every list read against a
 // brute-force filter of the live frames), so caching never moves a result.
 // The caches make the const query methods write to mutable state; a Medium
 // is single-threaded like the Scenario that owns it (parallel replication
@@ -79,12 +84,12 @@
 #include <cassert>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "phy/frame.hpp"
 #include "phy/geometry.hpp"
-#include "phy/node_map.hpp"
 #include "phy/path_loss.hpp"
 #include "phy/rejection.hpp"
 #include "phy/spatial_grid.hpp"
@@ -113,9 +118,9 @@ struct CullingConfig {
   /// Shadowing head-room, in sigmas, folded into the influence radius so a
   /// lucky constructive fade cannot push a culled frame above the floor.
   double shadow_cap_sigma = 6.0;
-  /// Cell edge of the listener-node and frame grids in metres; <= 0
-  /// derives it from the influence radius of a nominal 0 dBm transmitter
-  /// (a covered-set lookup or a gather then touches ~3x3 cells).
+  /// Cell edge of the listener grid in metres; <= 0 derives it from the
+  /// influence radius of a nominal 0 dBm transmitter (building a reach then
+  /// touches ~3x3 cells).
   double cell_size_m = 0.0;
 };
 
@@ -139,7 +144,8 @@ class Medium {
 
   /// Registers a node at `position`, where it stays; returns its id (dense,
   /// starting at 0). Precondition: both coordinates are finite (asserted).
-  /// Throws std::logic_error while a frame is on the air.
+  /// Throws std::logic_error while a frame is on the air or being
+  /// announced.
   NodeId add_node(Vec2 position);
   [[nodiscard]] std::size_t node_count() const { return positions_.size(); }
   [[nodiscard]] Vec2 position(NodeId node) const;
@@ -151,8 +157,9 @@ class Medium {
   /// callback only re-anchors where error-segment RNG draws happen, never
   /// what a receiver can measure. Listeners are called in registration
   /// order. add_listener throws std::logic_error while a frame is on the
-  /// air; remove_listener is legal at any time and stops that listener's
-  /// callbacks, while its node keeps counting as listening.
+  /// air or being announced; remove_listener is legal at any time and stops
+  /// that listener's callbacks (every registration of it), while its node
+  /// keeps counting as listening.
   void add_listener(MediumListener* listener, NodeId node);
   void remove_listener(MediumListener* listener);
 
@@ -232,20 +239,38 @@ class Medium {
   /// computed on demand and never cached.
   static constexpr std::uint32_t kUncovered = ~std::uint32_t{0};
 
+  /// Where a frame from one source at one tx power reaches (see the header
+  /// comment). Built once per key and never changed; add_node and
+  /// add_listener drop every reach.
+  struct Reach {
+    double tx_power_dbm = 0.0;
+    double radius = 0.0;      ///< influence radius in metres
+    bool covers_all = false;  ///< radius spans the node bounding box
+    /// Partial reaches only: every listening node inside the disc, ascending.
+    std::vector<NodeId> covered;
+    /// PL(source, rx), indexed like a frame's terms: by the rx's position
+    /// in `covered` (partial) or by the rx index (covering).
+    std::vector<double> loss_db;
+    /// A registration to notify, and the term index at its node.
+    struct Listener {
+      std::uint32_t index = 0;  ///< into listeners_
+      std::uint32_t k = 0;
+      friend bool operator==(const Listener&, const Listener&) = default;
+    };
+    /// Partial reaches only: the registrations at the covered nodes, in
+    /// registration order (a covering frame notifies every listener).
+    std::vector<Listener> listeners;
+  };
+
   /// An in-flight frame, pool-allocated: slots are recycled through a free
   /// list so steady-state begin/end traffic does not allocate, and the
   /// near_ lists can refer to frames by stable 32-bit slot index.
   struct ActiveFrame {
     Frame frame{};
-    Vec2 src_pos{};               ///< transmitter position the disc is centred on
+    const Reach* reach = nullptr;
     std::uint64_t begin_seq = 0;  ///< global begin_tx order: fixes summation order
-    double radius = 0.0;          ///< influence radius in metres
     bool live = false;            ///< current on live_slots_ (and near_, if partial)
-    bool covers_all = false;      ///< radius spans the node bounding box
-    /// Partial frames only: every listening node inside the disc, ascending.
-    std::vector<NodeId> covered;
-    /// Memoized terms, indexed by the rx's position in `covered` (partial
-    /// frames) or by the rx index (covering frames).
+    /// Memoized terms, indexed like reach->loss_db.
     mutable std::vector<RxTerms> terms;
     /// Bumped when the slot is claimed, which stales every entry of `terms`.
     std::uint32_t gen = 0;
@@ -260,8 +285,8 @@ class Medium {
   [[nodiscard]] MilliWatts accumulate(NodeId node, Mhz channel, FrameId exclude,
                                       Path path) const;
   /// Deliver on_tx_start/on_tx_end for the frame in `slot`, in registration
-  /// order, to the listeners at its covered nodes (partial frames) or to
-  /// every listener (covering frames, or culling off).
+  /// order, to the listeners its reach lists (partial frames) or to every
+  /// listener (covering frames, or culling off).
   void notify_listeners(std::uint32_t slot, bool start);
   /// How much of frame `f`'s energy leaks into a receiver tuned `delta` away
   /// on `path`: the receiver's filter curve, floored by the transmitter's
@@ -274,8 +299,14 @@ class Medium {
   /// The inter_channel_audible() rule for a frame whose RSS at the receiver
   /// is already known.
   [[nodiscard]] bool leaks_above_noise(const Frame& f, Dbm rss, Mhz channel) const;
-  /// RSS of `frame` at `rx` from scratch (bar the pair path-loss cache).
-  [[nodiscard]] Dbm compute_rss(const Frame& frame, NodeId rx) const;
+  /// PL(distance(a, b)), computed afresh.
+  [[nodiscard]] double pair_loss_db(NodeId a, NodeId b) const;
+  /// RSS of `frame` at `rx` given the pair loss between them.
+  [[nodiscard]] double rss_with_loss(const Frame& frame, NodeId rx, double loss_db) const;
+  /// RSS of `frame` at `rx` from scratch.
+  [[nodiscard]] Dbm compute_rss(const Frame& frame, NodeId rx) const {
+    return Dbm{rss_with_loss(frame, rx, pair_loss_db(frame.src, rx))};
+  }
   /// Where the frame in `slot` keeps its terms at `rx`: the rx index for a
   /// covering frame, else the rx's position in the covered set, or
   /// kUncovered.
@@ -288,8 +319,6 @@ class Medium {
   /// The milliwatts the frame in `slot` leaks into `rx` tuned to `channel`.
   [[nodiscard]] double leaked_mw(std::uint32_t slot, std::uint32_t k, NodeId rx, Mhz channel,
                                  Path path) const;
-  /// Memoized PL(distance(a, b)).
-  [[nodiscard]] double cached_loss_db(NodeId a, NodeId b) const;
 
   /// Dense storage index of a registered node.
   [[nodiscard]] std::size_t local_index(NodeId node) const {
@@ -308,19 +337,20 @@ class Medium {
     return !config_.culling.enabled || box_diag_sq_ <= radius * radius;
   }
   /// The exact disc test: is `at` inside the influence disc of `af`?
-  [[nodiscard]] static bool in_disc(const ActiveFrame& af, Vec2 at) {
-    return distance_sq(at, af.src_pos) <= af.radius * af.radius;
+  [[nodiscard]] bool in_disc(const ActiveFrame& af, Vec2 at) const {
+    return distance_sq(at, positions_[af.frame.src]) <= af.reach->radius * af.reach->radius;
   }
-  /// Fill the covered set of the (partial) frame in `slot` from the
-  /// listener grid.
-  void find_covered(std::uint32_t slot);
+  /// Throws std::logic_error with `message` while a frame is claimed: on
+  /// the air, or being announced to the listeners.
+  void require_no_frame(const char* message) const;
+  /// The reach of a frame from `src` at `tx_power`, built on first use.
+  const Reach& reach(NodeId src, Dbm tx_power);
+  /// Drops every memoised reach (the geometry changed).
+  void forget_reaches();
   /// Append the live partial frame in `slot` to / remove it from the near_
   /// lists of its covered nodes.
   void link(std::uint32_t slot);
   void unlink(std::uint32_t slot);
-  /// Enter / remove the partial frame in `slot` on the frame grid.
-  void add_partial(std::uint32_t slot);
-  void remove_partial(std::uint32_t slot);
   /// Calls `visit(slot, k)` for every frame relevant to `node`, with `k` its
   /// term index there, until a call returns true, and returns whether one
   /// did. The relevant frames are all live frames when forced exhaustive,
@@ -333,9 +363,13 @@ class Medium {
   /// Debug cross-check of the live list and of near_[node] against the
   /// frame slots filtered by the exact disc test.
   void check_candidates(NodeId node) const;
+  /// Debug cross-check of a reach from `src` against a fresh radius and a
+  /// brute-force scan of the nodes and the registered listeners.
+  void check_reach(NodeId src, const Reach& reach) const;
 #endif
 
-  /// A registered listener and the node it listens at.
+  /// A registration: a listener and the node it listens at. A removed
+  /// registration keeps its place with a null listener.
   struct ListenerEntry {
     MediumListener* listener = nullptr;
     NodeId node = kNoNode;
@@ -345,26 +379,38 @@ class Medium {
   ShadowingField shadowing_;
   std::vector<Vec2> positions_;
   /// listening_[node]: the node has had a listener (it is then on the
-  /// listener grid and in the covered sets of the partial frames over it).
+  /// listener grid and in the covered sets of the partial reaches over it).
   std::vector<bool> listening_;
-  /// In registration order.
+  /// In registration order, removed ones included.
   std::vector<ListenerEntry> listeners_;
-  /// listeners_at_[node]: indices into listeners_ of the listeners at node,
-  /// ascending.
+  /// listeners_at_[node]: indices into listeners_ of the registrations at
+  /// node, ascending.
   std::vector<std::vector<std::uint32_t>> listeners_at_;
+  /// The current registrations of each listener, for remove_listener.
+  std::unordered_multimap<const MediumListener*, std::uint32_t> registered_;
   FrameId next_frame_id_ = 1;
+
+  // -- Reaches (see the header comment) -----------------------------------
+  /// reaches_[src]: one reach per tx power `src` has sent at. Heap-held, so
+  /// a frame's pointer survives a listener starting a frame mid-callback.
+  std::vector<std::vector<std::unique_ptr<Reach>>> reaches_;
+  bool reaches_empty_ = true;
+  /// Every listening node, bucketed by position (culling on only).
+  SpatialGrid listener_grid_;
 
   // -- Active set (slot pool, live list, per-node frame lists) -----------
   std::vector<ActiveFrame> frame_slots_;
   std::vector<std::uint32_t> free_frame_slots_;
   std::unordered_map<FrameId, std::uint32_t> slot_of_;
-  /// Every listening node, bucketed by position (culling on only).
-  SpatialGrid listener_grid_;
-  /// Every live partial frame's slot, bucketed by its transmitter's
-  /// position, and the largest radius among them (reset when none is
-  /// left).
-  SpatialGrid frame_grid_;
-  double max_partial_radius_ = 0.0;
+  /// The callback being made: a listener at `node` told of frame `frame`
+  /// (slot `slot`, term index `k` there). Frame id 0: none.
+  struct Announcement {
+    FrameId frame = 0;
+    std::uint32_t slot = 0;
+    std::uint32_t k = 0;
+    NodeId node = kNoNode;
+  };
+  Announcement announced_;
   std::size_t active_count_ = 0;
   std::uint64_t next_begin_seq_ = 0;
   /// One entry per frame made live, in begin_seq order. An entry goes stale
@@ -379,10 +425,6 @@ class Medium {
     return af.live && af.begin_seq == entry.begin_seq;
   }
   std::vector<LiveEntry> live_slots_;
-  /// The live partial frames whose disc covers `node`, from the frame grid,
-  /// in begin_seq order (valid until the next call).
-  [[nodiscard]] const std::vector<LiveEntry>& gather(NodeId node) const;
-  mutable std::vector<LiveEntry> scratch_;
   /// near_[node]: the live partial frames whose disc covers node, in
   /// begin_seq order.
   std::vector<std::vector<NearEntry>> near_;
@@ -393,9 +435,6 @@ class Medium {
   Vec2 box_hi_{};
   double box_diag_sq_ = 0.0;
 
-  // -- Memoization (see the header comment) ------------------------------
-  /// loss_cache_[a] maps b -> PL(a, b).
-  mutable std::vector<NodeValueMap> loss_cache_;
   /// Both rejection curves at each channel distance seen so far: at most
   /// one row per pair of channels in use, a handful in practice.
   struct RejectionRow {

@@ -1,9 +1,10 @@
 // Uniform hash grid over node positions.
 //
 // A frame whose influence disc (the receive-floor radius, see
-// docs/scaling.md) does not cover the whole deployment finds the receivers
-// it covers once, when it starts: the grid buckets every node by its cell,
-// so that lookup only visits the cells that intersect the frame's disc.
+// docs/scaling.md) does not cover the whole deployment reaches only the
+// listening nodes inside it. The medium finds them once per (source, tx
+// power): the grid buckets every listening node by its cell, so that
+// lookup only visits the cells that intersect the disc.
 // Cell size is the receive-floor radius of a nominal transmitter, so a
 // lookup touches a small constant number of cells.
 //
@@ -33,38 +34,11 @@ class SpatialGrid {
   /// Drops all content and sets the cell edge length.
   void reset(double cell_size_m) {
     cells_.clear();
-    spare_.clear();
     cell_size_ = cell_size_m > 0.0 ? cell_size_m : 1.0;
   }
 
-  [[nodiscard]] double cell_size() const { return cell_size_; }
-
-  void insert(std::uint32_t id, Vec2 pos) {
-    std::vector<std::uint32_t>& cell = cells_[key_of(pos)];
-    if (cell.capacity() == 0 && !spare_.empty()) {
-      cell = std::move(spare_.back());  // recycle a retired cell's storage
-      spare_.pop_back();
-    }
-    cell.push_back(id);
-  }
-
-  void remove(std::uint32_t id, Vec2 pos) {
-    const auto it = cells_.find(key_of(pos));
-    if (it == cells_.end()) return;
-    std::vector<std::uint32_t>& cell = it->second;
-    for (std::size_t i = 0; i < cell.size(); ++i) {
-      if (cell[i] == id) {
-        cell[i] = cell.back();
-        cell.pop_back();
-        break;
-      }
-    }
-    if (cell.empty()) {
-      spare_.push_back(std::move(cell));
-      spare_.back().clear();
-      cells_.erase(it);
-    }
-  }
+  /// Buckets `id` at `pos`; ids never leave (listening nodes stay).
+  void insert(std::uint32_t id, Vec2 pos) { cells_[key_of(pos)].push_back(id); }
 
   /// Calls `fn(id)` for every id bucketed in a cell that intersects the
   /// axis-aligned bounding box of the disc (center, radius). Callers apply
@@ -111,7 +85,6 @@ class SpatialGrid {
   }
 
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> cells_;
-  std::vector<std::vector<std::uint32_t>> spare_;  ///< retired cells' storage, reused
   double cell_size_ = 1.0;
 };
 

@@ -248,9 +248,9 @@ TEST(MediumCulling, FrameTermMemoMatchesFreshlyBuiltMediumAfterMidFrameChanges) 
 TEST(MediumCulling, LiveListAndNearListsAgreeAsFramesStopCoveringTheField) {
   // While every live frame's influence radius spans the nodes' bounding-box
   // diagonal, queries read the ordered live list; once one does not, they
-  // read the per-node lists of partial frames at listening nodes and gather
-  // them from the frame grid elsewhere (or, with both kinds live, filter
-  // the live list by the disc test). Build a field where low-power
+  // read the per-node lists of partial frames at listening nodes and filter
+  // the live list by the disc test elsewhere (and, with both kinds live,
+  // everywhere). Build a field where low-power
   // frames from the centre reach every node yet do not cover the diagonal,
   // so the culled medium switches paths while culling nothing, and require
   // it to equal a culling-off medium bit for bit in every phase.
@@ -273,7 +273,7 @@ TEST(MediumCulling, LiveListAndNearListsAgreeAsFramesStopCoveringTheField) {
   const NodeId c1 = twins.add_node({3.0, -2.0});
   const NodeId c2 = twins.add_node({-4.0, 1.0});
   // Listeners at three of the seven nodes: their reads take the lists, the
-  // other four nodes' the gather.
+  // other four nodes' the filtered live list.
   struct Silent final : MediumListener {
     void on_tx_start(const Frame&) override {}
     void on_tx_end(const Frame&) override {}
@@ -457,55 +457,35 @@ struct DiscOracle {
   std::vector<Live> live;  ///< begin order
 };
 
-TEST(MediumCulling, EveryQueryMatchesABruteForceDiscFilterThroughCityChurn) {
-  // A random begin/end history on a 1 km city field where the 0 dBm frames
-  // cover a ~190 m disc (partial frames: the per-node lists, and the frame
-  // grid for nodes without a listener) and one 35 dBm frame covers the
-  // whole field (the mixed path). Mid-flight a node loses its only
-  // listener: it keeps listening, so its frame lists stay as they are, but
-  // that listener hears nothing more. After every step each query must
-  // equal the brute-force oracle bit for bit, and the listener callbacks
-  // must be exactly the oracle's: the registered listeners inside the disc,
-  // in registration order.
-  MediumConfig config = config_with(true);
-  config.path_loss = LogDistancePathLoss{3.5, Db{40.0}, 1.0};
-  Medium medium{config};
-  DiscOracle oracle{config};
-  sim::SplitMix64 mix{4242};
-  auto coord = [&mix] { return static_cast<double>(mix.next() % 100'000) / 100.0; };
-  for (int i = 0; i < 90; ++i) {
-    const Vec2 at{coord(), coord()};
-    ASSERT_EQ(medium.add_node(at), oracle.positions.size());
-    oracle.positions.push_back(at);
+/// A culled medium driven in step with the DiscOracle: listeners that log
+/// every callback, the callbacks the oracle expects, and a check of every
+/// query and of the log against the oracle, bit for bit.
+struct OracleRun {
+  explicit OracleRun(const MediumConfig& c) : config{c}, medium{c}, oracle{c} {}
+  OracleRun(const OracleRun&) = delete;
+  OracleRun& operator=(const OracleRun&) = delete;
+  ~OracleRun() {
+    for (const auto& listener : listeners) medium.remove_listener(listener.get());
   }
-  const Dbm big_power{35.0};
-  ASSERT_GT(medium.influence_radius_m(big_power), std::sqrt(2.0) * 1000.0);
-  ASSERT_LT(medium.influence_radius_m(Dbm{0.0}), 250.0);
 
-  // A listener at every node but every sixth, registered out of node order
-  // (a stride-37 walk), plus a second one at node 14.
-  std::vector<Notification> log;
-  std::vector<Notification> expected_log;
-  std::vector<std::unique_ptr<LoggingListener>> listeners;
-  std::vector<std::pair<int, NodeId>> registered;  // (listener, node), registration order
-  auto listen_at = [&](NodeId node) {
+  NodeId add_node(Vec2 at) {
+    const NodeId id = medium.add_node(at);
+    EXPECT_EQ(id, oracle.positions.size());
+    oracle.positions.push_back(at);
+    return id;
+  }
+  void listen_at(NodeId node) {
     const int id = static_cast<int>(listeners.size());
     listeners.push_back(std::make_unique<LoggingListener>(id, log));
     medium.add_listener(listeners.back().get(), node);
     registered.emplace_back(id, node);
-  };
-  for (int i = 0; i <= 90; ++i) {
-    const NodeId node = i < 90 ? static_cast<NodeId>(i * 37 % 90) : 14;
-    if (node % 6 != 5) listen_at(node);
   }
-  auto expect_notifications = [&](const DiscOracle::Live& f, bool start) {
+  void expect_notifications(const DiscOracle::Live& f, bool start) {
     for (const auto& [id, node] : registered) {
       if (oracle.covers(f, node)) expected_log.push_back({id, start, f.frame.id});
     }
-  };
-
-  FrameId big = 0;
-  auto begin = [&](NodeId src, Mhz channel, Dbm power) {
+  }
+  FrameId begin(NodeId src, Mhz channel, Dbm power) {
     Frame frame;
     frame.id = medium.allocate_frame_id();
     frame.src = src;
@@ -517,16 +497,16 @@ TEST(MediumCulling, EveryQueryMatchesABruteForceDiscFilterThroughCityChurn) {
     medium.begin_tx(frame);
     oracle.live.push_back(live);
     return frame.id;
-  };
-  auto end = [&](FrameId id) {
+  }
+  void end(FrameId id) {
     const auto it = std::find_if(oracle.live.begin(), oracle.live.end(),
                                  [id](const DiscOracle::Live& f) { return f.frame.id == id; });
     ASSERT_NE(it, oracle.live.end());
     expect_notifications(*it, /*start=*/false);
     medium.end_tx(id);
     oracle.live.erase(it);
-  };
-  auto expect_oracle_answers = [&](int step) {
+  }
+  void expect_oracle_answers(int step) {
     ASSERT_EQ(medium.active_count(), oracle.live.size());
     for (NodeId node = 0; node < medium.node_count(); ++node) {
       for (const Mhz channel : kChannels) {
@@ -555,42 +535,216 @@ TEST(MediumCulling, EveryQueryMatchesABruteForceDiscFilterThroughCityChurn) {
       }
     }
     ASSERT_EQ(log, expected_log) << "listener callbacks diverged by step " << step;
-  };
+  }
 
+  MediumConfig config;
+  Medium medium;
+  DiscOracle oracle;
+  std::vector<Notification> log;
+  std::vector<Notification> expected_log;
+  std::vector<std::unique_ptr<LoggingListener>> listeners;
+  std::vector<std::pair<int, NodeId>> registered;  ///< (listener, node), registration order
+};
+
+MediumConfig city_config() {
+  MediumConfig config = config_with(true);
+  config.path_loss = LogDistancePathLoss{3.5, Db{40.0}, 1.0};
+  return config;
+}
+
+TEST(MediumCulling, EveryQueryMatchesABruteForceDiscFilterThroughCityChurn) {
+  // A random begin/end history on a 1 km city field where the 0 dBm frames
+  // cover a ~190 m disc (partial frames: the per-node lists, and the live
+  // list for nodes without a listener) and one 35 dBm frame covers the
+  // whole field (the mixed path). Mid-flight a node loses its only
+  // listener: it keeps listening, so its frame lists stay as they are, but
+  // that listener hears nothing more. After every step each query must
+  // equal the brute-force oracle bit for bit, and the listener callbacks
+  // must be exactly the oracle's: the registered listeners inside the disc,
+  // in registration order.
+  OracleRun run{city_config()};
+  sim::SplitMix64 mix{4242};
+  auto coord = [&mix] { return static_cast<double>(mix.next() % 100'000) / 100.0; };
+  for (int i = 0; i < 90; ++i) run.add_node({coord(), coord()});
+  const Dbm big_power{35.0};
+  ASSERT_GT(run.medium.influence_radius_m(big_power), std::sqrt(2.0) * 1000.0);
+  ASSERT_LT(run.medium.influence_radius_m(Dbm{0.0}), 250.0);
+
+  // A listener at every node but every sixth, registered out of node order
+  // (a stride-37 walk), plus a second one at node 14.
+  for (int i = 0; i <= 90; ++i) {
+    const NodeId node = i < 90 ? static_cast<NodeId>(i * 37 % 90) : 14;
+    if (node % 6 != 5) run.listen_at(node);
+  }
+
+  FrameId big = 0;
   std::size_t removed_at = 0;  // log size when listener 4 was removed
   for (int step = 0; step < 80; ++step) {
     if (step == 10) {
-      big = begin(45, kChannels[1], big_power);
+      big = run.begin(45, kChannels[1], big_power);
     } else if (step == 29) {
-      begin(58, kChannels[0], Dbm{0.0});  // a frame whose disc holds node 58
+      run.begin(58, kChannels[0], Dbm{0.0});  // a frame whose disc holds node 58
     } else if (step == 30) {
       // Node 58's only listener, while that frame is on the air.
-      ASSERT_EQ(registered[4].second, 58u);
-      ASSERT_EQ(oracle.live.back().frame.src, 58u);
-      medium.remove_listener(listeners[4].get());
-      std::erase_if(registered, [](const auto& entry) { return entry.first == 4; });
-      removed_at = log.size();
+      ASSERT_EQ(run.registered[4].second, 58u);
+      ASSERT_EQ(run.oracle.live.back().frame.src, 58u);
+      run.medium.remove_listener(run.listeners[4].get());
+      std::erase_if(run.registered, [](const auto& entry) { return entry.first == 4; });
+      removed_at = run.log.size();
     } else if (step == 50) {
-      end(big);
-    } else if (oracle.live.size() < 14 && mix.next() % 3 != 0) {
+      run.end(big);
+    } else if (run.oracle.live.size() < 14 && mix.next() % 3 != 0) {
       const auto src = static_cast<NodeId>(mix.next() % 90);
       const Dbm power{-5.0 * static_cast<double>(mix.next() % 3)};  // 0, -5, -10 dBm
-      begin(src, kChannels[mix.next() % 3], power);
-    } else if (!oracle.live.empty()) {
+      run.begin(src, kChannels[mix.next() % 3], power);
+    } else if (!run.oracle.live.empty()) {
       // Any live frame but the big one: ends out of begin order too.
-      const DiscOracle::Live& f = oracle.live[mix.next() % oracle.live.size()];
-      if (f.frame.id != big) end(f.frame.id);
+      const DiscOracle::Live& f = run.oracle.live[mix.next() % run.oracle.live.size()];
+      if (f.frame.id != big) run.end(f.frame.id);
     }
-    expect_oracle_answers(step);
+    run.expect_oracle_answers(step);
   }
-  while (!oracle.live.empty()) end(oracle.live.front().frame.id);
-  expect_oracle_answers(80);
-  EXPECT_GT(log.size(), 500u) << "too few callbacks to pin the notification order";
+  while (!run.oracle.live.empty()) run.end(run.oracle.live.front().frame.id);
+  run.expect_oracle_answers(80);
+  EXPECT_GT(run.log.size(), 500u) << "too few callbacks to pin the notification order";
   ASSERT_GT(removed_at, 0u);
-  EXPECT_TRUE(std::none_of(log.begin() + static_cast<std::ptrdiff_t>(removed_at), log.end(),
+  EXPECT_TRUE(std::none_of(run.log.begin() + static_cast<std::ptrdiff_t>(removed_at),
+                           run.log.end(),
                            [](const Notification& n) { return n.listener == 4; }))
       << "a removed listener was called";
-  for (const auto& listener : listeners) medium.remove_listener(listener.get());
+}
+
+TEST(MediumCulling, OneSourceAlternatingTwoPowersKeepsAReachPerPower) {
+  // A reach is keyed by (source, tx power): a source that alternates a
+  // 0 dBm and a -10 dBm frame, overlapping, must give each frame its own
+  // disc. Listener 1 sits between the two radii, so it hears only the 0 dBm
+  // frames, and its reads see only them; the nodes beside the source hear
+  // both. Checked against the brute-force oracle after every step.
+  OracleRun run{city_config()};
+  const double r_hi = run.medium.influence_radius_m(Dbm{0.0});
+  const double r_lo = run.medium.influence_radius_m(Dbm{-10.0});
+  ASSERT_LT(r_lo + 20.0, r_hi);
+  const NodeId src = run.add_node({0.0, 0.0});
+  const NodeId between = run.add_node({(r_lo + r_hi) / 2.0, 0.0});
+  const NodeId near = run.add_node({10.0, 5.0});
+  run.add_node({2.0 * r_hi, 0.0});  // stretches the box: no frame covers it
+  run.listen_at(near);
+  run.listen_at(between);
+  run.listen_at(src);
+
+  std::vector<FrameId> on_air;
+  for (int step = 0; step < 8; ++step) {
+    const Dbm power{step % 2 == 0 ? 0.0 : -10.0};
+    on_air.push_back(run.begin(src, kChannels[step % 3], power));
+    run.expect_oracle_answers(step);
+    if (on_air.size() == 3) {
+      run.end(on_air.front());
+      on_air.erase(on_air.begin());
+      run.expect_oracle_answers(step);
+    }
+  }
+  for (const FrameId id : on_air) run.end(id);
+  run.expect_oracle_answers(8);
+  EXPECT_EQ(std::count_if(run.log.begin(), run.log.end(),
+                          [](const Notification& n) { return n.listener == 1; }),
+            8)
+      << "the listener between the radii hears only the four 0 dBm frames";
+}
+
+/// Twin mediums with a logging listener per registration on each: with
+/// nothing culled, both must tell the same listeners of the same frames in
+/// the same order.
+struct ListeningTwins : TwinMediums {
+  void listen_at(NodeId node) {
+    const int id = static_cast<int>(culled_listeners.size());
+    culled_listeners.push_back(std::make_unique<LoggingListener>(id, culled_log));
+    exhaustive_listeners.push_back(std::make_unique<LoggingListener>(id, exhaustive_log));
+    culled.add_listener(culled_listeners.back().get(), node);
+    exhaustive.add_listener(exhaustive_listeners.back().get(), node);
+  }
+  void expect_identical(const std::vector<Frame>& on_air) {
+    expect_identical_views(on_air);
+    ASSERT_EQ(culled_log, exhaustive_log);
+  }
+  void end_all(std::vector<Frame>& on_air) {
+    for (const Frame& frame : on_air) end(frame.id);
+    on_air.clear();
+    expect_identical(on_air);
+  }
+
+  std::vector<Notification> culled_log;
+  std::vector<Notification> exhaustive_log;
+  std::vector<std::unique_ptr<LoggingListener>> culled_listeners;
+  std::vector<std::unique_ptr<LoggingListener>> exhaustive_listeners;
+};
+
+/// Half the diagonal of a square field whose -5 dBm frames from near the
+/// centre are partial yet reach every node (see
+/// LiveListAndNearListsAgreeAsFramesStopCoveringTheField).
+double partial_half_diagonal(const Medium& medium) {
+  const double r_hi = medium.influence_radius_m(Dbm{0.0});
+  const double r_lo = medium.influence_radius_m(Dbm{-5.0});
+  const double half_diag = (r_lo + r_hi) / 4.0;
+  EXPECT_GT(2.0 * half_diag, r_lo);
+  EXPECT_LT(half_diag + 10.0, r_lo);
+  return half_diag;
+}
+
+TEST(MediumCulling, ListenerJoiningBetweenFramesRebuildsTheReachesItFallsIn) {
+  // A partial frame's reach lists the listening nodes in its disc and their
+  // listeners. A listener added between frames, at a node already in a
+  // built reach or at one not listening yet, must hear the source's next
+  // frame, and the newly listening node must read it.
+  ListeningTwins twins;
+  const double h = partial_half_diagonal(twins.culled) / std::sqrt(2.0);
+  const NodeId a = twins.add_node({-h, -h});
+  twins.add_node({h, h});
+  const NodeId c0 = twins.add_node({0.0, 0.0});
+  const NodeId c1 = twins.add_node({3.0, -2.0});
+  const NodeId c2 = twins.add_node({-4.0, 1.0});
+  twins.listen_at(a);
+  twins.listen_at(c0);
+
+  std::vector<Frame> on_air{twins.begin(c1, kChannels[0], Dbm{-5.0})};
+  twins.expect_identical(on_air);
+  twins.end_all(on_air);
+  twins.listen_at(c2);  // not listening yet
+  twins.listen_at(c0);  // listening, and in the built reach
+  on_air.push_back(twins.begin(c1, kChannels[0], Dbm{-5.0}));
+  on_air.push_back(twins.begin(c2, kChannels[1], Dbm{-5.0}));
+  twins.expect_identical(on_air);
+  twins.end_all(on_air);
+  EXPECT_EQ(std::count_if(twins.culled_log.begin(), twins.culled_log.end(),
+                          [](const Notification& n) { return n.listener >= 2; }),
+            8)
+      << "the late listeners hear both frames start and end";
+}
+
+TEST(MediumCulling, NodeGrowingTheBoxTurnsACoveringReachPartial) {
+  // Whether a frame covers the nodes' bounding box is part of its reach. A
+  // node added between frames that stretches the box past the radius must
+  // turn the source's reach partial, and reads at the new node (no
+  // listener: the live-list path) must see the source's next frame.
+  ListeningTwins twins;
+  const double h = partial_half_diagonal(twins.culled) / std::sqrt(2.0);
+  const NodeId c0 = twins.add_node({0.0, 0.0});
+  const NodeId c1 = twins.add_node({3.0, -2.0});
+  const NodeId c2 = twins.add_node({-4.0, 1.0});
+  for (const NodeId node : {c0, c1, c2}) twins.listen_at(node);
+
+  std::vector<Frame> on_air{twins.begin(c1, kChannels[0], Dbm{-5.0})};  // covering
+  twins.expect_identical(on_air);
+  twins.end_all(on_air);
+  twins.add_node({-h, -h});
+  twins.add_node({h, h});
+  on_air.push_back(twins.begin(c0, kChannels[1]));
+  on_air.push_back(twins.begin(c1, kChannels[0], Dbm{-5.0}));  // now partial
+  on_air.push_back(twins.begin(c2, kChannels[2], Dbm{-5.0}));
+  twins.expect_identical(on_air);
+  twins.end(on_air.front().id);
+  on_air.erase(on_air.begin());
+  twins.expect_identical(on_air);
+  twins.end_all(on_air);
 }
 
 #ifndef NDEBUG

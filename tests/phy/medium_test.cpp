@@ -70,6 +70,44 @@ TEST(Medium, NodesAndListenersJoinOnlyBetweenFrames) {
   medium.remove_listener(&late);
 }
 
+TEST(Medium, JoinsFromTheFirstFramesAnnouncementThrow) {
+  // A listener told of the first frame on the air, before the frame counts
+  // as active, may not join a node or a listener either: the frame's reach
+  // and terms are already sized for the nodes and listeners present.
+  struct Joining final : MediumListener {
+    explicit Joining(Medium& m) : medium{m} {}
+    void on_tx_start(const Frame&) override {
+      try {
+        (void)medium.add_node({2.0, 0.0});
+      } catch (const std::logic_error&) {
+        ++node_refused;
+      }
+      try {
+        medium.add_listener(this, 0);
+      } catch (const std::logic_error&) {
+        ++listener_refused;
+      }
+    }
+    void on_tx_end(const Frame&) override {}
+    Medium& medium;
+    int node_refused = 0;
+    int listener_refused = 0;
+  };
+  Medium medium{quiet_config()};
+  const NodeId tx = medium.add_node({0.0, 0.0});
+  const NodeId rx = medium.add_node({1.0, 0.0});
+  Joining joining{medium};
+  medium.add_listener(&joining, rx);
+  const Frame frame = make_frame(medium, tx, Mhz{2460.0});
+  medium.begin_tx(frame);
+  EXPECT_EQ(joining.node_refused, 1);
+  EXPECT_EQ(joining.listener_refused, 1);
+  EXPECT_EQ(medium.node_count(), 2u);
+  EXPECT_NEAR(medium.rss(frame, rx).value, -40.0, 1e-9);
+  medium.end_tx(frame.id);
+  medium.remove_listener(&joining);
+}
+
 TEST(Medium, FrameIdsAreUniqueAndNonZero) {
   Medium medium{quiet_config()};
   const FrameId a = medium.allocate_frame_id();
