@@ -1,5 +1,5 @@
-// Shared plumbing for the figure benches: the paper's band start, the
-// standard run parameters, and result formatting.
+// Shared plumbing for the figure benches: the paper's band start and result
+// formatting.
 #pragma once
 
 #include <cstdio>
@@ -17,16 +17,6 @@ namespace nomc::bench {
 
 /// The paper's evaluation band starts here (§VI: "from 2458MHz").
 inline constexpr phy::Mhz kBandStart{2458.0};
-
-struct BandRunParams {
-  net::RandomCaseConfig topology = net::RandomCaseConfig{}.with_fixed_power(phy::Dbm{0.0});
-  sim::SimTime warmup = sim::SimTime::seconds(2.0);
-  sim::SimTime measure = sim::SimTime::seconds(8.0);
-  std::uint64_t seed = 1;
-  /// Independent testbed layouts averaged per data point (the paper reports
-  /// time-averaged testbed runs; seeds play the role of re-deployments).
-  int trials = 3;
-};
 
 inline void print_header(const char* figure, const char* description) {
   std::printf("== %s ==\n%s\n\n", figure, description);

@@ -21,7 +21,8 @@ struct DcnConfig {
 
   /// The threshold is kept this far below the minimum co-channel RSSI
   /// (Eq. 1 demands strictly "smaller than"; the margin also absorbs RSSI
-  /// measurement noise). Ablated in bench/table1_fairness.cpp.
+  /// measurement noise). Ablated by the `dcn-margin` sweep of
+  /// examples/campaigns/table1_fairness.campaign.
   phy::Db safety_margin{2.0};
 
   /// Threshold used before and during the initializing phase — the

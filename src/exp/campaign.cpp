@@ -122,6 +122,8 @@ TrialResult run_trial(const PointParams& params, int trial, const TrialHook& pre
                                            phy::Mhz{params.cfd_mhz}, params.channels);
   net::RandomCaseConfig topology;
   topology.links_per_network = params.links;
+  if (params.region_m) topology.region_m = *params.region_m;
+  if (params.room_spacing_m) topology.room_spacing_m = *params.room_spacing_m;
   if (params.power_dbm.has_value()) {
     topology = topology.with_fixed_power(phy::Dbm{*params.power_dbm});
   }
@@ -136,14 +138,31 @@ TrialResult run_trial(const PointParams& params, int trial, const TrialHook& pre
   } else {
     specs = net::case1_dense(channels, placement, topology);
   }
+  // A power.N override rewrites the placed links, so no placement draw moves.
+  for (const auto& [network, power] : params.network_power_dbm) {
+    assert(network < params.channels && "power.N must be pre-validated");
+    for (net::LinkSpec& link : specs[static_cast<std::size_t>(network)].links) {
+      link.tx_power = phy::Dbm{power};
+    }
+  }
 
   net::ScenarioConfig config;
   config.seed = seed;
   config.psdu_bytes = params.psdu_bytes;
   config.fixed_cca_threshold = phy::Dbm{params.cca_dbm};
+  if (params.dcn_margin_db) config.dcn.safety_margin = phy::Db{*params.dcn_margin_db};
+  if (params.dcn_tu_s) config.dcn.t_update = sim::SimTime::seconds(*params.dcn_tu_s);
   net::Scenario scenario{config};
   if (pre_run) pre_run(trial, scenario);
-  scenario.add_networks(specs, scheme);
+  for (std::size_t n = 0; n < specs.size(); ++n) {
+    net::Scheme network_scheme = scheme;
+    if (const auto it = params.network_scheme.find(static_cast<int>(n));
+        it != params.network_scheme.end()) {
+      (void)net::parse_scheme(it->second, network_scheme);  // validated by apply_param
+    }
+    const int network = scenario.add_network(specs[n].channel, network_scheme);
+    for (const net::LinkSpec& link : specs[n].links) scenario.add_link(network, link);
+  }
   scenario.run(sim::SimTime::seconds(params.warmup_s), sim::SimTime::seconds(params.measure_s));
   return collect(params, scenario);
 }
@@ -222,7 +241,19 @@ std::string format_record(const CampaignSpec& spec, const SweepPoint& point,
   std::snprintf(seed_buffer, sizeof seed_buffer, "%" PRIu64, p.seed);
   out += ",\"seed\":";
   out += seed_buffer;
-  out += ",\"trials\":" + std::to_string(p.trials) + "}";
+  out += ",\"trials\":" + std::to_string(p.trials);
+  // Optional keys under their spec names; absent when unset.
+  for (const auto& [key, value] : optional_settings(p)) {
+    out += ',';
+    json_append_string(out, key);
+    out += ':';
+    if (key.rfind("scheme.", 0) == 0) {
+      json_append_string(out, value);
+    } else {
+      out += value;  // canonical double text is a JSON number
+    }
+  }
+  out += '}';
 
   out += ",\"per_network\":{\"pps\":";
   json_append_array(out, result.pps);

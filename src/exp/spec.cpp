@@ -1,5 +1,6 @@
 #include "exp/spec.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cinttypes>
 #include <climits>
@@ -14,6 +15,9 @@
 
 namespace nomc::exp {
 namespace {
+
+/// The most channels (networks) a point may have; network indices run below it.
+constexpr int kMaxChannels = 256;
 
 std::string trim(const std::string& text) {
   const auto begin = text.find_first_not_of(" \t\r");
@@ -104,7 +108,65 @@ bool valid_name(const std::string& name) {
 // pinned round-trip format so the two never drift apart.
 void append_double(std::string& out, double value) { json_append_double(out, value); }
 
+std::string double_text(double value) {
+  std::string out;
+  append_double(out, value);
+  return out;
+}
+
+bool check_scheme(const std::string& value, std::string& message) {
+  net::Scheme ignored;
+  if (net::parse_scheme(value, ignored)) return true;
+  message = "unknown scheme '" + value + "' (" + net::kSchemeChoices + ")";
+  return false;
+}
+
+// The N of an indexed key "scheme.N" / "power.N": decimal digits without a
+// sign or a leading zero (one spelling per network keeps keys unique), below
+// the channel limit.
+bool network_index(const std::string& key, std::size_t dot, int& index, std::string& message) {
+  const std::string digits = key.substr(dot + 1);
+  bool ok = !digits.empty() && digits.size() <= 3 && (digits == "0" || digits[0] != '0');
+  index = 0;
+  for (const char c : digits) {
+    ok = ok && c >= '0' && c <= '9';
+    if (ok) index = index * 10 + (c - '0');
+  }
+  if (ok && index < kMaxChannels) return true;
+  message = "bad network index in '" + key + "' (0 .. " + std::to_string(kMaxChannels - 1) +
+            ", digits only)";
+  return false;
+}
+
+// The network index of a scheme.N / power.N key, or -1 for any other key.
+int indexed_network(const std::string& key) {
+  const auto dot = key.find('.');
+  if (dot == std::string::npos) return -1;
+  const std::string base = key.substr(0, dot);
+  int index = -1;
+  std::string ignored;
+  if ((base != "scheme" && base != "power") || !network_index(key, dot, index, ignored)) return -1;
+  return index;
+}
+
 }  // namespace
+
+std::vector<std::pair<std::string, std::string>> optional_settings(const PointParams& params) {
+  std::vector<std::pair<std::string, std::string>> out;
+  if (params.dcn_margin_db) out.emplace_back("dcn-margin", double_text(*params.dcn_margin_db));
+  if (params.dcn_tu_s) out.emplace_back("dcn-tu", double_text(*params.dcn_tu_s));
+  if (params.region_m) out.emplace_back("region", double_text(*params.region_m));
+  if (params.room_spacing_m) {
+    out.emplace_back("room-spacing", double_text(*params.room_spacing_m));
+  }
+  for (const auto& [network, scheme] : params.network_scheme) {
+    out.emplace_back("scheme." + std::to_string(network), scheme);
+  }
+  for (const auto& [network, power] : params.network_power_dbm) {
+    out.emplace_back("power." + std::to_string(network), double_text(power));
+  }
+  return out;
+}
 
 std::string SpecError::str() const {
   if (line <= 0) return message;
@@ -114,11 +176,7 @@ std::string SpecError::str() const {
 bool apply_param(PointParams& params, const std::string& key, const std::string& value,
                  std::string& message) {
   if (key == "scheme") {
-    net::Scheme ignored;
-    if (!net::parse_scheme(value, ignored)) {
-      message = "unknown scheme '" + value + "' (" + net::kSchemeChoices + ")";
-      return false;
-    }
+    if (!check_scheme(value, message)) return false;
     params.scheme = value;
     return true;
   }
@@ -137,7 +195,7 @@ bool apply_param(PointParams& params, const std::string& key, const std::string&
     return set_number(key, value, params.cfd_mhz, 0.1, 1e3, "0.1 .. 1000 MHz", message);
   }
   if (key == "channels") {
-    return set_number(key, value, params.channels, 1, 256, "1 .. 256", message);
+    return set_number(key, value, params.channels, 1, kMaxChannels, "1 .. 256", message);
   }
   if (key == "links") {
     return set_number(key, value, params.links, 1, 64, "1 .. 64", message);
@@ -173,6 +231,39 @@ bool apply_param(PointParams& params, const std::string& key, const std::string&
   if (key == "trials") {
     return set_number(key, value, params.trials, 1, 100000, ">= 1", message);
   }
+  // The optional keys. std::optional<double> slots parse through a scratch
+  // double so a bad value leaves them unset.
+  const auto set_optional = [&](std::optional<double>& slot, double min, double max,
+                                const char* range_hint) {
+    double parsed = 0.0;
+    if (!set_number(key, value, parsed, min, max, range_hint, message)) return false;
+    slot = parsed;
+    return true;
+  };
+  if (key == "dcn-margin") return set_optional(params.dcn_margin_db, 0.0, 100.0, "0 .. 100 dB");
+  if (key == "dcn-tu") return set_optional(params.dcn_tu_s, 1e-3, 1e4, "0.001 .. 10000 s");
+  if (key == "region") return set_optional(params.region_m, 1e-3, 1e5, "0.001 .. 100000 m");
+  if (key == "room-spacing") {
+    return set_optional(params.room_spacing_m, 0.0, 1e5, "0 .. 100000 m");
+  }
+  if (const auto dot = key.find('.'); dot != std::string::npos) {
+    const std::string base = key.substr(0, dot);
+    int network = 0;
+    if (base == "scheme") {
+      if (!network_index(key, dot, network, message) || !check_scheme(value, message)) {
+        return false;
+      }
+      params.network_scheme[network] = value;
+      return true;
+    }
+    if (base == "power") {
+      if (!network_index(key, dot, network, message)) return false;
+      double power = 0.0;
+      if (!set_number(key, value, power, -200.0, 100.0, "-200 .. 100 dBm", message)) return false;
+      params.network_power_dbm[network] = power;
+      return true;
+    }
+  }
   message = "unknown key '" + key + "'";
   return false;
 }
@@ -181,6 +272,7 @@ bool parse_campaign(const std::string& text, CampaignSpec& out, SpecError& error
   out = CampaignSpec{};
   std::set<std::string> assigned_keys;
   std::set<std::string> swept_keys;
+  std::vector<std::pair<int, std::string>> indexed_keys;  // (line, key): scheme.N, power.N
 
   const std::vector<std::string> lines = split(text, '\n');
   for (std::size_t li = 0; li < lines.size(); ++li) {
@@ -218,6 +310,7 @@ bool parse_campaign(const std::string& text, CampaignSpec& out, SpecError& error
           error.message = "key '" + key + "' swept by more than one sweep line";
           return false;
         }
+        if (indexed_network(key) >= 0) indexed_keys.emplace_back(error.line, key);
       }
       const std::vector<std::string> steps = split_ws(rhs);
       if (steps.empty()) {
@@ -277,6 +370,31 @@ bool parse_campaign(const std::string& text, CampaignSpec& out, SpecError& error
       return false;
     }
     if (!apply_param(out.base, lhs, rhs, error.message)) return false;
+    if (indexed_network(lhs) >= 0) indexed_keys.emplace_back(error.line, lhs);
+  }
+
+  // Every grid point must have the networks its indexed keys name: check
+  // each against the fewest channels any point has.
+  int fewest = out.base.channels;
+  for (const SweepAxis& axis : out.axes) {
+    for (std::size_t k = 0; k < axis.keys.size(); ++k) {
+      if (axis.keys[k] != "channels") continue;
+      fewest = INT_MAX;
+      for (const std::vector<std::string>& step : axis.steps) {
+        int channels = 0;
+        (void)parse_num(step[k], channels);  // validated above
+        fewest = std::min(fewest, channels);
+      }
+    }
+  }
+  for (const auto& [line, key] : indexed_keys) {
+    const int network = indexed_network(key);
+    if (network >= fewest) {
+      error.line = line;
+      error.message = "'" + key + "' names network " + std::to_string(network) +
+                      ", but a grid point has only " + std::to_string(fewest) + " channel(s)";
+      return false;
+    }
   }
 
   error = SpecError{};
@@ -333,6 +451,7 @@ std::string format_campaign(const CampaignSpec& spec) {
   out += "\nseed = ";
   out += seed_buffer;
   out += "\ntrials = " + std::to_string(p.trials) + "\n";
+  for (const auto& [key, value] : optional_settings(p)) out += key + " = " + value + "\n";
   for (const SweepAxis& axis : spec.axes) {
     out += "sweep ";
     for (std::size_t k = 0; k < axis.keys.size(); ++k) {
@@ -410,7 +529,9 @@ std::string spec_hash(const CampaignSpec& spec) {
   std::snprintf(seed_buffer, sizeof seed_buffer, "%" PRIu64, p.seed);
   canon += ";seed=";
   canon += seed_buffer;
-  canon += ";trials=" + std::to_string(p.trials) + "\n";
+  canon += ";trials=" + std::to_string(p.trials);
+  for (const auto& [key, value] : optional_settings(p)) canon += ";" + key + "=" + value;
+  canon += '\n';
   for (const SweepAxis& axis : spec.axes) {
     canon += "sweep ";
     for (std::size_t k = 0; k < axis.keys.size(); ++k) {

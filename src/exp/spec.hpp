@@ -11,12 +11,26 @@
 // Keys mirror the nomc-sim options: scheme, topology, band-start, cfd,
 // channels, links, power, cca, psdu, warmup, measure, seed, trials.
 // `power` accepts a dBm number or the word "random" (per-node uniform in
-// [-22, 0] dBm, the paper's Case deployments). Multiple `sweep` lines form
-// a cartesian product; the first-declared sweep varies slowest. All values
-// are validated at parse time, so every error carries its line number.
+// [-22, 0] dBm, the paper's Case deployments). Six more keys are optional
+// and have no nomc-sim option:
+//
+//   scheme.N = dcn              # network N's scheme (N = 0 is the lowest channel)
+//   power.N = -15               # TX power (dBm) of every link of network N
+//   dcn-margin = 4              # DCN safety margin below min co-channel RSSI (dB)
+//   dcn-tu = 6                  # DCN updating window T_U (s)
+//   region = 3                  # Case I region / Case II room edge (m)
+//   room-spacing = 1.8          # Case II distance between room centres (m)
+//
+// An indexed key composes with sweeps (`sweep power.3 = -33 0`); every grid
+// point must have more than N channels. An unset optional key appears
+// nowhere: not in the canonical text, the spec hash or the record.
+// Multiple `sweep` lines form a cartesian product; the first-declared sweep
+// varies slowest. All values are validated at parse time, so every error
+// carries its line number.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -42,7 +56,21 @@ struct PointParams {
   double measure_s = 8.0;
   std::uint64_t seed = 1;
   int trials = 3;
+  // The optional keys: unset means the scenario's own default.
+  std::map<int, std::string> network_scheme;  ///< scheme.N, by network index
+  std::map<int, double> network_power_dbm;    ///< power.N, by network index
+  std::optional<double> dcn_margin_db;        ///< dcn-margin → DcnConfig::safety_margin
+  std::optional<double> dcn_tu_s;             ///< dcn-tu → DcnConfig::t_update
+  std::optional<double> region_m;             ///< region → RandomCaseConfig::region_m
+  std::optional<double> room_spacing_m;       ///< room-spacing → RandomCaseConfig::room_spacing_m
 };
+
+/// The optional keys `params` sets, as (key, canonical value text) in a fixed
+/// order: dcn-margin, dcn-tu, region, room-spacing, then scheme.N and
+/// power.N by ascending N. Empty when none is set. The canonical text, the
+/// spec hash and the record all serialize through it.
+[[nodiscard]] std::vector<std::pair<std::string, std::string>> optional_settings(
+    const PointParams& params);
 
 /// One `sweep` line. `keys` step in lockstep: step i assigns
 /// keys[k] = steps[i][k] for every k.

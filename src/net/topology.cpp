@@ -1,7 +1,5 @@
 #include "net/topology.hpp"
 
-#include <cassert>
-
 namespace nomc::net {
 namespace {
 
@@ -24,31 +22,6 @@ LinkSpec link_near(phy::Vec2 anchor, double max_link_m, sim::RandomStream& rng,
 }
 
 }  // namespace
-
-std::vector<NetworkSpec> bench_row(std::span<const phy::Mhz> channels,
-                                   const BenchRowConfig& config) {
-  assert(config.links_per_network >= 1);
-  std::vector<NetworkSpec> specs;
-  specs.reserve(channels.size());
-  for (std::size_t n = 0; n < channels.size(); ++n) {
-    NetworkSpec spec;
-    spec.channel = channels[n];
-    const double cx = config.network_spacing_m * static_cast<double>(n);
-    for (int l = 0; l < config.links_per_network; ++l) {
-      // Senders straddle the network center along the row; receivers sit one
-      // link-distance off the row so links do not lie on top of each other.
-      const double offset =
-          (static_cast<double>(l) - (config.links_per_network - 1) / 2.0) * config.sender_gap_m;
-      LinkSpec link;
-      link.sender_pos = {cx + offset, 0.0};
-      link.receiver_pos = {cx + offset, config.link_distance_m};
-      link.tx_power = config.tx_power;
-      spec.links.push_back(link);
-    }
-    specs.push_back(std::move(spec));
-  }
-  return specs;
-}
 
 std::vector<NetworkSpec> case1_dense(std::span<const phy::Mhz> channels,
                                      sim::RandomStream& rng, const RandomCaseConfig& config) {

@@ -1,10 +1,5 @@
 // Topology generators for the paper's deployments.
 //
-// * bench_row: the lab-bench layout behind the motivation and evaluation
-//   figures — networks side by side on a line, each a compact cluster of
-//   2 links. Spacing defaults reproduce the testbed's interference regime:
-//   co-channel partners are loud (≈ −40 dBm), and a 3 MHz neighbour network
-//   is sensed right at the −77 dBm default CCA threshold.
 // * Case I (Fig. 22): every node inside one small interfering region.
 // * Case II (Fig. 23): one tight cluster ("office room") per network,
 //   rooms far apart.
@@ -19,18 +14,6 @@
 #include "sim/random.hpp"
 
 namespace nomc::net {
-
-struct BenchRowConfig {
-  int links_per_network = 2;
-  double network_spacing_m = 3.6;  ///< distance between adjacent network centers
-  double link_distance_m = 2.0;    ///< sender → receiver distance
-  double sender_gap_m = 1.0;       ///< distance between a network's two senders
-  phy::Dbm tx_power{0.0};
-};
-
-/// One network per channel, laid out along a row.
-[[nodiscard]] std::vector<NetworkSpec> bench_row(std::span<const phy::Mhz> channels,
-                                                 const BenchRowConfig& config = {});
 
 struct RandomCaseConfig {
   int links_per_network = 2;

@@ -6,20 +6,30 @@
 #include <stdexcept>
 
 namespace nomc::phy {
+namespace {
+
+/// A frame is culled at a receiver only once its strongest plausible RSS is
+/// this many dB below the noise floor ("receive floor" = noise − margin).
+constexpr double kCullMarginDb = 10.0;
+/// Shadowing head-room, in sigmas, folded into the influence radius so a
+/// lucky constructive fade cannot push a culled frame above the floor.
+constexpr double kShadowCapSigma = 6.0;
+
+}  // namespace
 
 Medium::Medium(MediumConfig config)
     : config_{std::move(config)},
       shadowing_{config_.shadowing_sigma_db, config_.seed},
       noise_mw_{to_milliwatts(config_.noise_floor)} {
-  if (config_.culling.enabled) {
-    double cell = config_.culling.cell_size_m;
-    if (cell <= 0.0) cell = influence_radius_m(Dbm{0.0});
-    listener_grid_.reset(cell);
-  }
+  // Cells as wide as a nominal 0 dBm transmitter's influence radius, so
+  // building a reach touches ~3x3 cells.
+  if (config_.culling.enabled) listener_grid_.reset(influence_radius_m(Dbm{0.0}));
 }
 
+double Medium::cull_floor_dbm() const { return config_.noise_floor.value - kCullMarginDb; }
+
 double Medium::influence_radius_m(Dbm tx_power) const {
-  const double shadow_cap = config_.culling.shadow_cap_sigma * config_.shadowing_sigma_db;
+  const double shadow_cap = kShadowCapSigma * config_.shadowing_sigma_db;
   return config_.path_loss.distance_for_loss(Db{tx_power.value + shadow_cap - cull_floor_dbm()});
 }
 

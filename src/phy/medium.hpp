@@ -18,7 +18,7 @@
 // every active frame — O(active) per CCA read, quadratic in node count per
 // simulated second. With culling enabled (the default) every frame carries a
 // conservative *influence radius*: the distance at which its strongest
-// plausible RSS (tx power + a shadowing cap) falls `margin_db` below the
+// plausible RSS (tx power + a shadowing cap) falls a fixed margin below the
 // noise floor. Frames beyond their radius are invisible to all queries
 // (their contribution is provably below the receive floor). At paper scale
 // the radius exceeds the deployment span, nothing is culled, and every
@@ -106,22 +106,14 @@ class MediumListener {
   virtual void on_tx_end(const Frame& frame) = 0;
 };
 
-/// Spatial interference culling knobs. The defaults are conservative enough
-/// that paper-scale scenarios (metres to tens of metres across) cull nothing
-/// and reproduce the exhaustive path bit for bit; city-scale scenarios
-/// (kilometres) drop far-field frames whose energy is unobservable.
+/// Spatial interference culling. Its margins (medium.cpp) are conservative
+/// enough that paper-scale scenarios (metres to tens of metres across) cull
+/// nothing and reproduce the exhaustive path bit for bit; city-scale
+/// scenarios (kilometres) drop far-field frames whose energy is
+/// unobservable. Off, every query walks every live frame: the reference
+/// the culled path is tested against.
 struct CullingConfig {
   bool enabled = true;
-  /// A frame is culled at a receiver only once its strongest plausible RSS
-  /// is this many dB below the noise floor ("receive floor" = noise − margin).
-  double margin_db = 10.0;
-  /// Shadowing head-room, in sigmas, folded into the influence radius so a
-  /// lucky constructive fade cannot push a culled frame above the floor.
-  double shadow_cap_sigma = 6.0;
-  /// Cell edge of the listener grid in metres; <= 0 derives it from the
-  /// influence radius of a nominal 0 dBm transmitter (building a reach then
-  /// touches ~3x3 cells).
-  double cell_size_m = 0.0;
 };
 
 struct MediumConfig {
@@ -328,9 +320,7 @@ class Medium {
 
   /// Noise floor minus the culling margin, in dBm: energy below this is
   /// treated as unobservable.
-  [[nodiscard]] double cull_floor_dbm() const {
-    return config_.noise_floor.value - config_.culling.margin_db;
-  }
+  [[nodiscard]] double cull_floor_dbm() const;
   /// Would a frame of influence radius `radius` reach every node, wherever
   /// in the bounding box both ends sit? Always, with culling off.
   [[nodiscard]] bool covers_box(double radius) const {

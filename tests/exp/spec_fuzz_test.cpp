@@ -1,7 +1,8 @@
 // Fixed-seed mutation fuzz of the campaign spec parser. Seeds are every
 // example campaign (examples/campaigns/*.campaign, each of which must
 // parse), put through bit flips, byte inserts and deletes, truncations,
-// line splices and injected non-finite or huge number tokens.
+// line splices, injected non-finite or huge number tokens and injected
+// indexed keys (scheme.N / power.N).
 // Every input must come back as a SpecError or as a spec whose every
 // reachable PointParams double is finite; an accepted spec's canonical text
 // must parse back to the same hash.
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <random>
 #include <string>
 #include <utility>
@@ -84,16 +86,31 @@ std::string join(const std::vector<std::string>& lines) {
   return out;
 }
 
-/// Replace one value token (after a line's '=') with a hostile number.
+/// Replace one value token (after a line's '=') with a hostile number, or a
+/// line's key with an indexed key.
 std::string inject_number(Rng& rng, const std::string& text) {
   static const std::vector<std::string> kTokens = {
       "nan",   "-nan",     "NaN",      "nan(1)", "inf",  "-inf",   "INF",
       "infinity", "1e999", "-1e999",   "1e308",  "1e-400", "4.9e-324", "0x1p1024",
       "99999999999999999999", "-0"};
+  // Indexed keys, well-formed and not: each replaces a line's key (the last
+  // word before '='), so both a bad index and an index some grid point
+  // lacks reach the parser.
+  static const std::vector<std::string> kKeys = {
+      "scheme.", "scheme.x", "scheme.-1", "scheme.2.1", "power.99999999999999999999",
+      "scheme.5", "power.0", "power.255", "scheme.256", "scheme.01"};
   std::vector<std::string> lines = lines_of(text);
   const std::size_t li = pick(rng, lines.size());
   std::string& line = lines[li];
   const std::size_t eq = line.find('=');
+  if (eq != std::string::npos && rng() % 4 == 0) {
+    std::size_t end = eq;
+    while (end > 0 && (line[end - 1] == ' ' || line[end - 1] == '\t')) --end;
+    std::size_t start = end;
+    while (start > 0 && line[start - 1] != ' ' && line[start - 1] != '\t') --start;
+    line.replace(start, end - start, kKeys[pick(rng, kKeys.size())]);
+    return join(lines);
+  }
   const std::string& token = kTokens[pick(rng, kTokens.size())];
   if (eq == std::string::npos) {
     line.insert(pick(rng, line.size() + 1), token);
@@ -161,10 +178,18 @@ std::string mutate(Rng& rng, std::string text) {
 }
 
 bool all_finite(const PointParams& params) {
+  const auto finite = [](const std::optional<double>& value) {
+    return !value.has_value() || std::isfinite(*value);
+  };
+  bool network_powers_finite = true;
+  for (const auto& [network, power] : params.network_power_dbm) {
+    network_powers_finite = network_powers_finite && std::isfinite(power);
+  }
   return std::isfinite(params.band_start_mhz) && std::isfinite(params.cfd_mhz) &&
          std::isfinite(params.cca_dbm) && std::isfinite(params.warmup_s) &&
-         std::isfinite(params.measure_s) &&
-         (!params.power_dbm.has_value() || std::isfinite(*params.power_dbm));
+         std::isfinite(params.measure_s) && finite(params.power_dbm) &&
+         finite(params.dcn_margin_db) && finite(params.dcn_tu_s) && finite(params.region_m) &&
+         finite(params.room_spacing_m) && network_powers_finite;
 }
 
 /// Every PointParams the grid can produce is the base plus one step per

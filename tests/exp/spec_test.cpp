@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace nomc::exp {
 namespace {
@@ -107,6 +111,93 @@ TEST(Spec, SweepOverridesBaseAssignment) {
   EXPECT_EQ(points[0].params.channels, 3);
 }
 
+// -- The optional keys ----------------------------------------------------
+
+TEST(Spec, OptionalKeysSetTheirFields) {
+  const CampaignSpec spec = parse_ok(
+      "scheme = fixed\n"
+      "scheme.2 = dcn\n"
+      "power.3 = -15.5\n"
+      "dcn-margin = 4\n"
+      "dcn-tu = 6\n"
+      "region = 3\n"
+      "room-spacing = 1.8\n");
+  EXPECT_EQ(spec.base.scheme, "fixed");
+  EXPECT_EQ(spec.base.network_scheme, (std::map<int, std::string>{{2, "dcn"}}));
+  EXPECT_EQ(spec.base.network_power_dbm, (std::map<int, double>{{3, -15.5}}));
+  EXPECT_EQ(spec.base.dcn_margin_db, 4.0);
+  EXPECT_EQ(spec.base.dcn_tu_s, 6.0);
+  EXPECT_EQ(spec.base.region_m, 3.0);
+  EXPECT_EQ(spec.base.room_spacing_m, 1.8);
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"dcn-margin", "4"},
+      {"dcn-tu", "6"},
+      {"region", "3"},
+      {"room-spacing", "1.8"},
+      {"scheme.2", "dcn"},
+      {"power.3", "-15.5"},
+  };
+  EXPECT_EQ(optional_settings(spec.base), expected);
+  EXPECT_TRUE(optional_settings(parse_ok("").base).empty());
+}
+
+TEST(Spec, IndexedKeysSweepAndComposeWithOtherAxes) {
+  const CampaignSpec spec = parse_ok(
+      "sweep cfd = 2 3\n"
+      "sweep power.3/scheme.0 = -33/fixed 0/dcn\n");
+  const auto points = expand_grid(spec);
+  ASSERT_EQ(points.size(), 4u);
+  EXPECT_EQ(points[0].params.network_power_dbm.at(3), -33.0);
+  EXPECT_EQ(points[0].params.network_scheme.at(0), "fixed");
+  EXPECT_EQ(points[3].params.network_power_dbm.at(3), 0.0);
+  EXPECT_EQ(points[3].params.network_scheme.at(0), "dcn");
+  EXPECT_EQ(points[3].assignment[1].first, "power.3");
+  EXPECT_TRUE(spec.base.network_power_dbm.empty());
+}
+
+TEST(Spec, MalformedNetworkIndexReportsLine) {
+  for (const char* key : {"scheme.", "scheme.x", "scheme.-1", "scheme.2.1", "scheme.+1",
+                          "scheme.01", "scheme.256", "power.99999999999999999999",
+                          "power.", "power.1e1"}) {
+    const std::string k = key;
+    const std::string value = k.rfind("scheme", 0) == 0 ? "dcn" : "-10";
+    const SpecError base = parse_fail("channels = 6\n" + k + " = " + value + "\n");
+    EXPECT_EQ(base.line, 2) << k;
+    EXPECT_NE(base.message.find("bad network index"), std::string::npos) << base.str();
+    const SpecError swept = parse_fail("\n\nsweep " + k + " = " + value + "\n");
+    EXPECT_EQ(swept.line, 3) << "sweep " << k;
+    EXPECT_NE(swept.message.find("bad network index"), std::string::npos) << swept.str();
+  }
+}
+
+TEST(Spec, BadOptionalValuesReportLine) {
+  EXPECT_EQ(parse_fail("scheme.1 = zigbee\n").line, 1);
+  EXPECT_EQ(parse_fail("cfd = 3\npower.1 = random\n").line, 2);
+  EXPECT_EQ(parse_fail("dcn-margin = -1\n").line, 1);
+  EXPECT_EQ(parse_fail("dcn-tu = 0\n").line, 1);
+  EXPECT_EQ(parse_fail("region = 0\n").line, 1);
+  EXPECT_EQ(parse_fail("room-spacing = -2\n").line, 1);
+  EXPECT_NE(parse_fail("scheme.x.y = dcn\n").message.find("bad network index"),
+            std::string::npos);
+  EXPECT_NE(parse_fail("banana.1 = 3\n").message.find("unknown key"), std::string::npos);
+}
+
+TEST(Spec, NetworkIndexMissingFromAGridPointReportsItsLine) {
+  // Network 5 exists at 6 channels but not at 4.
+  const SpecError error = parse_fail(
+      "sweep channels = 4 6\n"
+      "scheme.5 = dcn\n");
+  EXPECT_EQ(error.line, 2);
+  EXPECT_NE(error.message.find("only 4 channel(s)"), std::string::npos) << error.str();
+  // Order does not matter, and sweeps of an indexed key are checked too.
+  EXPECT_EQ(parse_fail("scheme.5 = dcn\nsweep channels = 6 4\n").line, 1);
+  EXPECT_EQ(parse_fail("channels = 4\n\nsweep power.4 = -3 0\n").line, 3);
+  EXPECT_EQ(parse_fail("sweep cfd/channels = 3/6 5/2\nsweep power.2 = 0\n").line, 2);
+  EXPECT_EQ(parse_fail("scheme.6 = dcn\n").line, 1);  // the default 6 channels
+  parse_ok("sweep channels = 6 7\nscheme.5 = dcn\n");
+  parse_ok("channels = 2\nsweep channels = 6 7\npower.5 = 0\n");  // the sweep wins
+}
+
 // -- Error reporting: every failure names its line --------------------------
 
 TEST(Spec, UnknownKeyReportsLine) {
@@ -181,7 +272,8 @@ TEST(Spec, BadCampaignNameReportsLine) {
 TEST(Spec, NonFiniteValuesRejectedWithLine) {
   // strtod reads all of these; every range check is false for NaN, so only
   // an explicit finiteness check keeps "cfd_mhz":nan out of the store.
-  for (const char* key : {"band-start", "cfd", "power", "cca", "warmup", "measure"}) {
+  for (const char* key : {"band-start", "cfd", "power", "cca", "warmup", "measure", "power.0",
+                          "dcn-margin", "dcn-tu", "region", "room-spacing"}) {
     for (const char* value : {"nan", "-nan", "inf", "-inf"}) {
       const std::string k = key;
       const std::string v = value;
@@ -258,6 +350,11 @@ TEST(Spec, FormatParsesBackToSameGridAndHash) {
       "sweep cfd/channels = 9/1 5/2 3/4\nsweep scheme = fixed dcn\n",
       "band-start = 902.5\nwarmup = 0.25\nmeasure = 1.5\ncca = -62.5\n"
       "links = 3\npsdu = 64\nsweep channels = 5 6 7\n",
+      "scheme = fixed\npower.3 = -15.5\nscheme.2 = dcn\nscheme.0 = carrier-sense\n"
+      "room-spacing = 1.8\nregion = 3\ndcn-tu = 6\ndcn-margin = 0\n"
+      "sweep power.1 = -33 0\n",
+      "sweep topology/region/room-spacing = dense/3/15 clustered/1/1.8\n"
+      "sweep scheme.0/dcn-tu/dcn-margin = dcn/1/2 fixed/3/8\n",
   };
   for (const char* text : texts) {
     SCOPED_TRACE(text);
@@ -289,6 +386,10 @@ TEST(Spec, FormatRoundTripsRandomSpecs) {
       text += "power = " +
               std::string{rng() % 2 ? "random" : std::to_string(-10 + (int)(rng() % 21))} + "\n";
     }
+    if (rng() % 2) text += "dcn-margin = " + std::to_string(rng() % 9) + "\n";
+    if (rng() % 2) text += "region = " + std::to_string(1 + rng() % 20) + ".5\n";
+    if (rng() % 2) text += "scheme.0 = " + std::string{rng() % 2 ? "dcn" : "fixed"} + "\n";
+    if (rng() % 2) text += "sweep power.0 = -20 0\n";
     if (rng() % 2) text += sweep_line("psdu", 2 + (int)(rng() % 3));
     if (rng() % 2) text += "sweep scheme = fixed dcn\n";
     if (rng() % 2) {
@@ -326,6 +427,43 @@ TEST(Spec, HashSeesEveryField) {
   EXPECT_NE(hash, spec_hash(parse_ok("name = i\ncfd = 3\n")));
   EXPECT_NE(hash, spec_hash(parse_ok("name = h\ncfd = 3\nsweep channels = 2 3\n")));
   EXPECT_NE(spec_hash(parse_ok("power = 0\n")), spec_hash(parse_ok("power = random\n")));
+  std::set<std::string> optional_hashes;
+  for (const char* line : {"scheme.0 = dcn", "scheme.1 = dcn", "power.0 = 0", "power.0 = -1",
+                           "dcn-margin = 2", "dcn-tu = 3", "region = 7", "room-spacing = 15"}) {
+    optional_hashes.insert(spec_hash(parse_ok(base + line + "\n")));
+  }
+  optional_hashes.insert(hash);
+  EXPECT_EQ(optional_hashes.size(), 9u);
+}
+
+TEST(Spec, UnsetOptionalKeysKeepTheCanonicalTextAndHash) {
+  // The canonical text of a spec that sets no optional key is the
+  // thirteen base keys and the sweeps, as before the optional keys existed.
+  const CampaignSpec spec = parse_ok("name = h\nsweep cfd = 3 5\n");
+  EXPECT_EQ(format_campaign(spec),
+            "name = h\nscheme = dcn\ntopology = dense\nband-start = 2458\ncfd = 3\n"
+            "channels = 6\nlinks = 2\npower = random\ncca = -77\npsdu = 100\nwarmup = 2\n"
+            "measure = 8\nseed = 1\ntrials = 3\nsweep cfd = 3 5\n");
+}
+
+TEST(Spec, UneditedExampleCampaignHashesArePinned) {
+  // The spec hash of every example campaign that predates the optional keys:
+  // adding keys must not move an existing spec's identity (or its store).
+  const std::pair<const char*, const char*> pinned[] = {
+      {"fig01_cfd", "e7c257b4865a3209"},
+      {"fig16_18_dcn_all", "5fa1dbde9b1d534c"},
+      {"fig19_zigbee_vs_dcn", "5e6cffddaec12427"},
+      {"fig30_wider_band", "5948e335aa6fdce9"},
+      {"smoke", "2d57757e7c156fa8"},
+  };
+  for (const auto& [name, hash] : pinned) {
+    CampaignSpec spec;
+    SpecError error;
+    ASSERT_TRUE(load_campaign(std::string{NOMC_CAMPAIGNS_DIR} + "/" + name + ".campaign", spec,
+                              error))
+        << name << ": " << error.str();
+    EXPECT_EQ(spec_hash(spec), hash) << name;
+  }
 }
 
 TEST(Spec, HashIgnoresCommentsAndSpacing) {

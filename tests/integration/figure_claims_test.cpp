@@ -109,12 +109,94 @@ TEST(FigureClaims, Fig19DcnGainInsideCalibratedBand) {
       << 100.0 * measured << " %";
 }
 
+TEST(FigureClaims, Figs14To15DcnOnN0HelpsItAndCostsTheOthers) {
+  // Grid order: (cfd 2, N0 fixed), (cfd 2, N0 dcn), (cfd 3, ...); N0 is
+  // network 2, the median frequency of five.
+  const std::vector<Point> points = run_example("fig14_15_dcn_n0_only");
+  ASSERT_EQ(points.size(), 4u);
+  constexpr std::size_t kN0 = 2;
+  for (std::size_t p = 0; p < points.size(); p += 2) {
+    const ResultRecord& without = points[p].record;
+    const ResultRecord& with = points[p + 1].record;
+    ASSERT_EQ(with.pps.size(), 5u);
+    const double others_without = without.overall_pps - without.pps[kN0];
+    const double others_with = with.overall_pps - with.pps[kN0];
+    EXPECT_GT(with.pps[kN0], without.pps[kN0])
+        << "Fig. 14 claim: N0 gains under DCN; at CFD = " << points[p].params.cfd_mhz
+        << " MHz measured " << with.pps[kN0] << " pkt/s with vs " << without.pps[kN0]
+        << " without";
+    EXPECT_LT(others_with, others_without)
+        << "Fig. 15 claim: the other four networks lose when N0 runs DCN; at CFD = "
+        << points[p].params.cfd_mhz << " MHz measured " << others_with << " pkt/s with vs "
+        << others_without << " without";
+  }
+}
+
+TEST(FigureClaims, Fig20To21N0GrowsWithPowerOthersStayFlat) {
+  // Points sweep network 3's power over -33 -22 -15 -11 -6 -3 0 dBm.
+  const std::vector<Point> points = run_example("fig20_21_power_impact");
+  ASSERT_EQ(points.size(), 7u);
+  constexpr std::size_t kN0 = 3;
+  const auto n0_at = [&](double dbm) {
+    for (const Point& point : points) {
+      if (point.params.network_power_dbm.at(static_cast<int>(kN0)) == dbm) {
+        return point.record.pps[kN0];
+      }
+    }
+    ADD_FAILURE() << "no point at " << dbm << " dBm";
+    return 0.0;
+  };
+  EXPECT_GT(n0_at(0.0), n0_at(-15.0))
+      << "Fig. 20 claim: N0 grows with its power; measured " << n0_at(0.0)
+      << " pkt/s at 0 dBm vs " << n0_at(-15.0) << " at -15 dBm";
+  EXPECT_GT(n0_at(-15.0), n0_at(-33.0))
+      << "Fig. 20 claim: N0 grows with its power; measured " << n0_at(-15.0)
+      << " pkt/s at -15 dBm vs " << n0_at(-33.0) << " at -33 dBm";
+  double mean = 0.0;
+  for (const Point& point : points) mean += point.record.overall_pps - point.record.pps[kN0];
+  mean /= static_cast<double>(points.size());
+  for (const Point& point : points) {
+    const double others = point.record.overall_pps - point.record.pps[kN0];
+    EXPECT_NEAR(others / mean, 1.0, 0.02)
+        << "Fig. 21 claim: the other networks' total stays within 2 % of its mean ("
+        << mean << " pkt/s); measured " << others << " pkt/s with N0 at "
+        << point.params.network_power_dbm.at(static_cast<int>(kN0)) << " dBm";
+  }
+}
+
 TEST(FigureClaims, TableIDcnIsFair) {
+  // Points sweep the safety margin over 0 2 4 8 dB; Table I is the 2 dB
+  // default.
   const std::vector<Point> points = run_example("table1_fairness");
-  ASSERT_EQ(points.size(), 1u);
-  EXPECT_GE(points[0].record.jain, 0.99)
+  ASSERT_EQ(points.size(), 4u);
+  ASSERT_EQ(points[1].params.dcn_margin_db, 2.0);
+  EXPECT_GE(points[1].record.jain, 0.99)
       << "Table I claim: DCN keeps the six networks fair (Jain >= 0.99); measured Jain "
-      << points[0].record.jain;
+      << points[1].record.jain;
+}
+
+TEST(FigureClaims, Figs25To27DcnBeatsWithoutBeatsZigbeeInEveryCase) {
+  // Points run Case by Case (I, II, III), each as ZigBee, w/o DCN, DCN.
+  const std::vector<Point> points = run_example("fig25_27_cases");
+  ASSERT_EQ(points.size(), 9u);
+  std::vector<double> dcn_gain;  // DCN over w/o DCN, per Case
+  for (std::size_t p = 0; p < points.size(); p += 3) {
+    const double zigbee = points[p].record.overall_pps;
+    const double without = points[p + 1].record.overall_pps;
+    const double with = points[p + 2].record.overall_pps;
+    const std::string& topology = points[p].params.topology;
+    EXPECT_GT(with, without) << "Figs. 25-27 claim: DCN beats w/o DCN in every Case; "
+                             << topology << " measured " << with << " vs " << without
+                             << " pkt/s";
+    EXPECT_GT(without, zigbee) << "Figs. 25-27 claim: w/o DCN beats ZigBee in every Case; "
+                               << topology << " measured " << without << " vs " << zigbee
+                               << " pkt/s";
+    dcn_gain.push_back(with / without - 1.0);
+  }
+  EXPECT_GT(dcn_gain.front(), dcn_gain.back())
+      << "Figs. 25/27 claim: DCN's gain over w/o DCN is larger in Case I than in Case III "
+         "(weak co-channel RSSI); measured "
+      << 100.0 * dcn_gain.front() << " % vs " << 100.0 * dcn_gain.back() << " %";
 }
 
 TEST(FigureClaims, Fig30GainRisesWithBandwidth) {

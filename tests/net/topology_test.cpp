@@ -11,32 +11,6 @@ std::vector<phy::Mhz> six_channels() {
   return phy::evenly_spaced(phy::Mhz{2458.0}, phy::Mhz{3.0}, 6);
 }
 
-TEST(BenchRow, StructureAndSpacing) {
-  const auto channels = six_channels();
-  BenchRowConfig config;
-  const auto specs = bench_row(channels, config);
-  ASSERT_EQ(specs.size(), 6u);
-  for (std::size_t n = 0; n < specs.size(); ++n) {
-    EXPECT_EQ(specs[n].channel.value, channels[n].value);
-    ASSERT_EQ(specs[n].links.size(), 2u);
-    for (const LinkSpec& link : specs[n].links) {
-      EXPECT_NEAR(distance(link.sender_pos, link.receiver_pos), config.link_distance_m, 1e-9);
-      EXPECT_EQ(link.tx_power.value, 0.0);
-    }
-  }
-  // Adjacent network centers are one spacing apart.
-  const double dx = specs[1].links[0].sender_pos.x - specs[0].links[0].sender_pos.x;
-  EXPECT_NEAR(dx, config.network_spacing_m, 1e-9);
-}
-
-TEST(BenchRow, SenderGap) {
-  BenchRowConfig config;
-  const auto specs = bench_row(six_channels(), config);
-  const double gap =
-      distance(specs[0].links[0].sender_pos, specs[0].links[1].sender_pos);
-  EXPECT_NEAR(gap, config.sender_gap_m, 1e-9);
-}
-
 class RandomCases : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomCases, AllGeneratorsRespectConfig) {

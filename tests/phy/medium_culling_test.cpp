@@ -399,6 +399,9 @@ class LoggingListener final : public MediumListener {
 /// exact `distance² ≤ R²` test at the current positions), every RSS
 /// computed from the propagation model. No grid, no lists, no caches.
 struct DiscOracle {
+  /// The receive floor sits this far below the noise floor (docs/scaling.md).
+  static constexpr double kReceiveFloorMarginDb = 10.0;
+
   struct Live {
     Frame frame;
     double radius = 0.0;
@@ -439,8 +442,7 @@ struct DiscOracle {
     return result;
   }
   [[nodiscard]] bool carrier(NodeId node, Mhz channel, Dbm sensitivity) const {
-    const bool exhaustive =
-        sensitivity.value < config.noise_floor.value - config.culling.margin_db;
+    const bool exhaustive = sensitivity.value < config.noise_floor.value - kReceiveFloorMarginDb;
     for (const Live& f : live) {
       if (!exhaustive && !covers(f, node)) continue;
       if (f.frame.src != node && same_channel(f.frame.channel, channel) &&
