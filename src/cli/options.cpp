@@ -5,10 +5,8 @@
 namespace nomc::cli {
 
 void add_scheme_option(ArgParser& args, const std::string& option,
-                       const std::string& default_value, const std::string& what) {
-  args.add_string(option, default_value,
-                  what.empty() ? "channel access scheme: " + std::string{kSchemeChoices}
-                               : what + ": " + kSchemeChoices);
+                       const std::string& default_value) {
+  args.add_string(option, default_value, "channel access scheme: " + std::string{kSchemeChoices});
 }
 
 void add_topology_option(ArgParser& args, const std::string& option,

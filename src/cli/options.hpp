@@ -2,7 +2,7 @@
 //
 // Every tool that exposes a channel-access scheme or a deployment topology
 // declares it through these helpers, so the choice strings and help text
-// live in exactly one place (nomc-sim and nomc-compare are the consumers).
+// live in exactly one place (nomc-sim is the consumer).
 // The values are validated where a spec's are: exp::apply_param.
 #pragma once
 
@@ -22,10 +22,9 @@ using net::kTopologyChoices;
 using net::parse_scheme;
 using net::valid_topology;
 
-/// Declare a scheme option named `option` (e.g. "scheme", "a-scheme").
-/// `what` prefixes the help text ("design A: ..."); may be empty.
+/// Declare a scheme option named `option` (e.g. "scheme").
 void add_scheme_option(ArgParser& args, const std::string& option,
-                       const std::string& default_value, const std::string& what = "");
+                       const std::string& default_value);
 
 /// Declare a topology option (default name "topology").
 void add_topology_option(ArgParser& args, const std::string& option = "topology",

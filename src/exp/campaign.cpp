@@ -6,8 +6,8 @@
 #include <chrono>
 #include <cinttypes>
 #include <climits>
-#include <cmath>
 #include <cstdio>
+#include <filesystem>
 
 #include "net/scenario.hpp"
 #include "net/scheme_names.hpp"
@@ -19,13 +19,6 @@
 namespace nomc::exp {
 namespace {
 
-bool store_exists(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return false;
-  std::fclose(file);
-  return true;
-}
-
 void json_append_array(std::string& out, const std::vector<double>& values) {
   out += '[';
   for (std::size_t i = 0; i < values.size(); ++i) {
@@ -33,15 +26,6 @@ void json_append_array(std::string& out, const std::vector<double>& values) {
     json_append_double(out, values[i]);
   }
   out += ']';
-}
-
-std::string assignment_label(const SweepPoint& point) {
-  std::string label;
-  for (const auto& [key, value] : point.assignment) {
-    if (!label.empty()) label += ' ';
-    label += key + "=" + value;
-  }
-  return label.empty() ? "(single point)" : label;
 }
 
 /// Rebuild the timing sidecar for a resume: keep only well-formed lines for
@@ -53,12 +37,7 @@ std::string assignment_label(const SweepPoint& point) {
 bool rewrite_timing_sidecar(const std::string& path, const std::set<int>& completed,
                             StoreWriter& timing, std::string& error) {
   std::string content;
-  if (std::FILE* file = std::fopen(path.c_str(), "rb"); file != nullptr) {
-    char buffer[4096];
-    std::size_t got = 0;
-    while ((got = std::fread(buffer, 1, sizeof buffer, file)) > 0) content.append(buffer, got);
-    std::fclose(file);
-  }
+  read_whole_file(path, content);  // best effort: a missing sidecar reads as empty
 
   std::set<int> unclaimed = completed;  // points still without a kept line
   std::vector<std::string> kept;
@@ -71,12 +50,8 @@ bool rewrite_timing_sidecar(const std::string& path, const std::set<int>& comple
     JsonValue parsed;
     std::string json_error;
     if (!parse_json(line, parsed, json_error)) continue;
-    const JsonValue* point = parsed.find("point");
-    if (point == nullptr || point->type != JsonValue::Type::kNumber) continue;
-    // Range-check before the cast: converting an out-of-range double is UB.
-    const double number = point->number;
-    if (!(number >= 0.0 && number <= INT_MAX) || number != std::floor(number)) continue;
-    if (unclaimed.erase(static_cast<int>(number)) == 0) continue;
+    int point = -1;
+    if (!json_int(parsed.find("point"), 0, INT_MAX, point) || unclaimed.erase(point) == 0) continue;
     kept.push_back(std::move(line));
   }
 
@@ -183,7 +158,11 @@ PointResult merge_trials(const std::vector<TrialResult>& trials) {
   mean.prr = mean_of(&TrialResult::prr);
   mean.backoffs_per_s = mean_of(&TrialResult::backoffs_per_s);
   mean.drops_per_s = mean_of(&TrialResult::drops_per_s);
-  for (const TrialResult& one : trials) mean.overall_pps += one.overall_pps;
+  for (const TrialResult& one : trials) {
+    mean.overall_pps += one.overall_pps;
+    mean.trial_overall_pps.push_back(one.overall_pps);
+    mean.trial_pps.push_back(one.pps);
+  }
   mean.overall_pps /= count;
   mean.jain = stats::jain_index(mean.pps);
   return mean;
@@ -267,7 +246,14 @@ std::string format_record(const CampaignSpec& spec, const SweepPoint& point,
   json_append_double(out, result.overall_pps);
   out += ",\"jain\":";
   json_append_double(out, result.jain);
-  out += '}';
+  out += ",\"per_trial\":{\"overall_pps\":";
+  json_append_array(out, result.trial_overall_pps);
+  out += ",\"pps\":[";
+  for (std::size_t trial = 0; trial < result.trial_pps.size(); ++trial) {
+    if (trial > 0) out += ',';
+    json_append_array(out, result.trial_pps[trial]);
+  }
+  out += "]}}";
   return out;
 }
 
@@ -294,7 +280,8 @@ bool prepare_store(const CampaignSpec& spec, const std::string& out_path,
   plan.total = static_cast<int>(points.size());
 
   StoreScan existing;
-  const bool have_store = store_exists(out_path);
+  std::error_code ignored;
+  const bool have_store = std::filesystem::exists(out_path, ignored);
   switch (mode) {
     case CampaignOptions::Mode::kFresh:
       if (have_store) {
@@ -410,7 +397,7 @@ bool run_campaign(const CampaignSpec& spec, const std::string& out_path,
       char buffer[256];
       std::snprintf(buffer, sizeof buffer,
                     "[%d/%d] %s  overall=%.1f pkt/s  jain=%.3f  (%.2fs)\n", point.index + 1,
-                    local.total, assignment_label(point).c_str(), result.overall_pps,
+                    local.total, assignment_label(point.assignment).c_str(), result.overall_pps,
                     result.jain, wall_ms / 1000.0);
       console = buffer;
     }

@@ -6,7 +6,7 @@
 //
 // Determinism contract: a point's record bytes are a pure function of the
 // spec — trials are seeded by trial_seed (seed + trial * 1000003), as in
-// nomc-sim and nomc-compare, and merged in seed order, so the store is
+// nomc-sim, and merged in seed order, so the store is
 // byte-identical whether the campaign ran straight through, was interrupted
 // and resumed, or used any (jobs, point_jobs) combination. Checkpoint
 // granularity is one sweep point: resume re-runs at most the points that
@@ -30,7 +30,8 @@ class Scenario;
 
 namespace nomc::exp {
 
-/// Seed-ordered mean across a point's trials, per network.
+/// Seed-ordered mean across a point's trials, per network, plus each
+/// trial's own pps in seed order.
 struct PointResult {
   std::vector<double> pps;
   std::vector<double> prr;
@@ -38,6 +39,8 @@ struct PointResult {
   std::vector<double> drops_per_s;
   double overall_pps = 0.0;
   double jain = 0.0;  ///< Jain fairness index of the mean per-network pps
+  std::vector<double> trial_overall_pps;       ///< trial i's overall pps
+  std::vector<std::vector<double>> trial_pps;  ///< [trial][network]
 };
 
 /// Called for each trial's Scenario after construction, before run()
@@ -63,7 +66,7 @@ struct TrialResult {
                                     const TrialHook& pre_run = {});
 
 /// The point's result: the mean of all its trials (trials[i] is trial i),
-/// summed in seed order.
+/// summed in seed order, and each trial's overall and per-network pps.
 [[nodiscard]] PointResult merge_trials(const std::vector<TrialResult>& trials);
 
 /// Run one operating point: run_trial for each trial on `runner`, then merge.

@@ -1,5 +1,7 @@
 #include "exp/result_store.hpp"
 
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -188,12 +190,32 @@ bool numbers_from(const JsonValue* value, std::vector<double>& out) {
 
 }  // namespace
 
+bool json_int(const JsonValue* value, int lo, int hi, int& out) {
+  if (value == nullptr || value->type != JsonValue::Type::kNumber) return false;
+  const double number = value->number;
+  // Range-check before the cast: converting an out-of-range double is UB.
+  if (!(number >= lo && number <= hi) || number != std::floor(number)) return false;
+  out = static_cast<int>(number);
+  return true;
+}
+
 const JsonValue* JsonValue::find(const std::string& key) const {
   if (type != Type::kObject) return nullptr;
   for (const auto& [name, value] : object) {
     if (name == key) return &value;
   }
   return nullptr;
+}
+
+bool read_whole_file(const std::string& path, std::string& out) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return false;
+  char buffer[1 << 14];
+  std::size_t got = 0;
+  while ((got = std::fread(buffer, 1, sizeof buffer, file)) > 0) out.append(buffer, got);
+  const bool ok = std::ferror(file) == 0;
+  std::fclose(file);
+  return ok;
 }
 
 bool parse_json(const std::string& text, JsonValue& out, std::string& error) {
@@ -238,30 +260,27 @@ bool parse_record(const std::string& line, ResultRecord& out, std::string& error
   }
   out = ResultRecord{};
 
-  const JsonValue* version = root.find("v");
-  if (version == nullptr || version->type != JsonValue::Type::kNumber) {
+  if (!json_int(root.find("v"), 0, INT_MAX, out.version)) {
     error = "record has no version field";
     return false;
   }
-  out.version = static_cast<int>(version->number);
   if (out.version != kStoreVersion) {
     error = "unsupported store version " + std::to_string(out.version) + " (this build reads v" +
-            std::to_string(kStoreVersion) + ")";
+            std::to_string(kStoreVersion) +
+            "); regenerate the store with `nomc-campaign run <spec> --overwrite`";
     return false;
   }
 
   const JsonValue* campaign = root.find("campaign");
   const JsonValue* hash = root.find("spec_hash");
-  const JsonValue* point = root.find("point");
   if (campaign == nullptr || campaign->type != JsonValue::Type::kString ||
       hash == nullptr || hash->type != JsonValue::Type::kString ||
-      point == nullptr || point->type != JsonValue::Type::kNumber) {
+      !json_int(root.find("point"), 0, INT_MAX, out.point)) {
     error = "record missing campaign/spec_hash/point";
     return false;
   }
   out.campaign = campaign->string;
   out.spec_hash = hash->string;
-  out.point = static_cast<int>(point->number);
 
   if (const JsonValue* sweep = root.find("sweep");
       sweep != nullptr && sweep->type == JsonValue::Type::kObject) {
@@ -275,6 +294,15 @@ bool parse_record(const std::string& line, ResultRecord& out, std::string& error
                                         }());
     }
   }
+
+  const JsonValue* params = root.find("params");
+  const JsonValue* seed = params != nullptr ? params->find("seed") : nullptr;
+  if (seed == nullptr || seed->type != JsonValue::Type::kNumber ||
+      !json_int(params->find("trials"), 1, INT_MAX, out.trials)) {
+    error = "record missing params.seed/params.trials";
+    return false;
+  }
+  out.seed = seed->number;
 
   const JsonValue* per_network = root.find("per_network");
   if (per_network == nullptr ||
@@ -294,25 +322,34 @@ bool parse_record(const std::string& line, ResultRecord& out, std::string& error
   }
   out.overall_pps = overall->number;
   out.jain = jain->number;
+
+  // per_trial: params.trials entries in seed order, each row one pps per network.
+  const JsonValue* per_trial = root.find("per_trial");
+  const JsonValue* rows = per_trial != nullptr ? per_trial->find("pps") : nullptr;
+  const auto trials = static_cast<std::size_t>(out.trials);
+  bool ok = rows != nullptr && rows->type == JsonValue::Type::kArray &&
+            rows->array.size() == trials &&
+            numbers_from(per_trial->find("overall_pps"), out.trial_overall_pps) &&
+            out.trial_overall_pps.size() == trials;
+  out.trial_pps.resize(ok ? trials : 0);
+  for (std::size_t trial = 0; ok && trial < trials; ++trial) {
+    ok = numbers_from(&rows->array[trial], out.trial_pps[trial]) &&
+         out.trial_pps[trial].size() == out.pps.size();
+  }
+  if (!ok) {
+    error = "record per_trial does not hold params.trials (" + std::to_string(out.trials) +
+            ") rows of " + std::to_string(out.pps.size()) + " network pps";
+    return false;
+  }
   return true;
 }
 
 bool scan_store(const std::string& path, const std::string& expected_hash,
                 StoreScan& out, std::string& error) {
   out = StoreScan{};
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    error = "cannot open result store: " + path;
-    return false;
-  }
   std::string content;
-  char buffer[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof buffer, file)) > 0) content.append(buffer, got);
-  const bool read_error = std::ferror(file) != 0;
-  std::fclose(file);
-  if (read_error) {
-    error = "error reading result store: " + path;
+  if (!read_whole_file(path, content)) {
+    error = "cannot read result store: " + path;
     return false;
   }
 
@@ -332,8 +369,9 @@ bool scan_store(const std::string& path, const std::string& expected_hash,
     if (!parsed || !has_newline) {
       // Only a torn *final* line is recoverable: it is what a kill mid-write
       // leaves behind. Anything unparsable earlier means the file is not one
-      // of ours (or was edited) — refuse rather than silently drop data.
-      if (next >= content.size()) {
+      // of ours (or was edited) — refuse rather than silently drop data. A
+      // whole record of another version is never torn.
+      if (next >= content.size() && !foreign_version(record)) {
         out.truncated_tail = true;
         break;
       }

@@ -2,14 +2,18 @@
 //
 // One line per completed sweep point, appended in point order and flushed
 // after every record, so an interrupted campaign loses at most the line
-// being written. Record schema (v1):
+// being written. Record schema (v2):
 //
-//   {"v":1,"campaign":<name>,"spec_hash":<16 hex>,"point":<index>,
+//   {"v":2,"campaign":<name>,"spec_hash":<16 hex>,"point":<index>,
 //    "sweep":{<swept key>:<value text>, ...},
 //    "params":{...full resolved PointParams...},
 //    "per_network":{"pps":[...],"prr":[...],"backoffs_per_s":[...],
 //                   "drops_per_s":[...]},
-//    "overall_pps":<num>,"jain":<num>}
+//    "overall_pps":<num>,"jain":<num>,
+//    "per_trial":{"overall_pps":[<trial 0>,...],"pps":[[<network 0>,...],...]}}
+//
+// per_network and overall_pps are seed-ordered means of the trials that
+// per_trial lists in seed order. A v1 store is refused; there is no migration.
 //
 // The record bytes are a pure function of (spec, point): wall-clock timing
 // lives in a separate "<store>.timing" sidecar, so the primary store is
@@ -28,7 +32,7 @@
 
 namespace nomc::exp {
 
-inline constexpr int kStoreVersion = 1;
+inline constexpr int kStoreVersion = 2;
 
 // ---- Minimal JSON subset -------------------------------------------------
 // Parses exactly what the store writes (objects, arrays, strings with basic
@@ -47,11 +51,19 @@ struct JsonValue {
   [[nodiscard]] const JsonValue* find(const std::string& key) const;
 };
 
+/// Append the whole file at `path` to `out`; false when it cannot be opened
+/// or read.
+bool read_whole_file(const std::string& path, std::string& out);
+
 /// Parse one complete JSON document (trailing whitespace allowed). Arrays
 /// and objects nested deeper than kMaxJsonDepth are an error, so hostile
 /// input cannot exhaust the stack.
 inline constexpr int kMaxJsonDepth = 64;
 bool parse_json(const std::string& text, JsonValue& out, std::string& error);
+
+/// `value` as an int in [lo, hi]; false when absent, not a number, not whole
+/// or out of range.
+bool json_int(const JsonValue* value, int lo, int hi, int& out);
 
 /// Append `text` JSON-escaped, in quotes.
 void json_append_string(std::string& out, const std::string& text);
@@ -72,10 +84,22 @@ struct ResultRecord {
   std::vector<double> drops_per_s;
   double overall_pps = 0.0;
   double jain = 0.0;
+  int trials = 0;     ///< params.trials
+  double seed = 0.0;  ///< params.seed as a JSON number (exact below 2^53)
+  std::vector<double> trial_overall_pps;       ///< per_trial.overall_pps, seed order
+  std::vector<std::vector<double>> trial_pps;  ///< per_trial.pps[trial][network]
 };
 
-/// Parse one JSONL line into a record. Rejects unknown versions.
+/// Parse one JSONL line into a record. Rejects per_trial lengths that
+/// disagree with params.trials or the network count, and other versions
+/// (leaving `out.version` set, so foreign_version can tell them from a torn line).
 bool parse_record(const std::string& line, ResultRecord& out, std::string& error);
+
+/// True when parse_record refused `refused` as a whole record of another
+/// store version. Such a line is an error wherever it sits, never a torn tail.
+[[nodiscard]] inline bool foreign_version(const ResultRecord& refused) {
+  return refused.version != 0 && refused.version != kStoreVersion;
+}
 
 /// Result of scanning an existing store file.
 struct StoreScan {
@@ -88,8 +112,9 @@ struct StoreScan {
 /// Read a store and validate every complete line. A torn final line (no
 /// trailing newline, or unparsable — the signature of a kill mid-write) is
 /// dropped and reported via `truncated_tail`; an unparsable line anywhere
-/// else is an error. When `expected_hash` is non-empty, every record must
-/// carry it (a mismatch means the spec changed since the store was written).
+/// else, or a whole record of another store version anywhere, is an error.
+/// When `expected_hash` is non-empty, every record must carry it (a mismatch
+/// means the spec changed since the store was written).
 bool scan_store(const std::string& path, const std::string& expected_hash,
                 StoreScan& out, std::string& error);
 

@@ -471,6 +471,15 @@ std::string format_campaign(const CampaignSpec& spec) {
   return out;
 }
 
+std::string assignment_label(const std::vector<std::pair<std::string, std::string>>& assignment) {
+  std::string label;
+  for (const auto& [key, value] : assignment) {
+    if (!label.empty()) label += ' ';
+    label += key + "=" + value;
+  }
+  return label.empty() ? "(single point)" : label;
+}
+
 std::vector<SweepPoint> expand_grid(const CampaignSpec& spec) {
   std::size_t total = 1;
   for (const SweepAxis& axis : spec.axes) total *= axis.steps.size();

@@ -125,6 +125,10 @@ struct SweepPoint {
   std::vector<std::pair<std::string, std::string>> assignment;
 };
 
+/// "key=value key=value", or "(single point)" for a grid without sweeps.
+[[nodiscard]] std::string assignment_label(
+    const std::vector<std::pair<std::string, std::string>>& assignment);
+
 /// Expand the full grid (row-major; first axis outermost). A spec without
 /// sweep lines yields exactly one point. Never fails: every value was
 /// validated when the spec was parsed.

@@ -219,8 +219,9 @@ bool StoreIndex::open(const std::string& store_path, const std::string& expected
       const bool parsed = !line.empty() && parse_record(line, record, record_error);
       if (!parsed || !has_newline) {
         // Mirror scan_store: only a torn *final* line is the signature of a
-        // kill mid-write; damage anywhere else is a corrupt store.
-        if (next >= tail.size()) {
+        // kill mid-write; damage anywhere else, or a whole record of another
+        // version, is a corrupt store.
+        if (next >= tail.size() && !foreign_version(record)) {
           truncated_tail_ = true;
           break;
         }

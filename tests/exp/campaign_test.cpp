@@ -146,7 +146,7 @@ TEST(Campaign, ResumeAfterTornWriteIsByteIdentical) {
   CampaignStats stats;
   ASSERT_TRUE(run_campaign(test_spec(), path, interrupted, &stats, error)) << error;
   // A kill mid-write leaves a partial record with no trailing newline.
-  append_bytes(path, R"({"v":1,"campaign":"campaign_under_)");
+  append_bytes(path, R"({"v":2,"campaign":"campaign_under_)");
 
   ASSERT_TRUE(run_campaign(test_spec(), path, quiet_options(CampaignOptions::Mode::kResume),
                            &stats, error))
@@ -195,7 +195,7 @@ TEST(Campaign, TornWriteResumeWithPointJobsIsByteIdentical) {
   interrupted.point_jobs = 2;
   CampaignStats stats;
   ASSERT_TRUE(run_campaign(test_spec(), path, interrupted, &stats, error)) << error;
-  append_bytes(path, R"({"v":1,"campaign":"campaign_under_)");
+  append_bytes(path, R"({"v":2,"campaign":"campaign_under_)");
   append_bytes(path + ".timing", R"({"point":2,"wall)");
 
   CampaignOptions resumed = quiet_options(CampaignOptions::Mode::kResume, /*jobs=*/2);
@@ -294,6 +294,24 @@ TEST(Campaign, RunPointMatchesStoredRecordNumbers) {
   const std::string line = format_record(spec, points[0], result);
   const std::string& reference = reference_bytes();
   EXPECT_EQ(reference.substr(0, line.size() + 1), line + "\n");
+}
+
+TEST(Campaign, PerTrialValuesAreEachTrialInSeedOrder) {
+  // per_trial row i is trial i's own result (trial_seed(seed, i)), so a
+  // paired comparison of two points pairs equal deployment seeds.
+  const CampaignSpec spec = test_spec();
+  const std::vector<SweepPoint> points = expand_grid(spec);
+  const PointParams& params = points[1].params;
+  sim::ParallelRunner runner{2};
+  const PointResult result = run_point(params, runner);
+  ASSERT_EQ(result.trial_overall_pps.size(), static_cast<std::size_t>(params.trials));
+  ASSERT_EQ(result.trial_pps.size(), static_cast<std::size_t>(params.trials));
+  for (int trial = 0; trial < params.trials; ++trial) {
+    const TrialResult one = run_trial(params, trial);
+    EXPECT_EQ(result.trial_overall_pps[static_cast<std::size_t>(trial)], one.overall_pps);
+    EXPECT_EQ(result.trial_pps[static_cast<std::size_t>(trial)], one.pps);
+  }
+  EXPECT_NE(result.trial_overall_pps.front(), result.trial_overall_pps.back());
 }
 
 // The flat (point, trial) pool. Trial counts 1, 4, 2 are uneven and divide

@@ -46,13 +46,18 @@ std::string read_file(const std::string& path) {
   return out;
 }
 
-/// A valid v1 record line (no newline); `filler` varies its length.
+/// A valid v2 record line (no newline); `filler` varies its length, and odd
+/// points carry two trials in per_trial.
 std::string record_line(int point, int filler) {
-  return R"({"v":1,"campaign":"c","spec_hash":")" + std::string{kHash} +
-         R"(","point":)" + std::to_string(point) + R"(,"sweep":{"cfd":")" +
-         std::to_string(filler) + R"("},"params":{},"per_network":{"pps":[)" +
-         std::to_string(filler) + R"(],"prr":[1],"backoffs_per_s":[0],"drops_per_s":[0]},)" +
-         R"("overall_pps":)" + std::to_string(filler) + R"(,"jain":1})";
+  const std::string value = std::to_string(filler);
+  const bool two = point % 2 == 1;
+  return R"({"v":2,"campaign":"c","spec_hash":")" + std::string{kHash} + R"(","point":)" +
+         std::to_string(point) + R"(,"sweep":{"cfd":")" + value +
+         R"("},"params":{"seed":1,"trials":)" + (two ? "2" : "1") +
+         R"(},"per_network":{"pps":[)" + value +
+         R"(],"prr":[1],"backoffs_per_s":[0],"drops_per_s":[0]},"overall_pps":)" + value +
+         R"(,"jain":1,"per_trial":{"overall_pps":[)" + value + (two ? "," + value : "") +
+         R"(],"pps":[[)" + value + (two ? "],[" + value : "") + R"(]]}})";
 }
 
 // Fixed-seed generator for fuzz *inputs*, not simulation randomness —

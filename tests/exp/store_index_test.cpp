@@ -39,16 +39,34 @@ std::string read_file(const std::string& path) {
   return out;
 }
 
-/// A valid v1 record line (no newline) for `point`; `filler` varies the
+/// A valid v2 record line (no newline) for `point`; `filler` varies the
 /// length so offsets differ between runs of the fuzz.
 std::string record_line(int point, int filler = 1, const std::string& hash = kHash) {
-  std::string line = R"({"v":1,"campaign":"c","spec_hash":")" + hash +
-                     R"(","point":)" + std::to_string(point) +
-                     R"(,"sweep":{"cfd":")" + std::to_string(filler) +
-                     R"("},"params":{},"per_network":{"pps":[)" + std::to_string(filler) +
-                     R"(],"prr":[1],"backoffs_per_s":[0],"drops_per_s":[0]},)" +
-                     R"("overall_pps":)" + std::to_string(filler) + R"(,"jain":1})";
+  const std::string value = std::to_string(filler);
+  std::string line = R"({"v":2,"campaign":"c","spec_hash":")" + hash +
+                     R"(","point":)" + std::to_string(point) + R"(,"sweep":{"cfd":")" + value +
+                     R"("},"params":{"seed":1,"trials":1},"per_network":{"pps":[)" + value +
+                     R"(],"prr":[1],"backoffs_per_s":[0],"drops_per_s":[0]},"overall_pps":)" +
+                     value + R"(,"jain":1,"per_trial":{"overall_pps":[)" + value +
+                     R"(],"pps":[[)" + value + R"(]]}})";
   return line;
+}
+
+TEST(StoreIndex, RefusesV1StoreEvenAsItsFinalLine) {
+  // The same record as the parent format wrote it: v1, no per_trial.
+  std::string v1 = record_line(0);
+  v1.replace(v1.find(R"("v":2)"), 5, R"("v":1)");
+  v1.erase(v1.find(R"(,"per_trial")"), std::string::npos);
+  v1 += '}';
+  for (const std::string& content : {v1, v1 + "\n", record_line(0) + "\n" + v1 + "\n"}) {
+    const std::string store = temp_path("v1.jsonl");
+    write_file(store, content);
+    std::remove(StoreIndex::index_path(store).c_str());
+    StoreIndex index;
+    std::string error;
+    EXPECT_FALSE(index.open(store, kHash, error));
+    EXPECT_NE(error.find("nomc-campaign run <spec> --overwrite"), std::string::npos) << error;
+  }
 }
 
 TEST(StoreIndex, BuildsFromScratchAndPersistsSidecar) {

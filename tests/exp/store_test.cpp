@@ -8,6 +8,9 @@
 #include <thread>
 #include <vector>
 
+#include "exp/campaign.hpp"
+#include "exp/spec.hpp"
+
 namespace nomc::exp {
 namespace {
 
@@ -23,15 +26,31 @@ void write_file(const std::string& path, const std::string& content) {
 }
 
 const char* kRecordA =
+    R"({"v":2,"campaign":"c","spec_hash":"00000000000000aa","point":0,)"
+    R"("sweep":{"cfd":"9"},"params":{"seed":1,"trials":2},)"
+    R"("per_network":{"pps":[10,20],"prr":[0.5,0.25],"backoffs_per_s":[1,2],)"
+    R"("drops_per_s":[3,4]},"overall_pps":30,"jain":0.9,)"
+    R"("per_trial":{"overall_pps":[28,32],"pps":[[9,19],[11,21]]}})";
+const char* kRecordB =
+    R"({"v":2,"campaign":"c","spec_hash":"00000000000000aa","point":1,)"
+    R"("sweep":{"cfd":"5"},"params":{"seed":1,"trials":1},)"
+    R"("per_network":{"pps":[7],"prr":[1],"backoffs_per_s":[0],)"
+    R"("drops_per_s":[0]},"overall_pps":7,"jain":1,)"
+    R"("per_trial":{"overall_pps":[7],"pps":[[7]]}})";
+/// kRecordA as the parent format wrote it: v1, no per_trial.
+const char* kRecordV1 =
     R"({"v":1,"campaign":"c","spec_hash":"00000000000000aa","point":0,)"
-    R"("sweep":{"cfd":"9"},"params":{},)"
+    R"("sweep":{"cfd":"9"},"params":{"seed":1,"trials":2},)"
     R"("per_network":{"pps":[10,20],"prr":[0.5,0.25],"backoffs_per_s":[1,2],)"
     R"("drops_per_s":[3,4]},"overall_pps":30,"jain":0.9})";
-const char* kRecordB =
-    R"({"v":1,"campaign":"c","spec_hash":"00000000000000aa","point":1,)"
-    R"("sweep":{"cfd":"5"},"params":{},)"
-    R"("per_network":{"pps":[7],"prr":[1],"backoffs_per_s":[0],)"
-    R"("drops_per_s":[0]},"overall_pps":7,"jain":1})";
+
+/// `record` with its first `from` replaced by `to`.
+std::string with(std::string record, const std::string& from, const std::string& to) {
+  const std::size_t at = record.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) record.replace(at, from.size(), to);
+  return record;
+}
 
 // -- JSON subset parser ----------------------------------------------------
 
@@ -97,6 +116,98 @@ TEST(Store, ParseRecordReadsAllFields) {
   EXPECT_DOUBLE_EQ(record.prr[1], 0.25);
   EXPECT_DOUBLE_EQ(record.overall_pps, 30.0);
   EXPECT_DOUBLE_EQ(record.jain, 0.9);
+  EXPECT_EQ(record.trials, 2);
+  EXPECT_EQ(record.seed, 1.0);
+  EXPECT_EQ(record.trial_overall_pps, (std::vector<double>{28, 32}));
+  EXPECT_EQ(record.trial_pps, (std::vector<std::vector<double>>{{9, 19}, {11, 21}}));
+}
+
+TEST(Store, FormatRecordRoundTripsPerTrialValues) {
+  CampaignSpec spec;
+  SpecError spec_error;
+  ASSERT_TRUE(parse_campaign("name = round_trip\nchannels = 2\ntrials = 3\nseed = 7\n", spec,
+                             spec_error))
+      << spec_error.str();
+  PointResult result;
+  result.pps = {0.1, 2.0 / 3.0};
+  result.prr = {0.5, 1.0};
+  result.backoffs_per_s = {1.0, 2.0};
+  result.drops_per_s = {0.0, 0.25};
+  result.overall_pps = 1.0 / 3.0;
+  result.jain = 0.75;
+  result.trial_overall_pps = {0.3, 1e-7, 756.23456789012345};
+  result.trial_pps = {{0.1, 0.2}, {1.0 / 7.0, 0.0}, {-0.0, 1e300}};
+
+  const std::string line = format_record(spec, expand_grid(spec).front(), result);
+  EXPECT_NE(line.find(R"(,"jain":0.75,"per_trial":{"overall_pps":[)"), std::string::npos)
+      << line;
+  ResultRecord record;
+  std::string error;
+  ASSERT_TRUE(parse_record(line, record, error)) << error;
+  EXPECT_EQ(record.version, 2);
+  EXPECT_EQ(record.trials, 3);
+  EXPECT_EQ(record.seed, 7.0);
+  EXPECT_EQ(record.pps, result.pps);
+  EXPECT_EQ(record.overall_pps, result.overall_pps);
+  EXPECT_EQ(record.trial_overall_pps, result.trial_overall_pps);
+  EXPECT_EQ(record.trial_pps, result.trial_pps);
+}
+
+TEST(Store, ParseRecordRejectsMissingPerTrial) {
+  ResultRecord record;
+  std::string error;
+  const std::string line = with(kRecordA, R"(,"per_trial":{"overall_pps":[28,32],)"
+                                          R"("pps":[[9,19],[11,21]]})",
+                                "");
+  EXPECT_FALSE(parse_record(line, record, error));
+  EXPECT_NE(error.find("per_trial"), std::string::npos) << error;
+  EXPECT_FALSE(parse_record(with(kRecordA, R"("pps":[[9,19],[11,21]])", R"("pps":7)"), record,
+                            error));
+  EXPECT_FALSE(parse_record(with(kRecordA, R"("params":{"seed":1,"trials":2})", R"("params":{})"),
+                            record, error));
+  EXPECT_NE(error.find("params.trials"), std::string::npos) << error;
+}
+
+TEST(Store, ParseRecordRejectsPerTrialLengthMismatch) {
+  ResultRecord record;
+  std::string error;
+  // A row with one network too few, and one too many.
+  EXPECT_FALSE(parse_record(with(kRecordA, "[11,21]", "[11]"), record, error));
+  EXPECT_NE(error.find("params.trials (2) rows of 2 network pps"), std::string::npos) << error;
+  EXPECT_FALSE(parse_record(with(kRecordA, "[9,19]", "[9,19,3]"), record, error));
+  // A trial count that disagrees with params.trials, in either array.
+  EXPECT_FALSE(parse_record(with(kRecordA, R"("trials":2)", R"("trials":3)"), record, error));
+  EXPECT_NE(error.find("params.trials (3)"), std::string::npos) << error;
+  EXPECT_FALSE(parse_record(with(kRecordA, "[28,32]", "[28]"), record, error));
+  EXPECT_FALSE(parse_record(with(kRecordA, ",[11,21]]", "]"), record, error));
+  // A non-number inside a row.
+  EXPECT_FALSE(parse_record(with(kRecordA, "[9,19]", R"([9,"19"])"), record, error));
+}
+
+TEST(Store, ParseRecordRefusesV1NamingTheRegeneration) {
+  ResultRecord record;
+  std::string error;
+  EXPECT_FALSE(parse_record(kRecordV1, record, error));
+  EXPECT_EQ(record.version, 1);
+  EXPECT_TRUE(foreign_version(record));
+  EXPECT_NE(error.find("nomc-campaign run <spec> --overwrite"), std::string::npos) << error;
+}
+
+TEST(Store, ParseRecordRejectsOutOfRangeIntegers) {
+  ResultRecord record;
+  std::string error;
+  for (const char* point : {"-1", "1e300", "2147483648", "0.5"}) {
+    EXPECT_FALSE(parse_record(with(kRecordA, R"("point":0)", std::string{"\"point\":"} + point),
+                              record, error))
+        << point;
+  }
+  for (const char* trials : {"0", "-3", "1e19", "2.5"}) {
+    EXPECT_FALSE(parse_record(
+        with(kRecordA, R"("trials":2)", std::string{"\"trials\":"} + trials), record, error))
+        << trials;
+  }
+  EXPECT_FALSE(parse_record(with(kRecordA, R"("v":2)", R"("v":1e300)"), record, error));
+  EXPECT_FALSE(foreign_version(record));
 }
 
 TEST(Store, ParseRecordRejectsWrongVersion) {
@@ -110,7 +221,7 @@ TEST(Store, ParseRecordRejectsWrongVersion) {
 TEST(Store, ParseRecordRejectsMissingFields) {
   ResultRecord record;
   std::string error;
-  EXPECT_FALSE(parse_record(R"({"v":1,"point":0})", record, error));
+  EXPECT_FALSE(parse_record(R"({"v":2,"point":0})", record, error));
   EXPECT_FALSE(parse_record("not json", record, error));
 }
 
@@ -131,7 +242,7 @@ TEST(Store, ScanReadsCompletedPoints) {
 
 TEST(Store, ScanDropsTornTrailingLine) {
   const std::string path = temp_path("torn.jsonl");
-  write_file(path, std::string{kRecordA} + "\n" + R"({"v":1,"campaign":"c)");
+  write_file(path, std::string{kRecordA} + "\n" + R"({"v":2,"campaign":"c)");
   StoreScan scan;
   std::string error;
   ASSERT_TRUE(scan_store(path, "00000000000000aa", scan, error)) << error;
@@ -147,6 +258,20 @@ TEST(Store, ScanRejectsGarbageInTheMiddle) {
   std::string error;
   EXPECT_FALSE(scan_store(path, "", scan, error));
   EXPECT_NE(error.find("line 1"), std::string::npos);
+}
+
+TEST(Store, ScanRefusesV1StoreEvenAsItsFinalLine) {
+  // A whole v1 record is never mistaken for a torn tail, wherever it sits.
+  const std::string v1 = kRecordV1;
+  const std::string a = kRecordA;
+  for (const std::string& content : {v1 + "\n", v1, a + "\n" + v1 + "\n", v1 + "\n" + a}) {
+    const std::string path = temp_path("v1.jsonl");
+    write_file(path, content);
+    StoreScan scan;
+    std::string error;
+    EXPECT_FALSE(scan_store(path, "", scan, error));
+    EXPECT_NE(error.find("nomc-campaign run <spec> --overwrite"), std::string::npos) << error;
+  }
 }
 
 TEST(Store, ScanRejectsSpecHashMismatch) {

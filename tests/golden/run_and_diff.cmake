@@ -5,7 +5,8 @@
 #
 # Exercises the full crash story on the real tool, then compares the store
 # byte-for-byte against the checked-in golden:
-#   1. partial parallel run (--max-points 2, --point-jobs 2),
+#   1. partial parallel run (--point-jobs 2) of all but the golden's last
+#      record, so the resume below always recomputes at least one point,
 #   2. injected kill: a torn record appended to the store and a torn line
 #      appended to the .timing sidecar,
 #   3. resume at a different (--jobs, --point-jobs) split.
@@ -22,16 +23,20 @@ set(store "${WORK_DIR}/${spec_name}.jsonl")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 file(REMOVE "${store}" "${store}.timing")
 
+file(STRINGS "${GOLDEN}" golden_records)
+list(LENGTH golden_records record_count)
+math(EXPR partial_points "${record_count} - 1")
+
 execute_process(
   COMMAND "${TOOL}" run "${SPEC}" --out "${store}" --overwrite --quiet
-          --max-points 2 --jobs 1 --point-jobs 2
+          --max-points ${partial_points} --jobs 1 --point-jobs 2
   RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
   message(FATAL_ERROR "partial run of ${spec_name} failed (${status})")
 endif()
 
 # Injected kill mid-write: valid prefix + torn tails in both files.
-file(APPEND "${store}" "{\"v\":1,\"campaign\":\"${spec_name}\",\"spec_ha")
+file(APPEND "${store}" "{\"v\":2,\"campaign\":\"${spec_name}\",\"spec_ha")
 file(APPEND "${store}.timing" "{\"point\":2,\"wall")
 
 execute_process(

@@ -39,12 +39,14 @@ constexpr const char* kSpecText =
 /// recomputes the hash from the .spec sidecar, so a made-up hash would be
 /// rejected before the export even starts.
 std::string record_line(const std::string& hash, int point) {
-  std::string line = R"({"v":1,"campaign":"svc_stream","spec_hash":")" + hash +
+  const std::string pps = std::to_string(point % 97);
+  std::string line = R"({"v":2,"campaign":"svc_stream","spec_hash":")" + hash +
                      R"(","point":)" + std::to_string(point) +
                      R"(,"sweep":{"links":")" + std::to_string(point % 7 + 1) +
-                     R"("},"params":{},"per_network":{"pps":[)" + std::to_string(point % 97) +
+                     R"("},"params":{"seed":1,"trials":1},"per_network":{"pps":[)" + pps +
                      R"(],"prr":[1],"backoffs_per_s":[0],"drops_per_s":[0]},)" +
-                     R"("overall_pps":1,"jain":1})";
+                     R"("overall_pps":1,"jain":1,"per_trial":{"overall_pps":[1],"pps":[[)" +
+                     pps + "]]}}";
   line += '\n';
   return line;
 }

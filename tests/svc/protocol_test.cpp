@@ -128,7 +128,7 @@ TEST(ProtocolReplies, RoundTripThroughJsonParser) {
   ASSERT_TRUE(parse_reply(status_reply(info), value, error));
   EXPECT_EQ(value.find("campaign"), nullptr);
 
-  const std::string record = R"({"v":1,"point":0})";
+  const std::string record = R"({"v":2,"point":0})";
   ASSERT_TRUE(parse_reply(query_reply(record), value, error));
   EXPECT_EQ(value.find("record")->string, record);
 

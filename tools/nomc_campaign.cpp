@@ -14,10 +14,15 @@
 //   nomc-campaign resume examples/campaigns/fig01_cfd.campaign
 //   nomc-campaign list examples/campaigns/fig01_cfd.campaign
 //   nomc-campaign export-csv fig01_cfd.jsonl --out fig01_cfd.csv
+//   nomc-campaign compare fig19_zigbee_vs_dcn.jsonl 0 1
 //   nomc-campaign submit examples/campaigns/fig01_cfd.campaign --server nomc.sock
+#include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "cli/args.hpp"
@@ -26,6 +31,7 @@
 #include "exp/result_store.hpp"
 #include "exp/spec.hpp"
 #include "exp/store_index.hpp"
+#include "stats/summary.hpp"
 #include "stats/table.hpp"
 #include "svc/client.hpp"
 
@@ -42,6 +48,8 @@ int usage(std::FILE* out) {
       "  resume <spec.campaign>      continue an interrupted campaign\n"
       "  list <spec.campaign>        show the sweep grid and completion status\n"
       "  export-csv <store.jsonl>    convert a result store to long-format CSV\n"
+      "  compare <store> <a> <b>     points a, b: overall pps mean +- 95% CI, and\n"
+      "                              b's gain over a, paired by trial seed\n"
       "  submit <spec.campaign>      run via the campaign service (--server), or\n"
       "                              locally with resume semantics without it\n"
       "  status <spec|hash>          campaign progress + service cache counters\n"
@@ -89,36 +97,24 @@ std::string store_path(const cli::ArgParser& args, const exp::CampaignSpec& spec
   return out.empty() ? spec.name + ".jsonl" : out;
 }
 
-bool read_whole_file(const std::string& path, std::string& out) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return false;
-  char buffer[1 << 14];
-  std::size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof buffer, file)) > 0) out.append(buffer, got);
-  const bool ok = std::ferror(file) == 0;
-  std::fclose(file);
-  return ok;
-}
-
-/// `file` for the service commands is a spec path or a bare 16-hex spec
-/// hash. Fills whichever of `spec`/`hash` applies (`has_spec` says which).
-bool resolve_campaign_arg(const std::string& file, exp::CampaignSpec& spec, bool& has_spec,
-                          std::string& hash) {
+/// `file` for the service commands is a spec path or, with --server only, a
+/// bare 16-hex spec hash. Fills `hash`, and `spec` when `file` is a spec.
+bool resolve_campaign_arg(const std::string& file, const std::string& server,
+                          exp::CampaignSpec& spec, std::string& hash) {
   exp::SpecError spec_error;
   if (exp::load_campaign(file, spec, spec_error)) {
-    has_spec = true;
     hash = exp::spec_hash(spec);
     return true;
   }
-  has_spec = false;
   const bool hex16 = file.size() == 16 &&
                      file.find_first_not_of("0123456789abcdef") == std::string::npos;
-  if (hex16) {
+  if (hex16 && !server.empty()) {
     hash = file;
     return true;
   }
-  std::fprintf(stderr, "%s: not a loadable spec (%s) nor a 16-hex spec hash\n",
-               file.c_str(), spec_error.str().c_str());
+  std::fprintf(stderr, "%s: not a loadable spec (%s)%s\n", file.c_str(),
+               spec_error.str().c_str(),
+               hex16 ? "; a spec hash only works with --server" : " nor a 16-hex spec hash");
   return false;
 }
 
@@ -135,6 +131,14 @@ bool reply_ok(const exp::JsonValue& reply, std::string& error) {
     return false;
   }
   return true;
+}
+
+/// One request/reply exchange with the nomc-serve at `server`.
+bool call_server(const std::string& server, const std::string& request, exp::JsonValue& reply,
+                 std::string& error) {
+  svc::Client client;
+  return client.connect(server, error) && client.call(request, reply, error) &&
+         reply_ok(reply, error);
 }
 
 int run_or_resume(const std::string& spec_path, const cli::ArgParser& args, bool resume) {
@@ -184,27 +188,17 @@ int list_campaign(const std::string& spec_path, const cli::ArgParser& args) {
   // .idx sidecar as a side effect); only listed records are read.
   exp::StoreIndex index;
   std::string error;
-  bool have_store = false;
-  if (std::FILE* file = std::fopen(out_path.c_str(), "rb"); file != nullptr) {
-    std::fclose(file);
-    if (!index.open(out_path, hash, error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 1;
-    }
-    have_store = true;
+  std::error_code ignored;
+  const bool have_store = std::filesystem::exists(out_path, ignored);
+  if (have_store && !index.open(out_path, hash, error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
   }
 
   std::printf("campaign %s (spec %s), store %s%s\n\n", spec.name.c_str(), hash.c_str(),
               out_path.c_str(), have_store ? "" : " (not created yet)");
   stats::TablePrinter table{{"point", "assignment", "status", "overall (pkt/s)", "jain"}};
   for (const exp::SweepPoint& point : exp::expand_grid(spec)) {
-    std::string assignment;
-    for (const auto& [key, value] : point.assignment) {
-      if (!assignment.empty()) assignment += " ";
-      assignment += key + "=" + value;
-    }
-    if (assignment.empty()) assignment = "(base)";
-
     const exp::StoreIndex::Entry* entry =
         have_store ? index.find(hash, point.index) : nullptr;
     exp::ResultRecord record;
@@ -212,7 +206,7 @@ int list_campaign(const std::string& spec_path, const cli::ArgParser& args) {
       std::fprintf(stderr, "%s\n", error.c_str());
       return 1;
     }
-    table.add_row({std::to_string(point.index), assignment,
+    table.add_row({std::to_string(point.index), exp::assignment_label(point.assignment),
                    entry != nullptr ? "done" : "pending",
                    entry != nullptr ? stats::TablePrinter::num(record.overall_pps, 1) : "-",
                    entry != nullptr ? stats::TablePrinter::num(record.jain, 3) : "-"});
@@ -252,6 +246,70 @@ int export_csv(const std::string& store_file, const cli::ArgParser& args) {
   return 0;
 }
 
+/// compare <store> <a> <b>: each point's overall pps as mean ± 95 % CI over
+/// its stored trials, then b's gain over a, 100·(b/a − 1), paired trial by
+/// trial over the trials where a > 0. Trial i of both points ran on the
+/// same deployment seed, so both must share seed and trials.
+int compare_command(int argc, char** argv) {
+  if (argc != 5) {
+    std::fputs("usage: nomc-campaign compare <store.jsonl> <point-a> <point-b>\n", stderr);
+    return 2;
+  }
+  exp::StoreScan scan;
+  std::string error;
+  if (!exp::scan_store(argv[2], /*expected_hash=*/"", scan, error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
+  }
+  const exp::ResultRecord* records[2] = {nullptr, nullptr};
+  for (int i = 0; i < 2; ++i) {
+    const std::string_view text = argv[3 + i];
+    const char* const text_end = text.data() + text.size();
+    int point = -1;
+    const auto [end, status] = std::from_chars(text.data(), text_end, point);
+    const bool parsed = status == std::errc{} && end == text_end;
+    for (const exp::ResultRecord& record : scan.records) {
+      if (parsed && record.point == point) records[i] = &record;
+    }
+    if (records[i] == nullptr) {
+      std::fprintf(stderr, "compare: point %s is not in %s\n", argv[3 + i], argv[2]);
+      return 1;
+    }
+  }
+  const exp::ResultRecord& a = *records[0];
+  const exp::ResultRecord& b = *records[1];
+  if (a.seed != b.seed || a.trials != b.trials) {
+    std::fprintf(stderr, "compare: points %d and %d differ in seed or trials, so no trial pairs\n",
+                 a.point, b.point);
+    return 1;
+  }
+
+  stats::SummaryStats stats_a;
+  stats::SummaryStats stats_b;
+  stats::SummaryStats gain;
+  for (std::size_t trial = 0; trial < a.trial_overall_pps.size(); ++trial) {
+    const double result_a = a.trial_overall_pps[trial];
+    const double result_b = b.trial_overall_pps[trial];
+    stats_a.add(result_a);
+    stats_b.add(result_b);
+    if (result_a > 0.0) gain.add(100.0 * (result_b / result_a - 1.0));
+  }
+
+  std::printf("%s (%s): %d paired trial(s) per point\n\n", a.campaign.c_str(), argv[2],
+              a.trials);
+  stats::TablePrinter table{{"design", "overall (pkt/s)", "±95% CI"}};
+  for (const auto& [name, record, summary] : {std::tuple{"A", &a, &stats_a}, {"B", &b, &stats_b}}) {
+    table.add_row({std::string{name} + ": point " + std::to_string(record->point) + " " +
+                       exp::assignment_label(record->sweep),
+                   stats::TablePrinter::num(summary->mean(), 1),
+                   stats::TablePrinter::num(summary->ci95_half_width(), 1)});
+  }
+  table.print();
+  std::printf("\nB vs A (paired over %zu deployments): %+.1f%% ± %.1f%%\n", gain.count(),
+              gain.mean(), gain.ci95_half_width());
+  return 0;
+}
+
 // ---- Service-backed commands ---------------------------------------------
 
 int submit_command(const std::string& spec_path, const cli::ArgParser& args) {
@@ -262,22 +320,17 @@ int submit_command(const std::string& spec_path, const cli::ArgParser& args) {
     return run_or_resume(spec_path, args, /*resume=*/true);
   }
   std::string spec_text;
-  if (!read_whole_file(spec_path, spec_text)) {
+  if (!exp::read_whole_file(spec_path, spec_text)) {
     std::fprintf(stderr, "cannot read %s\n", spec_path.c_str());
     return 1;
   }
 
-  svc::Client client;
-  std::string error;
-  if (!client.connect(server, error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
-  }
   std::string request = "{\"op\":\"submit\",\"spec\":";
   exp::json_append_string(request, spec_text);
   request += '}';
   exp::JsonValue reply;
-  if (!client.call(request, reply, error) || !reply_ok(reply, error)) {
+  std::string error;
+  if (!call_server(server, request, reply, error)) {
     std::fprintf(stderr, "submit failed: %s\n", error.c_str());
     return 1;
   }
@@ -294,24 +347,17 @@ int submit_command(const std::string& spec_path, const cli::ArgParser& args) {
 }
 
 int status_command(const std::string& file, const cli::ArgParser& args) {
-  exp::CampaignSpec spec;
-  bool has_spec = false;
-  std::string hash;
-  if (!resolve_campaign_arg(file, spec, has_spec, hash)) return 1;
-
   const std::string server = args.get_string("server");
+  exp::CampaignSpec spec;
+  std::string hash;
+  if (!resolve_campaign_arg(file, server, spec, hash)) return 1;
+
   if (server.empty()) {
     // Local: progress of the store next to us.
-    if (!has_spec) {
-      std::fprintf(stderr, "local status needs a spec file (a hash only works with "
-                           "--server)\n");
-      return 1;
-    }
     const std::string out_path = store_path(args, spec);
     const int total = static_cast<int>(exp::expand_grid(spec).size());
     int done = 0;
-    if (std::FILE* probe = std::fopen(out_path.c_str(), "rb"); probe != nullptr) {
-      std::fclose(probe);
+    if (std::error_code ignored; std::filesystem::exists(out_path, ignored)) {
       exp::StoreIndex index;
       std::string error;
       if (!index.open(out_path, hash, error)) {
@@ -327,17 +373,12 @@ int status_command(const std::string& file, const cli::ArgParser& args) {
     return 0;
   }
 
-  svc::Client client;
-  std::string error;
-  if (!client.connect(server, error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
-  }
   std::string request = "{\"op\":\"status\",\"spec_hash\":";
   exp::json_append_string(request, hash);
   request += '}';
   exp::JsonValue reply;
-  if (!client.call(request, reply, error) || !reply_ok(reply, error)) {
+  std::string error;
+  if (!call_server(server, request, reply, error)) {
     std::fprintf(stderr, "status failed: %s\n", error.c_str());
     return 1;
   }
@@ -372,18 +413,12 @@ int query_command(const std::string& file, const cli::ArgParser& args) {
     std::fprintf(stderr, "query needs --point <n>\n");
     return 2;
   }
-  exp::CampaignSpec spec;
-  bool has_spec = false;
-  std::string hash;
-  if (!resolve_campaign_arg(file, spec, has_spec, hash)) return 1;
-
   const std::string server = args.get_string("server");
+  exp::CampaignSpec spec;
+  std::string hash;
+  if (!resolve_campaign_arg(file, server, spec, hash)) return 1;
+
   if (server.empty()) {
-    if (!has_spec) {
-      std::fprintf(stderr, "local query needs a spec file (a hash only works with "
-                           "--server)\n");
-      return 1;
-    }
     exp::StoreIndex index;
     std::string error;
     if (!index.open(store_path(args, spec), hash, error)) {
@@ -404,17 +439,12 @@ int query_command(const std::string& file, const cli::ArgParser& args) {
     return 0;
   }
 
-  svc::Client client;
-  std::string error;
-  if (!client.connect(server, error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
-  }
   std::string request = "{\"op\":\"query\",\"spec_hash\":";
   exp::json_append_string(request, hash);
   request += ",\"point\":" + std::to_string(point) + "}";
   exp::JsonValue reply;
-  if (!client.call(request, reply, error) || !reply_ok(reply, error)) {
+  std::string error;
+  if (!call_server(server, request, reply, error)) {
     std::fprintf(stderr, "query failed: %s\n", error.c_str());
     return 1;
   }
@@ -428,18 +458,12 @@ int query_command(const std::string& file, const cli::ArgParser& args) {
 }
 
 int export_command(const std::string& file, const cli::ArgParser& args) {
-  exp::CampaignSpec spec;
-  bool has_spec = false;
-  std::string hash;
-  if (!resolve_campaign_arg(file, spec, has_spec, hash)) return 1;
-
   const std::string server = args.get_string("server");
+  exp::CampaignSpec spec;
+  std::string hash;
+  if (!resolve_campaign_arg(file, server, spec, hash)) return 1;
+
   if (server.empty()) {
-    if (!has_spec) {
-      std::fprintf(stderr, "local export needs a spec file (a hash only works with "
-                           "--server)\n");
-      return 1;
-    }
     return export_csv(store_path(args, spec), args);
   }
 
@@ -498,11 +522,9 @@ int export_command(const std::string& file, const cli::ArgParser& args) {
 }
 
 int shutdown_command(const std::string& socket_path) {
-  svc::Client client;
-  std::string error;
   exp::JsonValue reply;
-  if (!client.connect(socket_path, error) ||
-      !client.call("{\"op\":\"shutdown\"}", reply, error) || !reply_ok(reply, error)) {
+  std::string error;
+  if (!call_server(socket_path, "{\"op\":\"shutdown\"}", reply, error)) {
     std::fprintf(stderr, "shutdown failed: %s\n", error.c_str());
     return 1;
   }
@@ -519,6 +541,7 @@ int main(int argc, char** argv) {
   if (argc < 3) return usage(stderr);
   const std::string command = argv[1];
   const std::string file = argv[2];
+  if (command == "compare") return compare_command(argc, argv);  // positional only
 
   cli::ArgParser args = make_options();
   if (const auto exit_code =
