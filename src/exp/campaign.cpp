@@ -86,13 +86,8 @@ TrialResult collect(const PointParams& params, const net::Scenario& scenario) {
 
 }  // namespace
 
-TrialResult run_trial(const PointParams& params, int trial, const TrialHook& pre_run) {
-  net::Scheme scheme = net::Scheme::kFixedCca;
-  const bool scheme_ok = net::parse_scheme(params.scheme, scheme);
-  assert(scheme_ok && "PointParams.scheme must be pre-validated");
-  (void)scheme_ok;
+std::vector<net::NetworkSpec> place_networks(const PointParams& params, int trial) {
   assert(net::valid_topology(params.topology) && "PointParams.topology must be pre-validated");
-
   const auto channels = phy::evenly_spaced(phy::Mhz{params.band_start_mhz},
                                            phy::Mhz{params.cfd_mhz}, params.channels);
   net::RandomCaseConfig topology;
@@ -103,10 +98,11 @@ TrialResult run_trial(const PointParams& params, int trial, const TrialHook& pre
     topology = topology.with_fixed_power(phy::Dbm{*params.power_dbm});
   }
 
-  const std::uint64_t seed = trial_seed(params.seed, trial);
-  sim::RandomStream placement{seed, /*index=*/999};
+  sim::RandomStream placement{trial_seed(params.seed, trial), /*index=*/999};
   std::vector<net::NetworkSpec> specs;
-  if (params.topology == "clustered") {
+  if (net::is_rig_topology(params.topology)) {
+    specs = net::fig5_rig(channels, placement, topology, params.topology == "fig5-cochannel");
+  } else if (params.topology == "clustered") {
     specs = net::case2_clustered(channels, placement, topology);
   } else if (params.topology == "random") {
     specs = net::case3_random(channels, placement, topology);
@@ -120,9 +116,18 @@ TrialResult run_trial(const PointParams& params, int trial, const TrialHook& pre
       link.tx_power = phy::Dbm{power};
     }
   }
+  return specs;
+}
+
+TrialResult run_trial(const PointParams& params, int trial, const TrialHook& pre_run) {
+  net::Scheme scheme = net::Scheme::kFixedCca;
+  const bool scheme_ok = net::parse_scheme(params.scheme, scheme);
+  assert(scheme_ok && "PointParams.scheme must be pre-validated");
+  (void)scheme_ok;
+  const std::vector<net::NetworkSpec> specs = place_networks(params, trial);
 
   net::ScenarioConfig config;
-  config.seed = seed;
+  config.seed = trial_seed(params.seed, trial);
   config.psdu_bytes = params.psdu_bytes;
   config.fixed_cca_threshold = phy::Dbm{params.cca_dbm};
   if (params.dcn_margin_db) config.dcn.safety_margin = phy::Db{*params.dcn_margin_db};
@@ -137,6 +142,12 @@ TrialResult run_trial(const PointParams& params, int trial, const TrialHook& pre
     }
     const int network = scenario.add_network(specs[n].channel, network_scheme);
     for (const net::LinkSpec& link : specs[n].links) scenario.add_link(network, link);
+  }
+  for (const auto& [network, cca] : params.network_cca_dbm) {
+    assert(network < params.channels && "cca.N must be pre-validated");
+    for (int l = 0; l < scenario.link_count(network); ++l) {
+      scenario.fixed_cca(network, l).set(phy::Dbm{cca});
+    }
   }
   scenario.run(sim::SimTime::seconds(params.warmup_s), sim::SimTime::seconds(params.measure_s));
   return collect(params, scenario);

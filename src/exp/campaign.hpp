@@ -20,6 +20,7 @@
 
 #include "exp/result_store.hpp"
 #include "exp/spec.hpp"
+#include "net/spec.hpp"
 
 namespace nomc::sim {
 class ParallelRunner;
@@ -58,6 +59,12 @@ struct TrialResult {
 [[nodiscard]] constexpr std::uint64_t trial_seed(std::uint64_t seed, int trial) {
   return seed + static_cast<std::uint64_t>(trial) * 1000003;
 }
+
+/// The networks trial `trial` of an operating point deploys, in network
+/// order: its topology's placement (drawn from trial_seed(params.seed,
+/// trial)) with every power.N override applied. The params must be
+/// pre-validated (apply_param).
+[[nodiscard]] std::vector<net::NetworkSpec> place_networks(const PointParams& params, int trial);
 
 /// Run trial `trial` of an operating point: one deployment seeded
 /// trial_seed(params.seed, trial). The params must be pre-validated

@@ -12,6 +12,7 @@
 
 #include "exp/result_store.hpp"
 #include "net/scheme_names.hpp"
+#include "net/topology.hpp"
 
 namespace nomc::exp {
 namespace {
@@ -121,7 +122,7 @@ bool check_scheme(const std::string& value, std::string& message) {
   return false;
 }
 
-// The N of an indexed key "scheme.N" / "power.N": decimal digits without a
+// The N of an indexed key "scheme.N" / "power.N" / "cca.N": decimal digits without a
 // sign or a leading zero (one spelling per network keeps keys unique), below
 // the channel limit.
 bool network_index(const std::string& key, std::size_t dot, int& index, std::string& message) {
@@ -138,15 +139,84 @@ bool network_index(const std::string& key, std::size_t dot, int& index, std::str
   return false;
 }
 
-// The network index of a scheme.N / power.N key, or -1 for any other key.
+// The network index of a scheme.N / power.N / cca.N key, or -1 for any other
+// key.
 int indexed_network(const std::string& key) {
   const auto dot = key.find('.');
   if (dot == std::string::npos) return -1;
   const std::string base = key.substr(0, dot);
   int index = -1;
   std::string ignored;
-  if ((base != "scheme" && base != "power") || !network_index(key, dot, index, ignored)) return -1;
+  if ((base != "scheme" && base != "power" && base != "cca") ||
+      !network_index(key, dot, index, ignored)) {
+    return -1;
+  }
   return index;
+}
+
+// Where a spec's grid takes one base key from: the sweep axis that steps it
+// (and the key's position in that axis), else the base assignment's line
+// (0 when the key keeps its default).
+struct KeySource {
+  const SweepAxis* axis = nullptr;
+  std::size_t k = 0;
+  int line = 0;
+};
+
+KeySource key_source(const CampaignSpec& spec, const std::map<std::string, int>& assigned,
+                     const std::string& key) {
+  for (const SweepAxis& axis : spec.axes) {
+    for (std::size_t k = 0; k < axis.keys.size(); ++k) {
+      if (axis.keys[k] == key) return {&axis, k, axis.line};
+    }
+  }
+  const auto it = assigned.find(key);
+  return {nullptr, 0, it == assigned.end() ? 0 : it->second};
+}
+
+// Every value `source` takes across the grid; `base` when it is not swept.
+std::vector<std::string> grid_values(const KeySource& source, const std::string& base) {
+  if (source.axis == nullptr) return {base};
+  std::vector<std::string> values;
+  for (const std::vector<std::string>& step : source.axis->steps) values.push_back(step[source.k]);
+  return values;
+}
+
+int channels_of(const std::string& text) {
+  int channels = 0;
+  (void)parse_num(text, channels);  // validated when its line was parsed
+  return channels;
+}
+
+// A rig topology places exactly net::kFig5Channels channels. Topology and
+// channels stepped by one lockstep axis are checked step by step; otherwise
+// every combination of their grid values is.
+bool check_rig_channels(const CampaignSpec& spec, const KeySource& topology,
+                        const KeySource& channels, SpecError& error) {
+  const auto refuse = [&](int line, const std::string& name, int count) {
+    error.line = line;
+    error.message = "topology '" + name + "' places " + std::to_string(net::kFig5Channels) +
+                    " channels, but a grid point has channels = " + std::to_string(count);
+    return false;
+  };
+  if (topology.axis != nullptr && topology.axis == channels.axis) {
+    for (const std::vector<std::string>& step : topology.axis->steps) {
+      const int count = channels_of(step[channels.k]);
+      if (net::is_rig_topology(step[topology.k]) && count != net::kFig5Channels) {
+        return refuse(topology.line, step[topology.k], count);
+      }
+    }
+    return true;
+  }
+  for (const std::string& name : grid_values(topology, spec.base.topology)) {
+    if (!net::is_rig_topology(name)) continue;
+    for (const std::string& text : grid_values(channels, std::to_string(spec.base.channels))) {
+      if (channels_of(text) != net::kFig5Channels) {
+        return refuse(std::max(topology.line, channels.line), name, channels_of(text));
+      }
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -164,6 +234,9 @@ std::vector<std::pair<std::string, std::string>> optional_settings(const PointPa
   }
   for (const auto& [network, power] : params.network_power_dbm) {
     out.emplace_back("power." + std::to_string(network), double_text(power));
+  }
+  for (const auto& [network, cca] : params.network_cca_dbm) {
+    out.emplace_back("cca." + std::to_string(network), double_text(cca));
   }
   return out;
 }
@@ -263,6 +336,13 @@ bool apply_param(PointParams& params, const std::string& key, const std::string&
       params.network_power_dbm[network] = power;
       return true;
     }
+    if (base == "cca") {
+      if (!network_index(key, dot, network, message)) return false;
+      double cca = 0.0;
+      if (!set_number(key, value, cca, -200.0, 0.0, "-200 .. 0 dBm", message)) return false;
+      params.network_cca_dbm[network] = cca;
+      return true;
+    }
   }
   message = "unknown key '" + key + "'";
   return false;
@@ -270,9 +350,9 @@ bool apply_param(PointParams& params, const std::string& key, const std::string&
 
 bool parse_campaign(const std::string& text, CampaignSpec& out, SpecError& error) {
   out = CampaignSpec{};
-  std::set<std::string> assigned_keys;
+  std::map<std::string, int> assigned_keys;  // key -> line
   std::set<std::string> swept_keys;
-  std::vector<std::pair<int, std::string>> indexed_keys;  // (line, key): scheme.N, power.N
+  std::vector<std::pair<int, std::string>> indexed_keys;  // (line, key): scheme.N, power.N, cca.N
 
   const std::vector<std::string> lines = split(text, '\n');
   for (std::size_t li = 0; li < lines.size(); ++li) {
@@ -365,7 +445,7 @@ bool parse_campaign(const std::string& text, CampaignSpec& out, SpecError& error
       out.name = rhs;
       continue;
     }
-    if (!assigned_keys.insert(lhs).second) {
+    if (!assigned_keys.emplace(lhs, error.line).second) {
       error.message = "duplicate assignment of '" + lhs + "'";
       return false;
     }
@@ -373,19 +453,15 @@ bool parse_campaign(const std::string& text, CampaignSpec& out, SpecError& error
     if (indexed_network(lhs) >= 0) indexed_keys.emplace_back(error.line, lhs);
   }
 
+  const KeySource channels = key_source(out, assigned_keys, "channels");
+  if (!check_rig_channels(out, key_source(out, assigned_keys, "topology"), channels, error)) {
+    return false;
+  }
   // Every grid point must have the networks its indexed keys name: check
   // each against the fewest channels any point has.
-  int fewest = out.base.channels;
-  for (const SweepAxis& axis : out.axes) {
-    for (std::size_t k = 0; k < axis.keys.size(); ++k) {
-      if (axis.keys[k] != "channels") continue;
-      fewest = INT_MAX;
-      for (const std::vector<std::string>& step : axis.steps) {
-        int channels = 0;
-        (void)parse_num(step[k], channels);  // validated above
-        fewest = std::min(fewest, channels);
-      }
-    }
+  int fewest = INT_MAX;
+  for (const std::string& value : grid_values(channels, std::to_string(out.base.channels))) {
+    fewest = std::min(fewest, channels_of(value));
   }
   for (const auto& [line, key] : indexed_keys) {
     const int network = indexed_network(key);

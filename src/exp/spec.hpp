@@ -10,19 +10,24 @@
 //
 // Keys mirror the nomc-sim options: scheme, topology, band-start, cfd,
 // channels, links, power, cca, psdu, warmup, measure, seed, trials.
+// `topology` is a Case (dense | clustered | random) or the Fig. 5 rig
+// (fig5 | fig5-cochannel), which takes exactly `channels = 5`.
 // `power` accepts a dBm number or the word "random" (per-node uniform in
-// [-22, 0] dBm, the paper's Case deployments). Six more keys are optional
+// [-22, 0] dBm, the paper's Case deployments). Seven more keys are optional
 // and have no nomc-sim option:
 //
-//   scheme.N = dcn              # network N's scheme (N = 0 is the lowest channel)
+//   scheme.N = dcn              # network N's scheme (Cases: N = 0 is the lowest
+//                               # channel; rig: N = 0 is the victim)
 //   power.N = -15               # TX power (dBm) of every link of network N
+//   cca.N = -55                 # fixed CCA threshold (dBm) of network N's senders
 //   dcn-margin = 4              # DCN safety margin below min co-channel RSSI (dB)
 //   dcn-tu = 6                  # DCN updating window T_U (s)
 //   region = 3                  # Case I region / Case II room edge (m)
 //   room-spacing = 1.8          # Case II distance between room centres (m)
 //
 // An indexed key composes with sweeps (`sweep power.3 = -33 0`); every grid
-// point must have more than N channels. An unset optional key appears
+// point must have more than N channels. A rig topology with another channel
+// count is refused too, per lockstep step or over every combination. An unset optional key appears
 // nowhere: not in the canonical text, the spec hash or the record.
 // Multiple `sweep` lines form a cartesian product; the first-declared sweep
 // varies slowest. All values are validated at parse time, so every error
@@ -59,6 +64,7 @@ struct PointParams {
   // The optional keys: unset means the scenario's own default.
   std::map<int, std::string> network_scheme;  ///< scheme.N, by network index
   std::map<int, double> network_power_dbm;    ///< power.N, by network index
+  std::map<int, double> network_cca_dbm;      ///< cca.N, by network index
   std::optional<double> dcn_margin_db;        ///< dcn-margin → DcnConfig::safety_margin
   std::optional<double> dcn_tu_s;             ///< dcn-tu → DcnConfig::t_update
   std::optional<double> region_m;             ///< region → RandomCaseConfig::region_m
@@ -66,8 +72,8 @@ struct PointParams {
 };
 
 /// The optional keys `params` sets, as (key, canonical value text) in a fixed
-/// order: dcn-margin, dcn-tu, region, room-spacing, then scheme.N and
-/// power.N by ascending N. Empty when none is set. The canonical text, the
+/// order: dcn-margin, dcn-tu, region, room-spacing, then scheme.N, power.N
+/// and cca.N by ascending N. Empty when none is set. The canonical text, the
 /// spec hash and the record all serialize through it.
 [[nodiscard]] std::vector<std::pair<std::string, std::string>> optional_settings(
     const PointParams& params);

@@ -16,7 +16,11 @@ bool parse_scheme(const std::string& name, Scheme& out) {
 }
 
 bool valid_topology(const std::string& name) {
-  return name == "dense" || name == "clustered" || name == "random";
+  return name == "dense" || name == "clustered" || name == "random" || is_rig_topology(name);
+}
+
+bool is_rig_topology(const std::string& name) {
+  return name == "fig5" || name == "fig5-cochannel";
 }
 
 }  // namespace nomc::net

@@ -15,12 +15,18 @@
 namespace nomc::net {
 
 inline constexpr const char* kSchemeChoices = "fixed | dcn | carrier-sense";
-inline constexpr const char* kTopologyChoices = "dense | clustered | random";
+inline constexpr const char* kTopologyChoices =
+    "dense | clustered | random | fig5 | fig5-cochannel";
 
 /// "fixed" | "dcn" | "carrier-sense" → Scheme. False on anything else.
 [[nodiscard]] bool parse_scheme(const std::string& name, Scheme& out);
 
-/// True for "dense" | "clustered" | "random" (Cases I-III).
+/// True for "dense" | "clustered" | "random" (Cases I-III) and the Fig. 5
+/// rig, "fig5" | "fig5-cochannel" (the latter with Fig. 8's co-channel links).
 [[nodiscard]] bool valid_topology(const std::string& name);
+
+/// True for the two Fig. 5 rig topologies, which place exactly
+/// kFig5Channels channels; the Cases take any count.
+[[nodiscard]] bool is_rig_topology(const std::string& name);
 
 }  // namespace nomc::net

@@ -1,5 +1,8 @@
 #include "net/topology.hpp"
 
+#include <cassert>
+#include <cmath>
+
 namespace nomc::net {
 namespace {
 
@@ -72,6 +75,42 @@ std::vector<NetworkSpec> case3_random(std::span<const phy::Mhz> channels,
       spec.links.push_back(link_near(anchor, config.link_distance_m, rng, config));
     }
     specs.push_back(std::move(spec));
+  }
+  return specs;
+}
+
+std::vector<NetworkSpec> fig5_rig(std::span<const phy::Mhz> channels, sim::RandomStream& rng,
+                                  const RandomCaseConfig& config, bool cochannel) {
+  assert(channels.size() == static_cast<std::size_t>(kFig5Channels));
+  const auto network = [&](std::size_t channel) {
+    NetworkSpec spec;
+    spec.channel = channels[channel];
+    return spec;
+  };
+  const auto link = [&](phy::Vec2 sender) {
+    LinkSpec spec;
+    spec.sender_pos = sender;
+    spec.receiver_pos = {sender.x, sender.y + 2.0};
+    spec.tx_power = random_power(rng, config);
+    return spec;
+  };
+  std::vector<NetworkSpec> specs;
+  specs.push_back(network(2));
+  specs.back().links.push_back(link({0.0, 0.0}));
+  for (int i = 1; cochannel && i <= 3; ++i) {
+    const double angle = 2.0944 * i;  // 120 degrees apart
+    specs.push_back(network(2));
+    specs.back().links.push_back(link({1.8 * std::cos(angle), 1.8 * std::sin(angle)}));
+  }
+  const struct {
+    std::size_t channel;
+    phy::Vec2 at;
+  } interferers[] = {{3, {2.2, 0.0}}, {1, {-2.2, 0.0}}, {4, {0.0, 2.2}}, {0, {0.0, -2.2}}};
+  for (const auto& it : interferers) {
+    specs.push_back(network(it.channel));
+    for (int l = 0; l < config.links_per_network; ++l) {
+      specs.back().links.push_back(link({it.at.x + 0.5 * l, it.at.y}));
+    }
   }
   return specs;
 }

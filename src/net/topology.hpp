@@ -5,6 +5,9 @@
 //   rooms far apart.
 // * Case III (Fig. 24): all nodes scattered uniformly over a large region,
 //   sender/receiver pairs kept within radio range.
+// * The Fig. 5 rig (§IV, Figs. 6-10): one victim link ringed by
+//   neighbouring-channel interferer networks, optionally with co-channel
+//   competitors.
 #pragma once
 
 #include <span>
@@ -44,5 +47,19 @@ struct RandomCaseConfig {
 [[nodiscard]] std::vector<NetworkSpec> case3_random(std::span<const phy::Mhz> channels,
                                                     sim::RandomStream& rng,
                                                     const RandomCaseConfig& config = {});
+
+/// The Fig. 5 rig places networks on exactly this many channels.
+inline constexpr int kFig5Channels = 5;
+
+/// The Fig. 5 rig on `channels` (kFig5Channels of them, CFD apart). Network 0
+/// is the victim: one 2 m link on the middle channel. With `cochannel`, three
+/// single-link networks follow on the victim's channel, 1.8 m out at 120°
+/// steps (Fig. 8). Then come the interferer networks at +CFD, -CFD, +2 CFD
+/// and -2 CFD, 2.2 m away on the cardinal points, `links_per_network` links
+/// each, 0.5 m apart. Every link's power is drawn as the Case generators
+/// draw it; the geometry draws nothing.
+[[nodiscard]] std::vector<NetworkSpec> fig5_rig(std::span<const phy::Mhz> channels,
+                                                sim::RandomStream& rng,
+                                                const RandomCaseConfig& config, bool cochannel);
 
 }  // namespace nomc::net

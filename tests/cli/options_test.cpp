@@ -22,6 +22,9 @@ TEST(Options, ValidTopologyCoversAllCases) {
   EXPECT_TRUE(valid_topology("dense"));
   EXPECT_TRUE(valid_topology("clustered"));
   EXPECT_TRUE(valid_topology("random"));
+  EXPECT_TRUE(valid_topology("fig5"));
+  EXPECT_TRUE(valid_topology("fig5-cochannel"));
+  EXPECT_FALSE(valid_topology("fig5-"));
   EXPECT_FALSE(valid_topology("grid"));
   EXPECT_FALSE(valid_topology(""));
 }

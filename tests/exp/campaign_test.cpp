@@ -422,33 +422,34 @@ TEST(Campaign, OptionalKeysReachTheTrial) {
   // trial bit for bit as it was (a power.N override rewrites the placed
   // links, so no placement draw moves); set to another value, it changes the
   // trial. The warm-up outlasts DCN's 1 s initializing phase, before which
-  // neither DCN knob acts.
+  // neither DCN knob acts. cca.N acts on fixed-CCA senders only.
   struct Case {
+    const char* scheme;
     const char* topology;
     const char* key;
     const char* same;
     const char* other;
   };
   const Case cases[] = {
-      {"dense", "scheme.1", "dcn", "fixed"},
-      {"dense", "power.1", "0", "-30"},
-      {"dense", "dcn-margin", "2", "8"},
-      {"dense", "dcn-tu", "3", "0.1"},
-      {"dense", "region", "7", "3"},
-      {"clustered", "room-spacing", "15", "1.8"},
+      {"dcn", "dense", "scheme.1", "dcn", "fixed"},
+      {"dcn", "dense", "power.1", "0", "-30"},
+      {"fixed", "dense", "cca.0", "-77", "-55"},
+      {"dcn", "dense", "dcn-margin", "2", "8"},
+      {"dcn", "dense", "dcn-tu", "3", "0.1"},
+      {"dcn", "dense", "region", "7", "3"},
+      {"dcn", "clustered", "room-spacing", "15", "1.8"},
   };
-  const auto trial = [](const char* topology, const char* key, const char* value) {
-    std::string text = "channels = 4\npower = 0\nwarmup = 1.2\nmeasure = 0.5\ntopology = ";
-    text += topology;
-    text += '\n';
+  const auto trial = [](const Case& c, const char* key, const char* value) {
+    std::string text = "channels = 4\npower = 0\nwarmup = 1.2\nmeasure = 0.5\nscheme = ";
+    text += std::string{c.scheme} + "\ntopology = " + c.topology + "\n";
     if (key != nullptr) text += std::string{key} + " = " + value + "\n";
     return run_trial(parse_spec(text).base, 0);
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.key);
-    const TrialResult base = trial(c.topology, nullptr, nullptr);
-    const TrialResult same = trial(c.topology, c.key, c.same);
-    const TrialResult other = trial(c.topology, c.key, c.other);
+    const TrialResult base = trial(c, nullptr, nullptr);
+    const TrialResult same = trial(c, c.key, c.same);
+    const TrialResult other = trial(c, c.key, c.other);
     EXPECT_EQ(same.pps, base.pps);
     EXPECT_EQ(same.prr, base.prr);
     EXPECT_EQ(same.backoffs_per_s, base.backoffs_per_s);

@@ -2,7 +2,7 @@
 // example campaign (examples/campaigns/*.campaign, each of which must
 // parse), put through bit flips, byte inserts and deletes, truncations,
 // line splices, injected non-finite or huge number tokens and injected
-// indexed keys (scheme.N / power.N).
+// indexed keys (scheme.N / power.N / cca.N).
 // Every input must come back as a SpecError or as a spec whose every
 // reachable PointParams double is finite; an accepted spec's canonical text
 // must parse back to the same hash.
@@ -98,7 +98,8 @@ std::string inject_number(Rng& rng, const std::string& text) {
   // lacks reach the parser.
   static const std::vector<std::string> kKeys = {
       "scheme.", "scheme.x", "scheme.-1", "scheme.2.1", "power.99999999999999999999",
-      "scheme.5", "power.0", "power.255", "scheme.256", "scheme.01"};
+      "scheme.5", "power.0", "power.255", "scheme.256", "scheme.01", "cca.0", "cca.4",
+      "cca.256", "cca.01"};
   std::vector<std::string> lines = lines_of(text);
   const std::size_t li = pick(rng, lines.size());
   std::string& line = lines[li];
@@ -181,15 +182,18 @@ bool all_finite(const PointParams& params) {
   const auto finite = [](const std::optional<double>& value) {
     return !value.has_value() || std::isfinite(*value);
   };
-  bool network_powers_finite = true;
+  bool network_values_finite = true;
   for (const auto& [network, power] : params.network_power_dbm) {
-    network_powers_finite = network_powers_finite && std::isfinite(power);
+    network_values_finite = network_values_finite && std::isfinite(power);
+  }
+  for (const auto& [network, cca] : params.network_cca_dbm) {
+    network_values_finite = network_values_finite && std::isfinite(cca);
   }
   return std::isfinite(params.band_start_mhz) && std::isfinite(params.cfd_mhz) &&
          std::isfinite(params.cca_dbm) && std::isfinite(params.warmup_s) &&
          std::isfinite(params.measure_s) && finite(params.power_dbm) &&
          finite(params.dcn_margin_db) && finite(params.dcn_tu_s) && finite(params.region_m) &&
-         finite(params.room_spacing_m) && network_powers_finite;
+         finite(params.room_spacing_m) && network_values_finite;
 }
 
 /// Every PointParams the grid can produce is the base plus one step per

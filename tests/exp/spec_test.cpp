@@ -118,6 +118,7 @@ TEST(Spec, OptionalKeysSetTheirFields) {
       "scheme = fixed\n"
       "scheme.2 = dcn\n"
       "power.3 = -15.5\n"
+      "cca.0 = -55\n"
       "dcn-margin = 4\n"
       "dcn-tu = 6\n"
       "region = 3\n"
@@ -125,6 +126,7 @@ TEST(Spec, OptionalKeysSetTheirFields) {
   EXPECT_EQ(spec.base.scheme, "fixed");
   EXPECT_EQ(spec.base.network_scheme, (std::map<int, std::string>{{2, "dcn"}}));
   EXPECT_EQ(spec.base.network_power_dbm, (std::map<int, double>{{3, -15.5}}));
+  EXPECT_EQ(spec.base.network_cca_dbm, (std::map<int, double>{{0, -55.0}}));
   EXPECT_EQ(spec.base.dcn_margin_db, 4.0);
   EXPECT_EQ(spec.base.dcn_tu_s, 6.0);
   EXPECT_EQ(spec.base.region_m, 3.0);
@@ -136,6 +138,7 @@ TEST(Spec, OptionalKeysSetTheirFields) {
       {"room-spacing", "1.8"},
       {"scheme.2", "dcn"},
       {"power.3", "-15.5"},
+      {"cca.0", "-55"},
   };
   EXPECT_EQ(optional_settings(spec.base), expected);
   EXPECT_TRUE(optional_settings(parse_ok("").base).empty());
@@ -158,7 +161,7 @@ TEST(Spec, IndexedKeysSweepAndComposeWithOtherAxes) {
 TEST(Spec, MalformedNetworkIndexReportsLine) {
   for (const char* key : {"scheme.", "scheme.x", "scheme.-1", "scheme.2.1", "scheme.+1",
                           "scheme.01", "scheme.256", "power.99999999999999999999",
-                          "power.", "power.1e1"}) {
+                          "power.", "power.1e1", "cca.", "cca.01", "cca.256"}) {
     const std::string k = key;
     const std::string value = k.rfind("scheme", 0) == 0 ? "dcn" : "-10";
     const SpecError base = parse_fail("channels = 6\n" + k + " = " + value + "\n");
@@ -177,6 +180,8 @@ TEST(Spec, BadOptionalValuesReportLine) {
   EXPECT_EQ(parse_fail("dcn-tu = 0\n").line, 1);
   EXPECT_EQ(parse_fail("region = 0\n").line, 1);
   EXPECT_EQ(parse_fail("room-spacing = -2\n").line, 1);
+  EXPECT_EQ(parse_fail("cfd = 3\ncca.1 = 5\n").line, 2);
+  EXPECT_EQ(parse_fail("cca.1 = random\n").line, 1);
   EXPECT_NE(parse_fail("scheme.x.y = dcn\n").message.find("bad network index"),
             std::string::npos);
   EXPECT_NE(parse_fail("banana.1 = 3\n").message.find("unknown key"), std::string::npos);
@@ -196,6 +201,24 @@ TEST(Spec, NetworkIndexMissingFromAGridPointReportsItsLine) {
   EXPECT_EQ(parse_fail("scheme.6 = dcn\n").line, 1);  // the default 6 channels
   parse_ok("sweep channels = 6 7\nscheme.5 = dcn\n");
   parse_ok("channels = 2\nsweep channels = 6 7\npower.5 = 0\n");  // the sweep wins
+}
+
+TEST(Spec, RigTopologyAtAnotherChannelCountReportsItsLine) {
+  // The Fig. 5 rig places five channels; the default is six.
+  const SpecError base = parse_fail("cfd = 3\ntopology = fig5\n");
+  EXPECT_NE(base.str().find("line 2: topology 'fig5' places 5 channels"), std::string::npos);
+  EXPECT_NE(base.message.find("a grid point has channels = 6"), std::string::npos) << base.str();
+  // Unswept keys blame the later assignment.
+  EXPECT_EQ(parse_fail("topology = fig5-cochannel\n\nchannels = 4\n").line, 3);
+  // Separate axes combine cartesian: fig5 meets channels = 6.
+  const std::string cartesian = "channels = 5\nsweep topology = dense fig5\nsweep channels = 5 6\n";
+  EXPECT_EQ(parse_fail(cartesian).line, 3);
+  EXPECT_EQ(parse_fail("sweep topology = dense fig5\n").line, 1);
+  // One lockstep axis pairs them step by step.
+  EXPECT_EQ(parse_fail("sweep topology/channels = fig5/5 fig5-cochannel/6\n").line, 1);
+  parse_ok("sweep topology/channels = dense/6 fig5/5\n");
+  parse_ok("channels = 5\nsweep topology = dense fig5 fig5-cochannel\n");
+  parse_ok("topology = fig5\nchannels = 6\nsweep channels = 5\n");  // the sweep wins
 }
 
 // -- Error reporting: every failure names its line --------------------------
@@ -273,7 +296,7 @@ TEST(Spec, NonFiniteValuesRejectedWithLine) {
   // strtod reads all of these; every range check is false for NaN, so only
   // an explicit finiteness check keeps "cfd_mhz":nan out of the store.
   for (const char* key : {"band-start", "cfd", "power", "cca", "warmup", "measure", "power.0",
-                          "dcn-margin", "dcn-tu", "region", "room-spacing"}) {
+                          "cca.0", "dcn-margin", "dcn-tu", "region", "room-spacing"}) {
     for (const char* value : {"nan", "-nan", "inf", "-inf"}) {
       const std::string k = key;
       const std::string v = value;
@@ -353,6 +376,8 @@ TEST(Spec, FormatParsesBackToSameGridAndHash) {
       "scheme = fixed\npower.3 = -15.5\nscheme.2 = dcn\nscheme.0 = carrier-sense\n"
       "room-spacing = 1.8\nregion = 3\ndcn-tu = 6\ndcn-margin = 0\n"
       "sweep power.1 = -33 0\n",
+      "scheme = fixed\ncca.4 = -20\ncca.0 = -90.5\nchannels = 5\nsweep topology = fig5 "
+      "fig5-cochannel\nsweep cca.2 = -95 -60\n",
       "sweep topology/region/room-spacing = dense/3/15 clustered/1/1.8\n"
       "sweep scheme.0/dcn-tu/dcn-margin = dcn/1/2 fixed/3/8\n",
   };
@@ -390,6 +415,7 @@ TEST(Spec, FormatRoundTripsRandomSpecs) {
     if (rng() % 2) text += "region = " + std::to_string(1 + rng() % 20) + ".5\n";
     if (rng() % 2) text += "scheme.0 = " + std::string{rng() % 2 ? "dcn" : "fixed"} + "\n";
     if (rng() % 2) text += "sweep power.0 = -20 0\n";
+    if (rng() % 2) text += "cca.0 = " + std::to_string(-95 + (int)(rng() % 76)) + "\n";
     if (rng() % 2) text += sweep_line("psdu", 2 + (int)(rng() % 3));
     if (rng() % 2) text += "sweep scheme = fixed dcn\n";
     if (rng() % 2) {
@@ -429,11 +455,12 @@ TEST(Spec, HashSeesEveryField) {
   EXPECT_NE(spec_hash(parse_ok("power = 0\n")), spec_hash(parse_ok("power = random\n")));
   std::set<std::string> optional_hashes;
   for (const char* line : {"scheme.0 = dcn", "scheme.1 = dcn", "power.0 = 0", "power.0 = -1",
-                           "dcn-margin = 2", "dcn-tu = 3", "region = 7", "room-spacing = 15"}) {
+                           "cca.0 = -77", "cca.1 = -77", "cca.0 = -55", "dcn-margin = 2",
+                           "dcn-tu = 3", "region = 7", "room-spacing = 15"}) {
     optional_hashes.insert(spec_hash(parse_ok(base + line + "\n")));
   }
   optional_hashes.insert(hash);
-  EXPECT_EQ(optional_hashes.size(), 9u);
+  EXPECT_EQ(optional_hashes.size(), 12u);
 }
 
 TEST(Spec, UnsetOptionalKeysKeepTheCanonicalTextAndHash) {

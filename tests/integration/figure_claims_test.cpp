@@ -77,6 +77,62 @@ TEST(FigureClaims, Fig01ThroughputPeaksAtCfd3) {
       << best->params.cfd_mhz << " MHz (" << best->record.overall_pps << " pkt/s)";
 }
 
+TEST(FigureClaims, Figs6To7RelaxingTheVictimIsFreeThroughput) {
+  // The fig5 rig's points sweep the victim's (network 0's) threshold from
+  // -95 up to -20 dBm; the fig5-cochannel points (Fig. 8) follow.
+  const std::vector<Point> points = run_example("fig06_08_cca_sweep");
+  ASSERT_EQ(points.size(), 32u);
+  const Point& conservative = points.front();
+  const Point& relaxed = points[15];
+  ASSERT_EQ(conservative.params.network_cca_dbm.at(0), -95.0);
+  ASSERT_EQ(relaxed.params.network_cca_dbm.at(0), -20.0);
+  ASSERT_EQ(relaxed.params.topology, "fig5");
+  EXPECT_GT(relaxed.record.overall_pps, conservative.record.overall_pps)
+      << "Fig. 7 claim: relaxing the victim's threshold raises the five networks' overall "
+         "throughput; measured "
+      << relaxed.record.overall_pps << " pkt/s at -20 dBm vs "
+      << conservative.record.overall_pps << " at -95";
+  for (const Point& point : points) {
+    if (point.params.topology != "fig5") continue;
+    EXPECT_GE(point.record.prr[0], 0.97)
+        << "Fig. 6 claim: inter-channel energy is tolerable, the victim's PRR stays ~100 %; "
+           "measured "
+        << 100.0 * point.record.prr[0] << " % at " << point.params.network_cca_dbm.at(0)
+        << " dBm";
+  }
+}
+
+TEST(FigureClaims, Figs9To10RelaxingHelpsEveryPowerAndStrongLinksKeepTheirPrr) {
+  // Points run threshold by threshold (-95 -85 ... -25 dBm), each at the
+  // victim powers -8 -11 -15 -22 -33 dBm.
+  const std::vector<Point> points = run_example("fig09_10_txpower");
+  ASSERT_EQ(points.size(), 40u);
+  const auto victim = [&](double cca, double power) -> const ResultRecord& {
+    for (const Point& point : points) {
+      if (point.params.network_cca_dbm.at(0) == cca &&
+          point.params.network_power_dbm.at(0) == power) {
+        return point.record;
+      }
+    }
+    ADD_FAILURE() << "no point at " << cca << " dBm, " << power << " dBm";
+    return points.front().record;
+  };
+  for (const Point& point : points) {
+    const double power = point.params.network_power_dbm.at(0);
+    if (power < -15.0) continue;
+    EXPECT_GE(point.record.prr[0], 0.99)
+        << "Fig. 10 claim: at TX powers >= -15 dBm the victim's PRR stays ~100 %; measured "
+        << 100.0 * point.record.prr[0] << " % at " << power << " dBm, threshold "
+        << point.params.network_cca_dbm.at(0) << " dBm";
+  }
+  for (const double power : {-8.0, -11.0, -15.0, -22.0, -33.0}) {
+    EXPECT_GT(victim(-65.0, power).pps[0], victim(-95.0, power).pps[0])
+        << "Fig. 9 claim: relaxing the threshold helps at every power; at " << power
+        << " dBm measured " << victim(-65.0, power).pps[0] << " pkt/s at -65 dBm vs "
+        << victim(-95.0, power).pps[0] << " at -95";
+  }
+}
+
 TEST(FigureClaims, Figs16To18DcnHelpsEveryNetworkAndCfd3BeatsCfd2) {
   // Grid order: (cfd 2, fixed), (cfd 2, dcn), (cfd 3, fixed), (cfd 3, dcn).
   const std::vector<Point> points = run_example("fig16_18_dcn_all");

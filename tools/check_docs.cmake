@@ -18,7 +18,11 @@
 #      command line;
 #   5. every `build/bench/<name>` (or `./build/bench/<name>`), in a code
 #      span or a code block, names a target in bench/CMakeLists.txt, so a
-#      deleted figure bench cannot linger in a command line either.
+#      deleted figure bench cannot linger in a command line either;
+#   6. every backticked bare figure or extension name (`figNN_...`,
+#      `ext_...`) names a target in bench/CMakeLists.txt, a spec in
+#      examples/campaigns/ or a spec in tests/golden/, so a figure table
+#      cannot keep naming a deleted bench.
 # Any failure lists every offending (file, reference) pair, then fails.
 
 if(NOT DEFINED REPO_ROOT)
@@ -44,7 +48,7 @@ foreach(line ${output_names})
 endforeach()
 
 # The bench binaries this repo builds, read from bench/CMakeLists.txt
-# (`nomc_figure(<name>)` and `add_executable(<name> ...)`; rule 5).
+# (`nomc_figure(<name>)` and `add_executable(<name> ...)`; rules 5 and 6).
 set(benches "")
 file(STRINGS "${REPO_ROOT}/bench/CMakeLists.txt" bench_targets
      REGEX "^(nomc_figure|add_executable)\\([A-Za-z0-9_]+")
@@ -90,6 +94,14 @@ foreach(doc ${doc_files})
     string(REGEX REPLACE "^`(.*)`$" "\\1" token "${tick}")
     if(token MATCHES "^(src|docs|tools|bench|tests|examples)/" AND NOT token MATCHES " ")
       check_path_token("${doc_name}" "${token}")
+    endif()
+    # 6. Bare figure/extension names name a bench or a campaign spec.
+    if(token MATCHES "^(fig[0-9][0-9]|ext)_[A-Za-z0-9_]+$")
+      list(FIND benches "${token}" found)
+      if(found EQUAL -1 AND NOT EXISTS "${REPO_ROOT}/examples/campaigns/${token}.campaign"
+         AND NOT EXISTS "${REPO_ROOT}/tests/golden/${token}.campaign")
+        set(errors "${errors}  ${doc_name}: `${token}` names no bench, campaign or golden spec\n")
+      endif()
     endif()
     # 4. Tool command lines name a built tool.
     if(token MATCHES "^(nomc-[a-z0-9-]+)( |$)")

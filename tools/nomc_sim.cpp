@@ -27,6 +27,8 @@
 #include "exp/result_store.hpp"
 #include "exp/spec.hpp"
 #include "net/scenario.hpp"
+#include "net/scheme_names.hpp"
+#include "net/topology.hpp"
 #include "sim/parallel.hpp"
 #include "sim/trace.hpp"
 #include "stats/table.hpp"
@@ -57,6 +59,11 @@ int run(const cli::ArgParser& args) {
       return 1;
     }
   }
+  if (net::is_rig_topology(params.topology) && params.channels != net::kFig5Channels) {
+    std::fprintf(stderr, "--topology %s places %d channels: add --channels %d\n",
+                 params.topology.c_str(), net::kFig5Channels, net::kFig5Channels);
+    return 1;
+  }
 
   // The event trace is a single-run debugging artifact; averaging trials
   // would interleave unrelated runs, so the trace only attaches to trial 0
@@ -81,13 +88,14 @@ int run(const cli::ArgParser& args) {
               params.cfd_mhz, static_cast<unsigned long long>(params.seed), params.trials,
               runner.jobs());
 
+  // Every trial places its networks on the same channels.
+  const std::vector<net::NetworkSpec> networks = exp::place_networks(params, 0);
   stats::TablePrinter table{{"network", "MHz", "pkt/s", "PRR", "backoffs/s", "drops/s"}};
   for (std::size_t n = 0; n < mean.pps.size(); ++n) {
     std::string label = "N";  // discrete appends keep GCC 12's -Wrestrict quiet
     label += std::to_string(n);
     table.add_row({std::move(label),
-                   stats::TablePrinter::num(
-                       params.band_start_mhz + params.cfd_mhz * static_cast<double>(n), 0),
+                   stats::TablePrinter::num(networks[n].channel.value, 0),
                    stats::TablePrinter::num(mean.pps[n], 1),
                    stats::TablePrinter::num(100.0 * mean.prr[n], 1) + "%",
                    stats::TablePrinter::num(mean.backoffs_per_s[n], 1),
