@@ -235,18 +235,26 @@ double Medium::rss_dbm(std::uint32_t slot, std::uint32_t k, NodeId rx) const {
   return terms(slot, k, rx).rss_dbm;
 }
 
-double Medium::leaked_mw(std::uint32_t slot, std::uint32_t k, NodeId rx, Mhz channel,
-                         Path path) const {
+Medium::Leak Medium::compute_leak(const Frame& f, double rss_dbm, Mhz channel,
+                                  Path path) const {
+  const Mhz delta = frequency_distance(f.channel, channel);
+  const Dbm level = Dbm{rss_dbm} - leak_attenuation(f, delta, path);
+  // Only inter-channel frames whose leaked energy clears the noise floor
+  // count as overlap; a transmission on the far side of the band is not a
+  // collision.
+  return {to_milliwatts(level).value, level > config_.noise_floor};
+}
+
+Medium::Leak Medium::leak(std::uint32_t slot, std::uint32_t k, NodeId rx, Mhz channel,
+                          Path path) const {
   const Frame& f = frame_slots_[slot].frame;
-  if (k == kUncovered) {
-    const Mhz delta = frequency_distance(f.channel, channel);
-    return to_milliwatts(compute_rss(f, rx) - leak_attenuation(f, delta, path)).value;
-  }
+  if (k == kUncovered) return compute_leak(f, compute_rss(f, rx).value, channel, path);
   RxTerms& t = terms(slot, k, rx);
   if (t.channel_mhz[path] != channel.value) {
     t.channel_mhz[path] = channel.value;
-    const Mhz delta = frequency_distance(f.channel, channel);
-    t.leaked_mw[path] = to_milliwatts(Dbm{t.rss_dbm} - leak_attenuation(f, delta, path)).value;
+    const Leak fresh = compute_leak(f, t.rss_dbm, channel, path);
+    t.leaked_mw[path] = fresh.mw;
+    t.above_noise[path] = fresh.above_noise;
   }
 #ifndef NDEBUG
   // Debug cross-check against the untabulated curves and a fresh RSS.
@@ -257,11 +265,12 @@ double Medium::leaked_mw(std::uint32_t slot, std::uint32_t k, NodeId rx, Mhz cha
     if (f.emission != nullptr) {
       attenuation = std::min(attenuation, f.emission->attenuation(delta));
     }
-    assert(t.leaked_mw[path] == to_milliwatts(compute_rss(f, rx) - attenuation).value &&
-           "stale leaked-power entry served");
+    const Dbm level = compute_rss(f, rx) - attenuation;
+    assert(t.leaked_mw[path] == to_milliwatts(level).value && "stale leaked-power entry served");
+    assert(t.above_noise[path] == (level > config_.noise_floor) && "stale noise-floor test served");
   }
 #endif
-  return t.leaked_mw[path];
+  return {t.leaked_mw[path], t.above_noise[path]};
 }
 
 void Medium::notify_listeners(std::uint32_t slot, bool start) {
@@ -364,24 +373,40 @@ void Medium::end_tx(FrameId id) {
   }
 }
 
+std::optional<Medium::TermRef> Medium::locate(const Frame& frame, NodeId rx) const {
+  if (frame.id == announced_.frame && rx == announced_.node) {
+    return TermRef{announced_.slot, announced_.k};
+  }
+  const auto it = slot_of_.find(frame.id);
+  if (it == slot_of_.end()) return std::nullopt;
+  return TermRef{it->second, term_index(it->second, rx)};
+}
+
 Dbm Medium::rss(const Frame& frame, NodeId rx) const {
   assert(rx < positions_.size());
-  double value;
-  if (frame.id == announced_.frame && rx == announced_.node) {
-    // A listener asking, at its own node, about the frame it is being told
-    // of: its slot and term index are known.
-    value = rss_dbm(announced_.slot, announced_.k, rx);
-  } else {
-    const auto it = slot_of_.find(frame.id);
-    // Off the air (e.g. a receiver finalizing after end_tx): recompute; the
-    // shadowing draw is a pure hash of (seed, frame, rx), so the value agrees.
-    if (it == slot_of_.end()) return compute_rss(frame, rx);
-    value = rss_dbm(it->second, term_index(it->second, rx), rx);
-  }
+  const std::optional<TermRef> at = locate(frame, rx);
+  // Off the air (e.g. a receiver finalizing after end_tx): recompute; the
+  // shadowing draw is a pure hash of (seed, frame, rx), so the value agrees.
+  if (!at) return compute_rss(frame, rx);
+  const double value = rss_dbm(at->slot, at->k, rx);
   // The entry belongs to the on-air frame with this id; the caller's copy
   // must describe the same transmission.
   assert(value == compute_rss(frame, rx).value && "rss() asked about a different frame");
   return Dbm{value};
+}
+
+Medium::Arrival Medium::arrival(const Frame& frame, NodeId rx, Mhz channel) const {
+  assert(rx < positions_.size());
+  const std::optional<TermRef> at = locate(frame, rx);
+  if (!at) {
+    const Dbm rss = compute_rss(frame, rx);
+    const Leak fresh = compute_leak(frame, rss.value, channel, kDecode);
+    return {rss, MilliWatts{fresh.mw}, fresh.above_noise};
+  }
+  const Dbm rss{rss_dbm(at->slot, at->k, rx)};
+  assert(rss == compute_rss(frame, rx) && "arrival() asked about a different frame");
+  const Leak decode = leak(at->slot, at->k, rx, channel, kDecode);
+  return {rss, MilliWatts{decode.mw}, decode.above_noise};
 }
 
 Db Medium::rejection_db(Mhz delta, Path path) const {
@@ -402,17 +427,6 @@ Db Medium::leak_attenuation(const Frame& f, Mhz delta, Path path) const {
     attenuation = std::min(attenuation, f.emission->attenuation(delta));
   }
   return attenuation;
-}
-
-bool Medium::leaks_above_noise(const Frame& f, Dbm rss, Mhz channel) const {
-  // Only inter-channel frames whose leaked energy clears the noise floor
-  // count; a transmission on the far side of the band is not a collision.
-  const Mhz delta = frequency_distance(f.channel, channel);
-  return rss - leak_attenuation(f, delta, kDecode) > config_.noise_floor;
-}
-
-bool Medium::inter_channel_audible(const Frame& frame, NodeId rx, Mhz channel) const {
-  return leaks_above_noise(frame, rss(frame, rx), channel);
 }
 
 template <typename Visit>
@@ -498,7 +512,7 @@ MilliWatts Medium::accumulate(NodeId node, Mhz channel, FrameId exclude, Path pa
     const Frame& f = frame_slots_[slot].frame;
     // A node never senses its own signal.
     if (f.id != exclude && f.src != node) {
-      total += MilliWatts{leaked_mw(slot, k, node, channel, path)};
+      total += MilliWatts{leak(slot, k, node, channel, path).mw};
     }
     return false;
   });
@@ -510,9 +524,9 @@ Dbm Medium::sense_energy(NodeId node, Mhz channel) const {
   return to_dbm(accumulate(node, channel, /*exclude=*/0, kSensing));
 }
 
-Dbm Medium::interference(NodeId rx, Mhz channel, FrameId exclude) const {
+MilliWatts Medium::interference_mw(NodeId rx, Mhz channel, FrameId exclude) const {
   // Decoding interference: filter + despreading gain both reject neighbours.
-  return to_dbm(accumulate(rx, channel, exclude, kDecode));
+  return accumulate(rx, channel, exclude, kDecode);
 }
 
 bool Medium::carrier_present(NodeId node, Mhz channel, Dbm sensitivity) const {
@@ -530,14 +544,18 @@ bool Medium::carrier_present(NodeId node, Mhz channel, Dbm sensitivity) const {
 Medium::Overlap Medium::overlap(NodeId rx, Mhz channel, FrameId exclude) const {
   // A culled frame's RSS is below noise − margin, so it can neither clear
   // the inter-channel noise-floor test nor meaningfully collide co-channel;
-  // the candidate set suffices.
+  // the candidate set suffices. The walk and its exclusions are
+  // accumulate()'s, so the decode-path sum comes out the same double.
   Overlap result;
+  result.interference_mw = noise_mw_;
   any_candidate(rx, /*force_exhaustive=*/false, [&](std::uint32_t slot, std::uint32_t k) {
     const Frame& f = frame_slots_[slot].frame;
     if (f.id == exclude || f.src == rx) return false;
+    const Leak decode = leak(slot, k, rx, channel, kDecode);
+    result.interference_mw += MilliWatts{decode.mw};
     if (same_channel(f.channel, channel)) {
       result.co = true;
-    } else if (leaks_above_noise(f, Dbm{rss_dbm(slot, k, rx)}, channel)) {
+    } else if (decode.above_noise) {
       result.inter = true;
     }
     return false;

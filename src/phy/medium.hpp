@@ -64,7 +64,8 @@
 //     frame's slot, indexed like the reach's losses: by the rx's position in
 //     the covered set (partial frames) or by the rx index itself (covering
 //     frames). An entry holds the RSS and the sensing- and decode-path
-//     milliwatts (each stamped with the rx channel it was computed for), and
+//     milliwatts, each with whether its level clears the noise floor and
+//     stamped with the rx channel it was computed for, and
 //     is valid while its stamp equals the slot's generation, so claiming a
 //     slot clears it in O(1). A read outside a partial frame's covered set
 //     computes the RSS, loss included, afresh;
@@ -85,6 +86,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -171,21 +173,35 @@ class Medium {
 
   /// Interference-plus-noise for decoding frame `exclude` at `rx` on
   /// `channel`: as sense_energy but also excluding the wanted frame itself.
-  [[nodiscard]] Dbm interference(NodeId rx, Mhz channel, FrameId exclude) const;
+  [[nodiscard]] Dbm interference(NodeId rx, Mhz channel, FrameId exclude) const {
+    return to_dbm(interference_mw(rx, channel, exclude));
+  }
+  /// interference() before the conversion to dBm.
+  [[nodiscard]] MilliWatts interference_mw(NodeId rx, Mhz channel, FrameId exclude) const;
 
   struct Overlap {
     bool co = false;     ///< a co-channel frame is on the air (within range)
     bool inter = false;  ///< an inter-channel frame with energy above noise
+    /// interference_mw(rx, channel, exclude): overlap() walks the same
+    /// frames in the same order, so it is the same double.
+    MilliWatts interference_mw{};
   };
   /// What kinds of concurrent transmission (other than `exclude` and `rx`'s
   /// own) are on the air right now, from `rx`'s perspective on `channel`.
   [[nodiscard]] Overlap overlap(NodeId rx, Mhz channel, FrameId exclude) const;
 
-  /// Does `frame`, sent off `channel`, leak energy above the noise floor
-  /// into a decoder at `rx` tuned to `channel`? The one inter-channel
-  /// audibility rule: overlap() applies it to every frame on the air, and a
-  /// receiver applies it to a frame starting mid-reception.
-  [[nodiscard]] bool inter_channel_audible(const Frame& frame, NodeId rx, Mhz channel) const;
+  /// What `frame` brings to a decoder at `rx` tuned to `channel`, read from
+  /// the frame's memoised terms in one lookup (a listener asking about the
+  /// frame it is being told of goes straight to its entry).
+  struct Arrival {
+    Dbm rss;                  ///< rss(frame, rx)
+    MilliWatts interference;  ///< the term interference() sums for it at rx
+    /// Its leaked energy clears the noise floor: the one inter-channel
+    /// audibility rule. overlap() applies it to every frame on the air, and
+    /// a receiver to a frame starting mid-reception.
+    bool audible = false;
+  };
+  [[nodiscard]] Arrival arrival(const Frame& frame, NodeId rx, Mhz channel) const;
 
   /// Carrier-sense detector: is a CO-CHANNEL transmission (not `node`'s own)
   /// in progress whose RSS at `node` clears `sensitivity`? This is what the
@@ -215,16 +231,24 @@ class Medium {
   /// rejection, SINR) or the CCA energy detector (sensing rejection).
   enum Path : std::size_t { kDecode = 0, kSensing = 1 };
 
+  /// The power a frame leaks into a receiver on one path: in milliwatts,
+  /// and whether its level clears the noise floor (Arrival::audible on the
+  /// decode path).
+  struct Leak {
+    double mw = 0.0;
+    bool above_noise = false;
+  };
+
   /// The per-(frame, rx) terms every query is built from. The entry is
-  /// valid while `gen` equals its slot's generation; each path's milliwatts
-  /// are valid for the rx channel stamped beside them (NaN: not computed
-  /// yet).
+  /// valid while `gen` equals its slot's generation; each path's leak is
+  /// valid for the rx channel stamped beside it (NaN: not computed yet).
   struct RxTerms {
     double rss_dbm = 0.0;
     double channel_mhz[2] = {std::numeric_limits<double>::quiet_NaN(),
                              std::numeric_limits<double>::quiet_NaN()};
     double leaked_mw[2] = {0.0, 0.0};
     std::uint32_t gen = 0;  ///< 0 is never a current slot generation
+    bool above_noise[2] = {false, false};
   };
 
   /// Term index of an rx outside a partial frame's disc: its RSS is
@@ -288,9 +312,9 @@ class Medium {
   [[nodiscard]] Db leak_attenuation(const Frame& f, Mhz delta, Path path) const;
   /// `path`'s rejection curve at `delta`, looked up in rejection_table_.
   [[nodiscard]] Db rejection_db(Mhz delta, Path path) const;
-  /// The inter_channel_audible() rule for a frame whose RSS at the receiver
-  /// is already known.
-  [[nodiscard]] bool leaks_above_noise(const Frame& f, Dbm rss, Mhz channel) const;
+  /// The leak of frame `f`, whose RSS at the receiver is `rss_dbm`, into a
+  /// receiver tuned to `channel`, computed afresh.
+  [[nodiscard]] Leak compute_leak(const Frame& f, double rss_dbm, Mhz channel, Path path) const;
   /// PL(distance(a, b)), computed afresh.
   [[nodiscard]] double pair_loss_db(NodeId a, NodeId b) const;
   /// RSS of `frame` at `rx` given the pair loss between them.
@@ -308,9 +332,19 @@ class Medium {
   [[nodiscard]] RxTerms& terms(std::uint32_t slot, std::uint32_t k, NodeId rx) const;
   /// RSS of the frame in `slot` at `rx`, cached unless `k` is kUncovered.
   [[nodiscard]] double rss_dbm(std::uint32_t slot, std::uint32_t k, NodeId rx) const;
-  /// The milliwatts the frame in `slot` leaks into `rx` tuned to `channel`.
-  [[nodiscard]] double leaked_mw(std::uint32_t slot, std::uint32_t k, NodeId rx, Mhz channel,
-                                 Path path) const;
+  /// What the frame in `slot` leaks into `rx` tuned to `channel`, cached
+  /// unless `k` is kUncovered.
+  [[nodiscard]] Leak leak(std::uint32_t slot, std::uint32_t k, NodeId rx, Mhz channel,
+                          Path path) const;
+  /// A frame's slot and its term index at one receiver.
+  struct TermRef {
+    std::uint32_t slot = 0;
+    std::uint32_t k = 0;
+  };
+  /// Where `frame` keeps its terms at `rx`, or nullopt when it is off the
+  /// air (e.g. a receiver finalizing after end_tx). A listener asking at its
+  /// own node about the frame it is being told of skips the lookup.
+  [[nodiscard]] std::optional<TermRef> locate(const Frame& frame, NodeId rx) const;
 
   /// Dense storage index of a registered node.
   [[nodiscard]] std::size_t local_index(NodeId node) const {

@@ -27,6 +27,18 @@ namespace nomc::phy {
 /// 802.11b DBPSK model used by the Fig. 2 contrast experiment.
 enum class BerModel { kOqpsk154, kDsss11b };
 
+/// SINR (dB) from which both BER models return exactly 0.0. Each model's
+/// leading term is an exp that underflows to +0.0 once its argument drops
+/// below about -745.13 (exp's subnormal limit):
+///   * O-QPSK: exp(-10·γ) at k = 2, so γ > 74.51, i.e. SINR > 18.72 dB;
+///   * 802.11b DBPSK: exp(-10^((SINR + 10.4)/10)), i.e. SINR > 18.33 dB.
+/// The threshold sits >= 1.28 dB above both, far beyond any rounding in the
+/// dBm/mW conversions, so a receiver whose interference bound proves this
+/// SINR can skip the segment's BER and its (draw-free) error draw.
+inline constexpr double kErrorFreeSinrDb = 20.0;
+
+/// The selected model's BER; exactly 0.0 from kErrorFreeSinrDb on, without
+/// evaluating the model.
 [[nodiscard]] double ber(BerModel model, double sinr_db);
 
 }  // namespace nomc::phy

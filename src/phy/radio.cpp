@@ -92,7 +92,7 @@ void Radio::abort_rx() {
 }
 
 void Radio::lock_onto(const Frame& frame, Dbm rssi) {
-  RxContext ctx;
+  RxContext& ctx = rx_.emplace();
   ctx.frame = frame;
   ctx.rssi = rssi;
   ctx.start = scheduler_.now();
@@ -104,12 +104,25 @@ void Radio::lock_onto(const Frame& frame, Dbm rssi) {
   }
   // Frames already on the air when we lock count as overlap (e.g. locking
   // between two attacker frames, or onto a frame that started under an
-  // ongoing inter-channel transmission).
+  // ongoing inter-channel transmission). Their exact interference sum seeds
+  // the bound.
   const Medium::Overlap existing = medium_.overlap(self_, config_.channel, frame.id);
   ctx.overlapped_co = existing.co;
   ctx.overlapped_inter = existing.inter;
-  rx_ = ctx;
+  ctx.bound = existing.interference_mw;
+  ctx.error_free = to_milliwatts(rssi - Db{kErrorFreeSinrDb});
   state_ = State::kRx;
+}
+
+bool Radio::proven_error_free() const {
+  if (rx_->bound > rx_->error_free) return false;
+#ifndef NDEBUG
+  const MilliWatts exact = medium_.interference_mw(self_, config_.channel, rx_->frame.id);
+  assert(exact <= rx_->bound && "interference exceeds the segment bound");
+  assert(ber(config_.ber_model, (rx_->rssi - to_dbm(exact)).value) == 0.0 &&
+         "a segment proven error-free has a nonzero BER");
+#endif
+  return true;
 }
 
 void Radio::close_segment() {
@@ -125,9 +138,11 @@ void Radio::close_segment() {
   const sim::SimTime lo = rx_->last_boundary > psdu_start ? rx_->last_boundary : psdu_start;
   if (now > lo) {
     const std::int64_t bits = (now - lo) / kBitTime;
-    if (bits > 0) {
-      const Dbm interference = medium_.interference(self_, config_.channel, rx_->frame.id);
-      const double sinr_db = (rx_->rssi - interference).value;
+    if (bits > 0 && !proven_error_free()) {
+      const MilliWatts interference =
+          medium_.interference_mw(self_, config_.channel, rx_->frame.id);
+      rx_->bound = interference;  // drops the frames that ended
+      const double sinr_db = (rx_->rssi - to_dbm(interference)).value;
       const double bit_error_rate = ber(config_.ber_model, sinr_db);
       if (rx_->dirty_blocks.empty()) {
         rx_->bit_errors += rng_.binomial(bits, bit_error_rate);
@@ -205,22 +220,25 @@ void Radio::on_tx_start(const Frame& frame) {
   if (state_ == State::kRx) {
     // Interference set changes now: account for the elapsed segment first.
     close_segment();
+    const Medium::Arrival arrival = medium_.arrival(frame, self_, config_.channel);
     if (co_channel) {
       rx_->overlapped_co = true;
-      const Dbm rssi = medium_.rss(frame, self_);
       // Preamble capture: a sufficiently stronger co-channel frame steals the
       // receiver if the current frame is still in its sync header.
       const bool in_capture_window = scheduler_.now() - rx_->start < capture_window();
-      if (in_capture_window && rssi >= rx_->rssi + config_.capture_margin) {
+      if (in_capture_window && arrival.rss >= rx_->rssi + config_.capture_margin) {
         rx_.reset();
         state_ = State::kIdle;
-        lock_onto(frame, rssi);
+        lock_onto(frame, arrival.rss);  // seeds a new bound
         // The stolen-from frame is still on the air: it overlaps the new one.
         rx_->overlapped_co = true;
+        return;
       }
-    } else if (medium_.inter_channel_audible(frame, self_, config_.channel)) {
+    } else if (arrival.audible) {
       rx_->overlapped_inter = true;
     }
+    // The frame interferes from now on.
+    rx_->bound += arrival.interference;
   }
   // State kTx: nothing to do; we are deaf while transmitting.
 }

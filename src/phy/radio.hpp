@@ -12,6 +12,17 @@
 // the O-QPSK BER at that segment's SINR. A frame finishing with zero errors
 // passes CRC; otherwise the error-bit fraction is reported (feeding the
 // paper's Fig. 29 recovery analysis).
+//
+// Most segments are provably clean, so the radio skips them. Each reception
+// keeps a running upper bound on its interference-plus-noise in mW: the
+// exact sum at lock (Medium::overlap walks those frames anyway), plus each
+// frame's decode-path term when it starts. An ending frame's term stays in,
+// which keeps it an upper bound; each exact read resets it to the exact
+// sum. While the bound sits kErrorFreeSinrDb (20 dB) below the locked RSSI,
+// the BER is exactly 0.0 and the binomial draw consumes no randomness, so a
+// segment closes without summing interference, evaluating the BER or
+// touching the RNG, and every result is the one the exact path gives. Debug
+// builds recompute each skipped segment and assert both facts.
 #pragma once
 
 #include <optional>
@@ -118,13 +129,25 @@ class Radio final : public MediumListener {
     bool overlapped_co = false;
     bool overlapped_inter = false;
     std::vector<bool> dirty_blocks;  ///< per-block corruption accumulator
+    /// Upper bound on the decode-path interference-plus-noise over the open
+    /// segment: seeded at lock, grown by each frame that starts, reset by
+    /// each exact read.
+    MilliWatts bound;
+    /// A bound at or below this proves the SINR >= kErrorFreeSinrDb.
+    MilliWatts error_free;
   };
 
   void lock_onto(const Frame& frame, Dbm rssi);
   /// Accumulate energy for [energy_mark_, t) at the current state's current.
   void account_energy_until(sim::SimTime t);
+  /// Does the bound prove the open segment's SINR >= kErrorFreeSinrDb? There
+  /// the BER is exactly 0.0 and a binomial draw at 0.0 returns 0 without
+  /// consuming randomness, so the segment has no errors to record. Debug
+  /// builds re-prove each yes against the exact interference.
+  [[nodiscard]] bool proven_error_free() const;
   /// Accumulate bit errors for [last_boundary, now) under the current
-  /// interference set, then advance the boundary.
+  /// interference set, then advance the boundary. A segment proven
+  /// error-free reads nothing.
   void close_segment();
   void finish_rx();
 

@@ -150,8 +150,12 @@ void expect_bitwise_same_answers(const Medium& warm, const Medium& fresh,
         const Medium::Overlap b = fresh.overlap(node, channel, frame.id);
         ASSERT_EQ(a.co, b.co);
         ASSERT_EQ(a.inter, b.inter);
-        ASSERT_EQ(warm.inter_channel_audible(frame, node, channel),
-                  fresh.inter_channel_audible(frame, node, channel));
+        ASSERT_EQ(bits(a.interference_mw.value), bits(b.interference_mw.value));
+        const Medium::Arrival x = warm.arrival(frame, node, channel);
+        const Medium::Arrival y = fresh.arrival(frame, node, channel);
+        ASSERT_EQ(bits(x.rss.value), bits(y.rss.value));
+        ASSERT_EQ(bits(x.interference.value), bits(y.interference.value));
+        ASSERT_EQ(x.audible, y.audible);
       }
     }
     for (const Frame& frame : on_air) {
@@ -522,6 +526,10 @@ struct OracleRun {
         const Medium::Overlap b = oracle.overlap(node, channel, 0);
         ASSERT_EQ(a.co, b.co) << "node " << node << ", step " << step;
         ASSERT_EQ(a.inter, b.inter) << "node " << node << ", step " << step;
+        // overlap() walks interference()'s frames in its order: the same sum.
+        ASSERT_EQ(bits(a.interference_mw.value),
+                  bits(medium.interference_mw(node, channel, 0).value))
+            << "overlap sum at node " << node << ", step " << step;
         for (const Dbm sensitivity : {Dbm{-77.0}, Dbm{-200.0}}) {
           ASSERT_EQ(medium.carrier_present(node, channel, sensitivity),
                     oracle.carrier(node, channel, sensitivity))

@@ -182,7 +182,7 @@ TEST(Medium, InterChannelAudibilityUsesDecodeCurveFlooredByEmissionMask) {
   const Frame narrow = make_frame(medium, tx, Mhz{2465.0}, Dbm{-18.5});
   medium.begin_tx(narrow);
   ASSERT_NEAR(medium.rss(narrow, rx).value, -58.5, 1e-9);
-  EXPECT_FALSE(medium.inter_channel_audible(narrow, rx, tuned));
+  EXPECT_FALSE(medium.arrival(narrow, rx, tuned).audible);
   EXPECT_FALSE(medium.overlap(rx, tuned, 0).inter);
   medium.end_tx(narrow.id);
 
@@ -192,7 +192,7 @@ TEST(Medium, InterChannelAudibilityUsesDecodeCurveFlooredByEmissionMask) {
   Frame wide = make_frame(medium, tx, Mhz{2465.0}, Dbm{-18.5});
   wide.emission = &mask;
   medium.begin_tx(wide);
-  EXPECT_TRUE(medium.inter_channel_audible(wide, rx, tuned));
+  EXPECT_TRUE(medium.arrival(wide, rx, tuned).audible);
   EXPECT_TRUE(medium.overlap(rx, tuned, 0).inter);
 }
 

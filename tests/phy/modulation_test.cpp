@@ -147,6 +147,31 @@ TEST(BerDispatch, SelectsModel) {
   EXPECT_NE(ber(BerModel::kOqpsk154, 1.0), ber(BerModel::kDsss11b, 1.0));
 }
 
+TEST(ErrorFreeSinr, BothModelsAreExactlyZeroFromTheThreshold) {
+  // A receiver skips every segment whose SINR it can bound at or above
+  // kErrorFreeSinrDb and records no errors there: each model itself, not
+  // only ber()'s early return, must be exactly 0.0 from the threshold on.
+  // 20 .. 200 dB in 1e-3 dB steps (indexed, so no accumulated drift).
+  const auto expect_zero = [](double sinr_db) {
+    ASSERT_EQ(oqpsk_ber(sinr_db), 0.0) << "O-QPSK at " << sinr_db << " dB";
+    ASSERT_EQ(dsss_dbpsk_ber(sinr_db), 0.0) << "DBPSK at " << sinr_db << " dB";
+    ASSERT_EQ(ber(BerModel::kOqpsk154, sinr_db), 0.0) << "at " << sinr_db << " dB";
+    ASSERT_EQ(ber(BerModel::kDsss11b, sinr_db), 0.0) << "at " << sinr_db << " dB";
+  };
+  ASSERT_EQ(kErrorFreeSinrDb, 20.0);
+  for (int i = 0; i <= 180'000; ++i) expect_zero(kErrorFreeSinrDb + i * 1e-3);
+  expect_zero(1e6);
+}
+
+TEST(ErrorFreeSinr, BothModelsAreNonzeroBelowTheThreshold) {
+  // The zero points (18.72 and 18.33 dB) sit below the threshold, so the
+  // sweep above is not vacuous.
+  EXPECT_GT(oqpsk_ber(18.0), 0.0);
+  EXPECT_GT(dsss_dbpsk_ber(18.0), 0.0);
+  EXPECT_GT(ber(BerModel::kOqpsk154, 18.0), 0.0);
+  EXPECT_GT(ber(BerModel::kDsss11b, 18.0), 0.0);
+}
+
 /// Property sweep: PER is monotone non-increasing in SINR for both models
 /// and several packet sizes.
 struct PerCase {

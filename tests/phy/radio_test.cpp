@@ -310,5 +310,140 @@ TEST_F(RadioTest, ErrorFractionConsistentWithBitErrors) {
   EXPECT_LE(r.bit_errors, r.frame.psdu_bits());
 }
 
+/// The instant `bits_in` bits into the PSDU of a frame that started at 0:
+/// the PSDU follows the 6-byte synchronization and PHY header.
+sim::SimTime psdu_bit(int bits_in) {
+  return sim::SimTime::microseconds(4 * (kPhyHeaderBytes * 8 + bits_in));
+}
+
+/// 16-byte blocks (RadioConfig's default), in bits.
+constexpr int kBlockBits = 16 * 8;
+
+TEST_F(RadioTest, BoundSeededAtLockHoldsAnInterChannelFrameOnTheAir) {
+  // An inter-channel frame already on the air when the receiver locks puts
+  // the SINR below kErrorFreeSinrDb, yet far above the cliff. The bound is
+  // seeded with the exact sum at lock, so it holds that frame and no segment
+  // is skipped on a false proof (Debug builds re-prove every skip); the
+  // frame passes CRC.
+  const NodeId a = node(0, 0);
+  const NodeId interferer = node(0.3, 2);
+  const NodeId rx_id = node(0, 2);
+  auto tx = radio(a, Mhz{2460.0});
+  auto tx_i = radio(interferer, Mhz{2462.0});
+  auto rx = radio(rx_id, Mhz{2460.0});
+  CollectingListener listener;
+  rx->set_listener(&listener);
+
+  tx_i->transmit(frame(interferer, kNoNode, Mhz{2462.0}, Dbm{0.0}, 120));  // outlasts `wanted`
+  const Frame wanted = frame(a, rx_id, Mhz{2460.0});
+  tx->transmit(wanted);
+  const Db sinr =
+      medium_->rss(wanted, rx_id) - medium_->interference(rx_id, Mhz{2460.0}, wanted.id);
+  EXPECT_LT(sinr.value, kErrorFreeSinrDb);
+  EXPECT_GT(sinr.value, 10.0);
+  scheduler_.run_all();
+
+  ASSERT_EQ(listener.received.size(), 1u);
+  EXPECT_TRUE(listener.received[0].overlapped_inter);
+  EXPECT_TRUE(listener.received[0].crc_ok);
+}
+
+TEST_F(RadioTest, BoundSeededAtLockHoldsAHotInterChannelFrame) {
+  // The same seed with a jammer 1 MHz away that was on the air first: a
+  // bound of the noise floor alone would wrongly prove the frame clean.
+  const NodeId a = node(0, 0);
+  const NodeId jammer = node(0.2, 2);
+  const NodeId rx_id = node(0, 2);
+  auto tx = radio(a, Mhz{2460.0});
+  auto tx_j = radio(jammer, Mhz{2461.0});
+  auto rx = radio(rx_id, Mhz{2460.0});
+  CollectingListener listener;
+  rx->set_listener(&listener);
+
+  tx_j->transmit(frame(jammer, kNoNode, Mhz{2461.0}, Dbm{0.0}, 120));
+  tx->transmit(frame(a, rx_id, Mhz{2460.0}, Dbm{-25.0}));
+  scheduler_.run_all();
+
+  ASSERT_EQ(listener.received.size(), 1u);
+  const RxResult& r = listener.received[0];
+  EXPECT_FALSE(r.crc_ok);
+  EXPECT_TRUE(r.overlapped_inter);
+  for (std::size_t block = 0; block < r.block_errors.size(); ++block) {
+    EXPECT_TRUE(r.block_errors[block]) << "block " << block;
+  }
+}
+
+TEST_F(RadioTest, BoundGrownByACoChannelStartAfterASkippedCleanSegment) {
+  // The receiver locks onto a clean frame (the bound proves its first
+  // blocks error-free), then a hot co-channel frame starts in block 2, past
+  // the capture window. Its term joins the bound, so every later segment is
+  // read exactly: the blocks before it stay clean, the rest are destroyed.
+  const NodeId a = node(0, 0);
+  const NodeId b = node(0.3, 2);
+  const NodeId rx_id = node(0, 2);
+  auto tx_a = radio(a, Mhz{2460.0});
+  auto tx_b = radio(b, Mhz{2460.0});
+  auto rx = radio(rx_id, Mhz{2460.0});
+  CollectingListener listener;
+  rx->set_listener(&listener);
+
+  tx_a->transmit(frame(a, rx_id, Mhz{2460.0}));  // 100 bytes: 7 blocks
+  scheduler_.schedule_at(psdu_bit(2 * kBlockBits + 12), [&] {
+    tx_b->transmit(frame(b, kNoNode, Mhz{2460.0}));  // outlasts the wanted frame
+  });
+  scheduler_.run_all();
+
+  ASSERT_GE(listener.received.size(), 1u);
+  const RxResult& r = listener.received[0];
+  EXPECT_EQ(r.frame.src, a);
+  EXPECT_FALSE(r.crc_ok);
+  EXPECT_TRUE(r.overlapped_co);
+  ASSERT_EQ(r.block_errors.size(), 7u);
+  EXPECT_FALSE(r.block_errors[0]);
+  EXPECT_FALSE(r.block_errors[1]);
+  for (std::size_t block = 2; block < 7; ++block) {
+    EXPECT_TRUE(r.block_errors[block]) << "block " << block;
+  }
+}
+
+TEST_F(RadioTest, BoundResetByAnExactReadAfterAnInterfererEnds) {
+  // A short hot co-channel burst corrupts block 2 and ends in block 3. The
+  // ended burst stays in the bound until the next change-point (a far
+  // frame starting in block 5) reads the interference exactly and drops
+  // it; the later segments are proven clean again.
+  const NodeId a = node(0, 0);
+  const NodeId b = node(0.3, 2);
+  const NodeId far = node(0, 5);
+  const NodeId rx_id = node(0, 2);
+  auto tx_a = radio(a, Mhz{2460.0});
+  auto tx_b = radio(b, Mhz{2460.0});
+  auto tx_far = radio(far, Mhz{2475.0});
+  auto rx = radio(rx_id, Mhz{2460.0});
+  CollectingListener listener;
+  rx->set_listener(&listener);
+
+  tx_a->transmit(frame(a, rx_id, Mhz{2460.0}, Dbm{0.0}, 120));  // 8 blocks
+  scheduler_.schedule_at(psdu_bit(2 * kBlockBits + 12), [&] {
+    // 16 bytes on the air in all: 128 bits, ending in block 3.
+    tx_b->transmit(frame(b, kNoNode, Mhz{2460.0}, Dbm{0.0}, 10));
+  });
+  scheduler_.schedule_at(psdu_bit(5 * kBlockBits + 5), [&] {
+    tx_far->transmit(frame(far, kNoNode, Mhz{2475.0}, Dbm{0.0}, 20));
+  });
+  scheduler_.run_all();
+
+  ASSERT_EQ(listener.received.size(), 1u);
+  const RxResult& r = listener.received[0];
+  EXPECT_EQ(r.frame.src, a);
+  EXPECT_FALSE(r.crc_ok);
+  ASSERT_EQ(r.block_errors.size(), 8u);
+  EXPECT_FALSE(r.block_errors[0]);
+  EXPECT_FALSE(r.block_errors[1]);
+  EXPECT_TRUE(r.block_errors[2]);
+  for (std::size_t block = 4; block < 8; ++block) {
+    EXPECT_FALSE(r.block_errors[block]) << "block " << block;
+  }
+}
+
 }  // namespace
 }  // namespace nomc::phy
