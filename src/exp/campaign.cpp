@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
-#include <cinttypes>
 #include <climits>
 #include <cstdio>
 #include <filesystem>
@@ -156,19 +155,15 @@ TrialResult run_trial(const PointParams& params, int trial, const TrialHook& pre
 PointResult merge_trials(const std::vector<TrialResult>& trials) {
   // Each number sums over the trials in seed order, then divides once.
   const double count = static_cast<double>(trials.size());
-  const auto mean_of = [&](std::vector<double> TrialResult::*field) {
-    std::vector<double> mean((trials.front().*field).size(), 0.0);
-    for (const TrialResult& one : trials) {
-      for (std::size_t n = 0; n < mean.size(); ++n) mean[n] += (one.*field)[n];
-    }
-    for (double& value : mean) value /= count;
-    return mean;
-  };
   PointResult mean;
-  mean.pps = mean_of(&TrialResult::pps);
-  mean.prr = mean_of(&TrialResult::prr);
-  mean.backoffs_per_s = mean_of(&TrialResult::backoffs_per_s);
-  mean.drops_per_s = mean_of(&TrialResult::drops_per_s);
+  for (const NetworkColumn& column : kNetworkColumns) {
+    std::vector<double>& sum = mean.*column.values;
+    sum.assign((trials.front().*column.values).size(), 0.0);
+    for (const TrialResult& one : trials) {
+      for (std::size_t n = 0; n < sum.size(); ++n) sum[n] += (one.*column.values)[n];
+    }
+    for (double& value : sum) value /= count;
+  }
   for (const TrialResult& one : trials) {
     mean.overall_pps += one.overall_pps;
     mean.trial_overall_pps.push_back(one.overall_pps);
@@ -188,7 +183,6 @@ PointResult run_point(const PointParams& params, sim::ParallelRunner& runner,
 
 std::string format_record(const CampaignSpec& spec, const SweepPoint& point,
                           const PointResult& result) {
-  const PointParams& p = point.params;
   std::string out = "{\"v\":" + std::to_string(kStoreVersion) + ",\"campaign\":";
   json_append_string(out, spec.name);
   out += ",\"spec_hash\":";
@@ -204,62 +198,33 @@ std::string format_record(const CampaignSpec& spec, const SweepPoint& point,
   }
   out += '}';
 
-  out += ",\"params\":{\"scheme\":";
-  json_append_string(out, p.scheme);
-  out += ",\"topology\":";
-  json_append_string(out, p.topology);
-  out += ",\"band_start_mhz\":";
-  json_append_double(out, p.band_start_mhz);
-  out += ",\"cfd_mhz\":";
-  json_append_double(out, p.cfd_mhz);
-  out += ",\"channels\":" + std::to_string(p.channels);
-  out += ",\"links\":" + std::to_string(p.links);
-  out += ",\"power_dbm\":";
-  if (p.power_dbm.has_value()) {
-    json_append_double(out, *p.power_dbm);
-  } else {
-    out += "null";
-  }
-  out += ",\"cca_dbm\":";
-  json_append_double(out, p.cca_dbm);
-  out += ",\"psdu_bytes\":" + std::to_string(p.psdu_bytes);
-  out += ",\"warmup_s\":";
-  json_append_double(out, p.warmup_s);
-  out += ",\"measure_s\":";
-  json_append_double(out, p.measure_s);
-  char seed_buffer[32];
-  std::snprintf(seed_buffer, sizeof seed_buffer, "%" PRIu64, p.seed);
-  out += ",\"seed\":";
-  out += seed_buffer;
-  out += ",\"trials\":" + std::to_string(p.trials);
-  // Optional keys under their spec names; absent when unset.
-  for (const auto& [key, value] : optional_settings(p)) {
-    out += ',';
-    json_append_string(out, key);
+  const char* separator = "";
+  out += ",\"params\":{";
+  for (const KeySetting& setting : key_settings(point.params)) {
+    out += separator;
+    json_append_string(out, setting.record);
     out += ':';
-    if (key.rfind("scheme.", 0) == 0) {
-      json_append_string(out, value);
-    } else {
-      out += value;  // canonical double text is a JSON number
-    }
+    out += setting.json;
+    separator = ",";
   }
-  out += '}';
-
-  out += ",\"per_network\":{\"pps\":";
-  json_append_array(out, result.pps);
-  out += ",\"prr\":";
-  json_append_array(out, result.prr);
-  out += ",\"backoffs_per_s\":";
-  json_append_array(out, result.backoffs_per_s);
-  out += ",\"drops_per_s\":";
-  json_append_array(out, result.drops_per_s);
+  out += "},\"per_network\":{";
+  separator = "";
+  for (const NetworkColumn& column : kNetworkColumns) {
+    out += separator;
+    json_append_string(out, column.name);
+    out += ':';
+    json_append_array(out, result.*column.values);
+    separator = ",";
+  }
   out += "},\"overall_pps\":";
   json_append_double(out, result.overall_pps);
   out += ",\"jain\":";
   json_append_double(out, result.jain);
   out += ",\"per_trial\":{\"overall_pps\":";
   json_append_array(out, result.trial_overall_pps);
-  out += ",\"pps\":[";
+  out += ',';
+  json_append_string(out, kTrialColumn.name);
+  out += ":[";
   for (std::size_t trial = 0; trial < result.trial_pps.size(); ++trial) {
     if (trial > 0) out += ',';
     json_append_array(out, result.trial_pps[trial]);

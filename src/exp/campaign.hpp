@@ -33,11 +33,7 @@ namespace nomc::exp {
 
 /// Seed-ordered mean across a point's trials, per network, plus each
 /// trial's own pps in seed order.
-struct PointResult {
-  std::vector<double> pps;
-  std::vector<double> prr;
-  std::vector<double> backoffs_per_s;
-  std::vector<double> drops_per_s;
+struct PointResult : NetworkColumns {
   double overall_pps = 0.0;
   double jain = 0.0;  ///< Jain fairness index of the mean per-network pps
   std::vector<double> trial_overall_pps;       ///< trial i's overall pps
@@ -49,8 +45,7 @@ struct PointResult {
 using TrialHook = std::function<void(int trial, net::Scenario&)>;
 
 /// One trial's numbers, per network, before the seed-ordered mean.
-struct TrialResult {
-  std::vector<double> pps, prr, backoffs_per_s, drops_per_s;
+struct TrialResult : NetworkColumns {
   double overall_pps = 0.0;
 };
 

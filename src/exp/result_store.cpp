@@ -304,14 +304,20 @@ bool parse_record(const std::string& line, ResultRecord& out, std::string& error
   }
   out.seed = seed->number;
 
+  // Every column holds one value per network; pps, the first, sets the count.
   const JsonValue* per_network = root.find("per_network");
-  if (per_network == nullptr ||
-      !numbers_from(per_network->find("pps"), out.pps) ||
-      !numbers_from(per_network->find("prr"), out.prr) ||
-      !numbers_from(per_network->find("backoffs_per_s"), out.backoffs_per_s) ||
-      !numbers_from(per_network->find("drops_per_s"), out.drops_per_s)) {
-    error = "record missing per_network arrays";
-    return false;
+  for (const NetworkColumn& column : kNetworkColumns) {
+    std::vector<double>& values = out.*column.values;
+    if (per_network == nullptr || !numbers_from(per_network->find(column.name), values)) {
+      error = std::string{"record missing per_network array "} + column.name;
+      return false;
+    }
+    if (values.size() != out.pps.size()) {
+      error = std::string{"record per_network "} + column.name + " holds " +
+              std::to_string(values.size()) + " value(s) for " +
+              std::to_string(out.pps.size()) + " network(s)";
+      return false;
+    }
   }
   const JsonValue* overall = root.find("overall_pps");
   const JsonValue* jain = root.find("jain");
@@ -325,7 +331,7 @@ bool parse_record(const std::string& line, ResultRecord& out, std::string& error
 
   // per_trial: params.trials entries in seed order, each row one pps per network.
   const JsonValue* per_trial = root.find("per_trial");
-  const JsonValue* rows = per_trial != nullptr ? per_trial->find("pps") : nullptr;
+  const JsonValue* rows = per_trial != nullptr ? per_trial->find(kTrialColumn.name) : nullptr;
   const auto trials = static_cast<std::size_t>(out.trials);
   bool ok = rows != nullptr && rows->type == JsonValue::Type::kArray &&
             rows->array.size() == trials &&
@@ -484,7 +490,12 @@ std::string csv_header(const std::vector<std::string>& sweep_keys) {
     header += ',';
     header += csv_escape(key);
   }
-  header += ",network,pps,prr,backoffs_per_s,drops_per_s,overall_pps,jain\n";
+  header += ",network";
+  for (const NetworkColumn& column : kNetworkColumns) {
+    header += ',';
+    header += column.name;
+  }
+  header += ",overall_pps,jain\n";
   return header;
 }
 
@@ -528,14 +539,10 @@ std::vector<std::string> csv_record_rows(const ResultRecord& record,
     row += ',';
     row += std::to_string(n);
     row += ',';
-    json_append_double(row, record.pps[n]);
-    row += ',';
-    json_append_double(row, n < record.prr.size() ? record.prr[n] : 0.0);
-    row += ',';
-    json_append_double(row, n < record.backoffs_per_s.size() ? record.backoffs_per_s[n] : 0.0);
-    row += ',';
-    json_append_double(row, n < record.drops_per_s.size() ? record.drops_per_s[n] : 0.0);
-    row += ',';
+    for (const NetworkColumn& column : kNetworkColumns) {
+      json_append_double(row, (record.*column.values)[n]);
+      row += ',';
+    }
     json_append_double(row, record.overall_pps);
     row += ',';
     json_append_double(row, record.jain);

@@ -6,12 +6,13 @@
 //
 //   {"v":2,"campaign":<name>,"spec_hash":<16 hex>,"point":<index>,
 //    "sweep":{<swept key>:<value text>, ...},
-//    "params":{...full resolved PointParams...},
-//    "per_network":{"pps":[...],"prr":[...],"backoffs_per_s":[...],
-//                   "drops_per_s":[...]},
+//    "params":{...every key the point sets (exp::key_settings)...},
+//    "per_network":{<column>:[<network 0>,...], ...},
 //    "overall_pps":<num>,"jain":<num>,
-//    "per_trial":{"overall_pps":[<trial 0>,...],"pps":[[<network 0>,...],...]}}
+//    "per_trial":{"overall_pps":[<trial 0>,...],<pps>:[[<network 0>,...],...]}}
 //
+// per_network holds one array per kNetworkColumns row (pps, prr,
+// backoffs_per_s, drops_per_s); per_trial keeps the pps column per trial.
 // per_network and overall_pps are seed-ordered means of the trials that
 // per_trial lists in seed order. A v1 store is refused; there is no migration.
 //
@@ -72,26 +73,48 @@ void json_append_double(std::string& out, double value);
 
 // ---- Record model --------------------------------------------------------
 
-struct ResultRecord {
+/// The per-network result columns: one value per network, network 0 first.
+/// A trial, a point's mean and a parsed record all carry them.
+struct NetworkColumns {
+  std::vector<double> pps;
+  std::vector<double> prr;
+  std::vector<double> backoffs_per_s;
+  std::vector<double> drops_per_s;
+};
+
+/// One per-network column: its name in the record's per_network object and
+/// in the CSV header, and its member. The trial merge, the record, its
+/// reader and the CSV export all walk kNetworkColumns, in this order.
+struct NetworkColumn {
+  const char* name;
+  std::vector<double> NetworkColumns::*values;
+};
+inline constexpr NetworkColumn kNetworkColumns[] = {
+    {"pps", &NetworkColumns::pps},
+    {"prr", &NetworkColumns::prr},
+    {"backoffs_per_s", &NetworkColumns::backoffs_per_s},
+    {"drops_per_s", &NetworkColumns::drops_per_s},
+};
+/// The column per_trial keeps for each trial.
+inline constexpr const NetworkColumn& kTrialColumn = kNetworkColumns[0];
+
+struct ResultRecord : NetworkColumns {
   int version = 0;
   std::string campaign;
   std::string spec_hash;
   int point = -1;
   std::vector<std::pair<std::string, std::string>> sweep;  ///< declaration order
-  std::vector<double> pps;             ///< per network, network 0 first
-  std::vector<double> prr;
-  std::vector<double> backoffs_per_s;
-  std::vector<double> drops_per_s;
   double overall_pps = 0.0;
   double jain = 0.0;
   int trials = 0;     ///< params.trials
   double seed = 0.0;  ///< params.seed as a JSON number (exact below 2^53)
   std::vector<double> trial_overall_pps;       ///< per_trial.overall_pps, seed order
-  std::vector<std::vector<double>> trial_pps;  ///< per_trial.pps[trial][network]
+  std::vector<std::vector<double>> trial_pps;  ///< per_trial's kTrialColumn[trial][network]
 };
 
-/// Parse one JSONL line into a record. Rejects per_trial lengths that
-/// disagree with params.trials or the network count, and other versions
+/// Parse one JSONL line into a record. Rejects a per_network column or a
+/// per_trial row whose length is not the network count, a per_trial that
+/// disagrees with params.trials, and other versions
 /// (leaving `out.version` set, so foreign_version can tell them from a torn line).
 bool parse_record(const std::string& line, ResultRecord& out, std::string& error);
 
@@ -193,8 +216,8 @@ bool export_csv(const std::vector<ResultRecord>& records, std::FILE* out);
 /// sweep-key columns export_csv uses, without holding the records.
 void csv_collect_sweep_keys(const ResultRecord& record, std::vector<std::string>& keys);
 
-/// The export_csv data rows for one record — one string per network, no
-/// trailing newline — against the given sweep-key columns. export_csv and
+/// The export_csv data rows for one parsed record — one string per network,
+/// no trailing newline — against the given sweep-key columns. export_csv and
 /// the streaming exporter share this, so their bytes cannot diverge.
 [[nodiscard]] std::vector<std::string> csv_record_rows(
     const ResultRecord& record, const std::vector<std::string>& sweep_keys);

@@ -7,8 +7,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <iterator>
 #include <set>
+#include <string_view>
+#include <type_traits>
 
 #include "exp/result_store.hpp"
 #include "net/scheme_names.hpp"
@@ -79,19 +81,25 @@ bool parse_num(const std::string& text, std::uint64_t& out) {
   return end != nullptr && *end == '\0' && errno != ERANGE;
 }
 
+// Parse `value` as `key`'s number and check it against `row`'s range.
 template <typename T>
-bool set_number(const std::string& key, const std::string& value, T& slot, T min, T max,
-                const char* range_hint, std::string& message) {
-  T parsed{};
-  if (!parse_num(value, parsed)) {
+bool parse_value(const SpecKey& row, const std::string& key, const std::string& value, T& out,
+                 std::string& message) {
+  if (!parse_num(value, out)) {
     message = "value of '" + key + "' is not a number: '" + value + "'";
     return false;
   }
-  if (parsed < min || parsed > max) {
-    message = "value of '" + key + "' out of range (" + range_hint + "): " + value;
+  if (static_cast<double>(out) < row.min || static_cast<double>(out) > row.max) {
+    message = "value of '" + key + "' out of range (" + row.range + "): " + value;
     return false;
   }
-  slot = parsed;
+  return true;
+}
+
+// A string key's value, already checked by its validator.
+bool parse_value(const SpecKey&, const std::string&, const std::string& value, std::string& out,
+                 std::string&) {
+  out = value;
   return true;
 }
 
@@ -105,16 +113,6 @@ bool valid_name(const std::string& name) {
   return true;
 }
 
-// Canonical double text (spec hash + sweep values) reuses the store's
-// pinned round-trip format so the two never drift apart.
-void append_double(std::string& out, double value) { json_append_double(out, value); }
-
-std::string double_text(double value) {
-  std::string out;
-  append_double(out, value);
-  return out;
-}
-
 bool check_scheme(const std::string& value, std::string& message) {
   net::Scheme ignored;
   if (net::parse_scheme(value, ignored)) return true;
@@ -122,11 +120,54 @@ bool check_scheme(const std::string& value, std::string& message) {
   return false;
 }
 
+bool check_topology(const std::string& value, std::string& message) {
+  if (net::valid_topology(value)) return true;
+  message = "unknown topology '" + value + "' (" + net::kTopologyChoices + ")";
+  return false;
+}
+
+// The key table: the base keys in canonical order, then the optional keys,
+// then the indexed keys. Every u64 converts to a double at or below 2^64.
+constexpr SpecKey kKeys[] = {
+    {"scheme", "scheme", &PointParams::scheme, 0, 0, "", check_scheme},
+    {"topology", "topology", &PointParams::topology, 0, 0, "", check_topology},
+    {"band-start", "band_start_mhz", &PointParams::band_start_mhz, 1.0, 1e6, ">= 1 MHz"},
+    {"cfd", "cfd_mhz", &PointParams::cfd_mhz, 0.1, 1e3, "0.1 .. 1000 MHz"},
+    {"channels", "channels", &PointParams::channels, 1, kMaxChannels, "1 .. 256"},
+    {"links", "links", &PointParams::links, 1, 64, "1 .. 64"},
+    {"power", "power_dbm", &PointParams::power_dbm, -200.0, 100.0, "dBm or 'random'", nullptr,
+     "random"},
+    {"cca", "cca_dbm", &PointParams::cca_dbm, -200.0, 0.0, "-200 .. 0 dBm"},
+    {"psdu", "psdu_bytes", &PointParams::psdu_bytes, 1, 2047, "1 .. 2047 bytes"},
+    {"warmup", "warmup_s", &PointParams::warmup_s, 0.0, 1e6, ">= 0 s"},
+    {"measure", "measure_s", &PointParams::measure_s, 1e-3, 1e6, "> 0 s"},
+    {"seed", "seed", &PointParams::seed, 0, 0x1p64, "unsigned 64-bit"},
+    {"trials", "trials", &PointParams::trials, 1, 100000, ">= 1"},
+    {"dcn-margin", "dcn-margin", &PointParams::dcn_margin_db, 0.0, 100.0, "0 .. 100 dB"},
+    {"dcn-tu", "dcn-tu", &PointParams::dcn_tu_s, 1e-3, 1e4, "0.001 .. 10000 s"},
+    {"region", "region", &PointParams::region_m, 1e-3, 1e5, "0.001 .. 100000 m"},
+    {"room-spacing", "room-spacing", &PointParams::room_spacing_m, 0.0, 1e5, "0 .. 100000 m"},
+    {"scheme", "scheme", &PointParams::network_scheme, 0, 0, "", check_scheme},
+    {"power", "power", &PointParams::network_power_dbm, -200.0, 100.0, "-200 .. 100 dBm"},
+    {"cca", "cca", &PointParams::network_cca_dbm, -200.0, 0.0, "-200 .. 0 dBm"},
+};
+
+// The row `key` names: a base or optional key by its name, an indexed key
+// by the prefix before its '.'; nullptr for an unknown key.
+const SpecKey* find_key(const std::string& key) {
+  const std::size_t dot = key.find('.');
+  const std::string_view name{key.data(), std::min(dot, key.size())};
+  for (const SpecKey& row : kKeys) {
+    if (row.indexed() == (dot != std::string::npos) && name == row.name) return &row;
+  }
+  return nullptr;
+}
+
 // The N of an indexed key "scheme.N" / "power.N" / "cca.N": decimal digits without a
 // sign or a leading zero (one spelling per network keeps keys unique), below
 // the channel limit.
-bool network_index(const std::string& key, std::size_t dot, int& index, std::string& message) {
-  const std::string digits = key.substr(dot + 1);
+bool network_index(const std::string& key, int& index, std::string& message) {
+  const std::string digits = key.substr(key.find('.') + 1);
   bool ok = !digits.empty() && digits.size() <= 3 && (digits == "0" || digits[0] != '0');
   index = 0;
   for (const char c : digits) {
@@ -139,19 +180,82 @@ bool network_index(const std::string& key, std::size_t dot, int& index, std::str
   return false;
 }
 
-// The network index of a scheme.N / power.N / cca.N key, or -1 for any other
-// key.
+// The network index of an indexed key, or -1 for any other key.
 int indexed_network(const std::string& key) {
-  const auto dot = key.find('.');
-  if (dot == std::string::npos) return -1;
-  const std::string base = key.substr(0, dot);
+  const SpecKey* row = find_key(key);
   int index = -1;
   std::string ignored;
-  if ((base != "scheme" && base != "power" && base != "cca") ||
-      !network_index(key, dot, index, ignored)) {
-    return -1;
-  }
+  if (row == nullptr || !row->indexed() || !network_index(key, index, ignored)) return -1;
   return index;
+}
+
+// The value a member holds: T for T, std::optional<T> and std::map<int, T>.
+template <typename T> struct ValueOf { using type = T; };
+template <typename T> struct ValueOf<std::optional<T>> { using type = T; };
+template <typename T> struct ValueOf<std::map<int, T>> { using type = T; };
+
+std::string value_text(const std::string& value) { return value; }
+std::string value_text(int value) { return std::to_string(value); }
+std::string value_text(std::uint64_t value) { return std::to_string(value); }
+// Canonical double text reuses the store's pinned round-trip format so the
+// spec text, the spec hash and the record never drift apart.
+std::string value_text(double value) {
+  std::string out;
+  json_append_double(out, value);
+  return out;
+}
+
+// Append the settings one row's member holds. A string key's record value
+// is quoted; a number's canonical text already is a JSON number.
+template <typename T>
+void render(std::vector<KeySetting>& out, const SpecKey& row, const T& value) {
+  KeySetting& setting =
+      out.emplace_back(KeySetting{row.name, value_text(value), row.record_name, {}});
+  if (row.numeric()) {
+    setting.json = setting.text;
+  } else {
+    json_append_string(setting.json, setting.text);
+  }
+}
+
+void render(std::vector<KeySetting>& out, const SpecKey& row, const std::optional<double>& value) {
+  if (value.has_value()) {
+    render(out, row, *value);
+  } else if (row.unset != nullptr) {
+    out.push_back(KeySetting{row.name, row.unset, row.record_name, "null"});
+  }
+}
+
+template <typename T>
+void render(std::vector<KeySetting>& out, const SpecKey& row, const std::map<int, T>& values) {
+  for (const auto& [network, value] : values) {
+    render(out, row, value);
+    KeySetting& setting = out.back();
+    setting.key += '.';
+    setting.key += std::to_string(network);
+    setting.record = setting.key;
+  }
+}
+
+// The sweep lines of the canonical text and the hash: "sweep k1/k2" then
+// `equals` then the steps, space-separated, each "v1/v2".
+void append_axes(std::string& out, const std::vector<SweepAxis>& axes, const char* equals) {
+  for (const SweepAxis& axis : axes) {
+    out += "sweep ";
+    for (std::size_t k = 0; k < axis.keys.size(); ++k) {
+      if (k > 0) out += '/';
+      out += axis.keys[k];
+    }
+    out += equals;
+    for (std::size_t s = 0; s < axis.steps.size(); ++s) {
+      if (s > 0) out += ' ';
+      for (std::size_t k = 0; k < axis.steps[s].size(); ++k) {
+        if (k > 0) out += '/';
+        out += axis.steps[s][k];
+      }
+    }
+    out += '\n';
+  }
 }
 
 // Where a spec's grid takes one base key from: the sweep axis that steps it
@@ -221,22 +325,13 @@ bool check_rig_channels(const CampaignSpec& spec, const KeySource& topology,
 
 }  // namespace
 
-std::vector<std::pair<std::string, std::string>> optional_settings(const PointParams& params) {
-  std::vector<std::pair<std::string, std::string>> out;
-  if (params.dcn_margin_db) out.emplace_back("dcn-margin", double_text(*params.dcn_margin_db));
-  if (params.dcn_tu_s) out.emplace_back("dcn-tu", double_text(*params.dcn_tu_s));
-  if (params.region_m) out.emplace_back("region", double_text(*params.region_m));
-  if (params.room_spacing_m) {
-    out.emplace_back("room-spacing", double_text(*params.room_spacing_m));
-  }
-  for (const auto& [network, scheme] : params.network_scheme) {
-    out.emplace_back("scheme." + std::to_string(network), scheme);
-  }
-  for (const auto& [network, power] : params.network_power_dbm) {
-    out.emplace_back("power." + std::to_string(network), double_text(power));
-  }
-  for (const auto& [network, cca] : params.network_cca_dbm) {
-    out.emplace_back("cca." + std::to_string(network), double_text(cca));
+std::span<const SpecKey> spec_keys() { return kKeys; }
+
+std::vector<KeySetting> key_settings(const PointParams& params) {
+  std::vector<KeySetting> out;
+  out.reserve(std::size(kKeys));
+  for (const SpecKey& row : kKeys) {
+    std::visit([&](auto member) { render(out, row, params.*member); }, row.slot);
   }
   return out;
 }
@@ -248,104 +343,32 @@ std::string SpecError::str() const {
 
 bool apply_param(PointParams& params, const std::string& key, const std::string& value,
                  std::string& message) {
-  if (key == "scheme") {
-    if (!check_scheme(value, message)) return false;
-    params.scheme = value;
+  const SpecKey* row = find_key(key);
+  if (row == nullptr) {
+    message = "unknown key '" + key + "'";
+    return false;
+  }
+  int network = -1;
+  if (row->indexed() && !network_index(key, network, message)) return false;
+  if (row->check != nullptr && !row->check(value, message)) return false;
+  if (row->unset != nullptr && value == row->unset) {
+    (params.*std::get<std::optional<double> PointParams::*>(row->slot)).reset();
     return true;
   }
-  if (key == "topology") {
-    if (!net::valid_topology(value)) {
-      message = "unknown topology '" + value + "' (" + net::kTopologyChoices + ")";
-      return false;
-    }
-    params.topology = value;
-    return true;
-  }
-  if (key == "band-start") {
-    return set_number(key, value, params.band_start_mhz, 1.0, 1e6, ">= 1 MHz", message);
-  }
-  if (key == "cfd") {
-    return set_number(key, value, params.cfd_mhz, 0.1, 1e3, "0.1 .. 1000 MHz", message);
-  }
-  if (key == "channels") {
-    return set_number(key, value, params.channels, 1, kMaxChannels, "1 .. 256", message);
-  }
-  if (key == "links") {
-    return set_number(key, value, params.links, 1, 64, "1 .. 64", message);
-  }
-  if (key == "power") {
-    if (value == "random") {
-      params.power_dbm.reset();
-      return true;
-    }
-    double power = 0.0;
-    if (!set_number(key, value, power, -200.0, 100.0, "dBm or 'random'", message)) {
-      return false;
-    }
-    params.power_dbm = power;
-    return true;
-  }
-  if (key == "cca") {
-    return set_number(key, value, params.cca_dbm, -200.0, 0.0, "-200 .. 0 dBm", message);
-  }
-  if (key == "psdu") {
-    return set_number(key, value, params.psdu_bytes, 1, 2047, "1 .. 2047 bytes", message);
-  }
-  if (key == "warmup") {
-    return set_number(key, value, params.warmup_s, 0.0, 1e6, ">= 0 s", message);
-  }
-  if (key == "measure") {
-    return set_number(key, value, params.measure_s, 1e-3, 1e6, "> 0 s", message);
-  }
-  if (key == "seed") {
-    return set_number(key, value, params.seed, std::uint64_t{0},
-                      ~std::uint64_t{0}, "unsigned 64-bit", message);
-  }
-  if (key == "trials") {
-    return set_number(key, value, params.trials, 1, 100000, ">= 1", message);
-  }
-  // The optional keys. std::optional<double> slots parse through a scratch
-  // double so a bad value leaves them unset.
-  const auto set_optional = [&](std::optional<double>& slot, double min, double max,
-                                const char* range_hint) {
-    double parsed = 0.0;
-    if (!set_number(key, value, parsed, min, max, range_hint, message)) return false;
-    slot = parsed;
-    return true;
-  };
-  if (key == "dcn-margin") return set_optional(params.dcn_margin_db, 0.0, 100.0, "0 .. 100 dB");
-  if (key == "dcn-tu") return set_optional(params.dcn_tu_s, 1e-3, 1e4, "0.001 .. 10000 s");
-  if (key == "region") return set_optional(params.region_m, 1e-3, 1e5, "0.001 .. 100000 m");
-  if (key == "room-spacing") {
-    return set_optional(params.room_spacing_m, 0.0, 1e5, "0 .. 100000 m");
-  }
-  if (const auto dot = key.find('.'); dot != std::string::npos) {
-    const std::string base = key.substr(0, dot);
-    int network = 0;
-    if (base == "scheme") {
-      if (!network_index(key, dot, network, message) || !check_scheme(value, message)) {
-        return false;
-      }
-      params.network_scheme[network] = value;
-      return true;
-    }
-    if (base == "power") {
-      if (!network_index(key, dot, network, message)) return false;
-      double power = 0.0;
-      if (!set_number(key, value, power, -200.0, 100.0, "-200 .. 100 dBm", message)) return false;
-      params.network_power_dbm[network] = power;
-      return true;
-    }
-    if (base == "cca") {
-      if (!network_index(key, dot, network, message)) return false;
-      double cca = 0.0;
-      if (!set_number(key, value, cca, -200.0, 0.0, "-200 .. 0 dBm", message)) return false;
-      params.network_cca_dbm[network] = cca;
-      return true;
-    }
-  }
-  message = "unknown key '" + key + "'";
-  return false;
+  return std::visit(
+      [&](auto member) {
+        auto& field = params.*member;
+        using Field = std::remove_reference_t<decltype(field)>;
+        typename ValueOf<Field>::type parsed{};  // the member changes only on success
+        if (!parse_value(*row, key, value, parsed, message)) return false;
+        if constexpr (requires { typename Field::mapped_type; }) {
+          field[network] = std::move(parsed);
+        } else {
+          field = std::move(parsed);
+        }
+        return true;
+      },
+      row->slot);
 }
 
 bool parse_campaign(const std::string& text, CampaignSpec& out, SpecError& error) {
@@ -499,51 +522,14 @@ bool load_campaign(const std::string& path, CampaignSpec& out, SpecError& error)
 }
 
 std::string format_campaign(const CampaignSpec& spec) {
-  const PointParams& p = spec.base;
   std::string out = "name = " + spec.name + "\n";
-  out += "scheme = " + p.scheme + "\n";
-  out += "topology = " + p.topology + "\n";
-  out += "band-start = ";
-  append_double(out, p.band_start_mhz);
-  out += "\ncfd = ";
-  append_double(out, p.cfd_mhz);
-  out += "\nchannels = " + std::to_string(p.channels);
-  out += "\nlinks = " + std::to_string(p.links);
-  out += "\npower = ";
-  if (p.power_dbm.has_value()) {
-    append_double(out, *p.power_dbm);
-  } else {
-    out += "random";
-  }
-  out += "\ncca = ";
-  append_double(out, p.cca_dbm);
-  out += "\npsdu = " + std::to_string(p.psdu_bytes);
-  out += "\nwarmup = ";
-  append_double(out, p.warmup_s);
-  out += "\nmeasure = ";
-  append_double(out, p.measure_s);
-  char seed_buffer[32];
-  std::snprintf(seed_buffer, sizeof seed_buffer, "%" PRIu64, p.seed);
-  out += "\nseed = ";
-  out += seed_buffer;
-  out += "\ntrials = " + std::to_string(p.trials) + "\n";
-  for (const auto& [key, value] : optional_settings(p)) out += key + " = " + value + "\n";
-  for (const SweepAxis& axis : spec.axes) {
-    out += "sweep ";
-    for (std::size_t k = 0; k < axis.keys.size(); ++k) {
-      if (k > 0) out += '/';
-      out += axis.keys[k];
-    }
-    out += " =";
-    for (const std::vector<std::string>& step : axis.steps) {
-      out += ' ';
-      for (std::size_t k = 0; k < step.size(); ++k) {
-        if (k > 0) out += '/';
-        out += step[k];
-      }
-    }
+  for (const KeySetting& setting : key_settings(spec.base)) {
+    out += setting.key;
+    out += " = ";
+    out += setting.text;
     out += '\n';
   }
+  append_axes(out, spec.axes, " = ");
   return out;
 }
 
@@ -592,47 +578,16 @@ std::string spec_hash(const CampaignSpec& spec) {
   // uses explicit formatting, never pointers or iteration over hashed maps.
   std::string canon = "nomc-campaign-v1\n";
   canon += "name=" + spec.name + "\n";
-  const PointParams& p = spec.base;
-  canon += "scheme=" + p.scheme + ";topology=" + p.topology + ";band-start=";
-  append_double(canon, p.band_start_mhz);
-  canon += ";cfd=";
-  append_double(canon, p.cfd_mhz);
-  canon += ";channels=" + std::to_string(p.channels) + ";links=" + std::to_string(p.links);
-  canon += ";power=";
-  if (p.power_dbm.has_value()) {
-    append_double(canon, *p.power_dbm);
-  } else {
-    canon += "random";
-  }
-  canon += ";cca=";
-  append_double(canon, p.cca_dbm);
-  canon += ";psdu=" + std::to_string(p.psdu_bytes) + ";warmup=";
-  append_double(canon, p.warmup_s);
-  canon += ";measure=";
-  append_double(canon, p.measure_s);
-  char seed_buffer[32];
-  std::snprintf(seed_buffer, sizeof seed_buffer, "%" PRIu64, p.seed);
-  canon += ";seed=";
-  canon += seed_buffer;
-  canon += ";trials=" + std::to_string(p.trials);
-  for (const auto& [key, value] : optional_settings(p)) canon += ";" + key + "=" + value;
-  canon += '\n';
-  for (const SweepAxis& axis : spec.axes) {
-    canon += "sweep ";
-    for (std::size_t k = 0; k < axis.keys.size(); ++k) {
-      if (k > 0) canon += '/';
-      canon += axis.keys[k];
-    }
+  const char* separator = "";
+  for (const KeySetting& setting : key_settings(spec.base)) {
+    canon += separator;
+    canon += setting.key;
     canon += '=';
-    for (std::size_t s = 0; s < axis.steps.size(); ++s) {
-      if (s > 0) canon += ' ';
-      for (std::size_t k = 0; k < axis.steps[s].size(); ++k) {
-        if (k > 0) canon += '/';
-        canon += axis.steps[s][k];
-      }
-    }
-    canon += '\n';
+    canon += setting.text;
+    separator = ";";
   }
+  canon += '\n';
+  append_axes(canon, spec.axes, "=");
 
   std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a 64-bit
   for (const unsigned char c : canon) {

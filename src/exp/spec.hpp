@@ -8,27 +8,14 @@
 //   sweep key = v1 v2 v3        # sweep one parameter over listed values
 //   sweep k1/k2 = a1/b1 a2/b2   # lockstep sweep: k1,k2 step together
 //
-// Keys mirror the nomc-sim options: scheme, topology, band-start, cfd,
-// channels, links, power, cca, psdu, warmup, measure, seed, trials.
-// `topology` is a Case (dense | clustered | random) or the Fig. 5 rig
-// (fig5 | fig5-cochannel), which takes exactly `channels = 5`.
-// `power` accepts a dBm number or the word "random" (per-node uniform in
-// [-22, 0] dBm, the paper's Case deployments). Seven more keys are optional
-// and have no nomc-sim option:
-//
-//   scheme.N = dcn              # network N's scheme (Cases: N = 0 is the lowest
-//                               # channel; rig: N = 0 is the victim)
-//   power.N = -15               # TX power (dBm) of every link of network N
-//   cca.N = -55                 # fixed CCA threshold (dBm) of network N's senders
-//   dcn-margin = 4              # DCN safety margin below min co-channel RSSI (dB)
-//   dcn-tu = 6                  # DCN updating window T_U (s)
-//   region = 3                  # Case I region / Case II room edge (m)
-//   room-spacing = 1.8          # Case II distance between room centres (m)
-//
-// An indexed key composes with sweeps (`sweep power.3 = -33 0`); every grid
-// point must have more than N channels. A rig topology with another channel
-// count is refused too, per lockstep step or over every combination. An unset optional key appears
-// nowhere: not in the canonical text, the spec hash or the record.
+// The keys are the rows of spec_keys() (the table in src/exp/spec.cpp;
+// docs/campaigns.md describes each): thirteen base keys that mirror the
+// nomc-sim options, then the optional keys and the indexed keys scheme.N,
+// power.N and cca.N (network N). An unset optional key appears nowhere: not
+// in the canonical text, the spec hash or the record. An indexed key composes
+// with sweeps (`sweep power.3 = -33 0`); every grid point must have more than
+// N channels. A rig topology (fig5 | fig5-cochannel) takes exactly
+// `channels = 5`, per lockstep step or over every combination.
 // Multiple `sweep` lines form a cartesian product; the first-declared sweep
 // varies slowest. All values are validated at parse time, so every error
 // carries its line number.
@@ -37,8 +24,10 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "mac/cca.hpp"
@@ -71,12 +60,52 @@ struct PointParams {
   std::optional<double> room_spacing_m;       ///< room-spacing → RandomCaseConfig::room_spacing_m
 };
 
-/// The optional keys `params` sets, as (key, canonical value text) in a fixed
-/// order: dcn-margin, dcn-tu, region, room-spacing, then scheme.N, power.N
-/// and cca.N by ascending N. Empty when none is set. The canonical text, the
-/// spec hash and the record all serialize through it.
-[[nodiscard]] std::vector<std::pair<std::string, std::string>> optional_settings(
-    const PointParams& params);
+/// One row of the key table (src/exp/spec.cpp): a key's names, the
+/// PointParams member it sets and the values it takes. apply_param parses
+/// through the table and key_settings renders through it.
+struct SpecKey {
+  /// A map member makes an indexed key: power.3 sets network_power_dbm[3].
+  using Slot = std::variant<std::string PointParams::*, int PointParams::*,
+                            std::uint64_t PointParams::*, double PointParams::*,
+                            std::optional<double> PointParams::*,
+                            std::map<int, std::string> PointParams::*,
+                            std::map<int, double> PointParams::*>;
+  const char* name;         ///< spec key; an indexed key's prefix ("power" of power.N)
+  const char* record_name;  ///< name in a record's params object
+  Slot slot;
+  double min = 0.0, max = 0.0;  ///< a numeric key's inclusive range,
+  const char* range = "";       ///< as its out-of-range message names it
+  /// A string key's validator: false, with a message, for a value it refuses.
+  bool (*check)(const std::string& value, std::string& message) = nullptr;
+  /// The text that unsets an optional<double> base key and that it renders
+  /// as while unset (power's "random"); nullptr lets the key vanish instead.
+  const char* unset = nullptr;
+
+  [[nodiscard]] bool indexed() const { return slot.index() >= 5; }  // a map member
+  [[nodiscard]] bool numeric() const { return check == nullptr; }
+  /// Spec-only (no nomc-sim option), and written only while set.
+  [[nodiscard]] bool optional() const {
+    return indexed() ||
+           (std::holds_alternative<std::optional<double> PointParams::*>(slot) && !unset);
+  }
+};
+
+/// The key table, in canonical order: the base keys, then the optional
+/// keys, then the indexed keys.
+[[nodiscard]] std::span<const SpecKey> spec_keys();
+
+/// One key a PointParams sets, rendered every way it is written out.
+struct KeySetting {
+  std::string key;     ///< spec key ("cfd", "power.3")
+  std::string text;    ///< canonical spec value ("3", "random", "dcn")
+  std::string record;  ///< name in the record's params object (cfd_mhz for cfd)
+  std::string json;    ///< value in the record ("3", "null", "\"dcn\"")
+};
+
+/// Every key `params` sets, in table order (an indexed key by ascending
+/// N): each base key, then each optional key that is set. The canonical
+/// text, the spec hash and the record's params object all walk it.
+[[nodiscard]] std::vector<KeySetting> key_settings(const PointParams& params);
 
 /// One `sweep` line. `keys` step in lockstep: step i assigns
 /// keys[k] = steps[i][k] for every k.

@@ -4,7 +4,8 @@
 // elements and hostile number tokens, then read by parse_record and, as a
 // store line, by scan_store. No mutant may crash the reader or trip a
 // sanitizer, and every record that is accepted must be internally
-// consistent: per_trial holds params.trials rows of one value per network.
+// consistent: every per_network column holds one value per network, and
+// per_trial holds params.trials rows of one value per network.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -135,6 +136,9 @@ void expect_consistent(const ResultRecord& record, const std::string& line) {
   ASSERT_EQ(record.trial_pps.size(), trials) << line;
   for (const std::vector<double>& row : record.trial_pps) {
     EXPECT_EQ(row.size(), record.pps.size()) << line;
+  }
+  for (const NetworkColumn& column : kNetworkColumns) {
+    EXPECT_EQ((record.*column.values).size(), record.pps.size()) << column.name << ": " << line;
   }
 }
 

@@ -2,7 +2,7 @@
 // example campaign (examples/campaigns/*.campaign, each of which must
 // parse), put through bit flips, byte inserts and deletes, truncations,
 // line splices, injected non-finite or huge number tokens and injected
-// indexed keys (scheme.N / power.N / cca.N).
+// indexed keys (every indexed row of the key table).
 // Every input must come back as a SpecError or as a spec whose every
 // reachable PointParams double is finite; an accepted spec's canonical text
 // must parse back to the same hash.
@@ -14,10 +14,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <optional>
 #include <random>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "exp/spec.hpp"
@@ -93,13 +95,20 @@ std::string inject_number(Rng& rng, const std::string& text) {
       "nan",   "-nan",     "NaN",      "nan(1)", "inf",  "-inf",   "INF",
       "infinity", "1e999", "-1e999",   "1e308",  "1e-400", "4.9e-324", "0x1p1024",
       "99999999999999999999", "-0"};
-  // Indexed keys, well-formed and not: each replaces a line's key (the last
-  // word before '='), so both a bad index and an index some grid point
-  // lacks reach the parser.
-  static const std::vector<std::string> kKeys = {
-      "scheme.", "scheme.x", "scheme.-1", "scheme.2.1", "power.99999999999999999999",
-      "scheme.5", "power.0", "power.255", "scheme.256", "scheme.01", "cca.0", "cca.4",
-      "cca.256", "cca.01"};
+  // Every indexed key of the key table, well-formed and not: each replaces a
+  // line's key (the last word before '='), so both a bad index and an index
+  // some grid point lacks reach the parser.
+  static const std::vector<std::string> kKeys = [] {
+    std::vector<std::string> keys;
+    for (const SpecKey& row : spec_keys()) {
+      if (!row.indexed()) continue;
+      for (const char* index : {"", "x", "-1", "2.1", "99999999999999999999", "0", "4", "5",
+                                "255", "256", "01"}) {
+        keys.push_back(std::string{row.name} + "." + index);
+      }
+    }
+    return keys;
+  }();
   std::vector<std::string> lines = lines_of(text);
   const std::size_t li = pick(rng, lines.size());
   std::string& line = lines[li];
@@ -178,22 +187,24 @@ std::string mutate(Rng& rng, std::string text) {
   return text;
 }
 
+bool finite(double value) { return std::isfinite(value); }
+bool finite(const std::optional<double>& value) { return !value || std::isfinite(*value); }
+bool finite(const std::map<int, double>& values) {
+  return std::all_of(values.begin(), values.end(),
+                     [](const auto& entry) { return std::isfinite(entry.second); });
+}
+template <typename T>
+bool finite(const T&) {
+  return true;  // strings and integers
+}
+
+/// Every numeric member any row of the key table sets is finite.
 bool all_finite(const PointParams& params) {
-  const auto finite = [](const std::optional<double>& value) {
-    return !value.has_value() || std::isfinite(*value);
-  };
-  bool network_values_finite = true;
-  for (const auto& [network, power] : params.network_power_dbm) {
-    network_values_finite = network_values_finite && std::isfinite(power);
+  bool all = true;
+  for (const SpecKey& row : spec_keys()) {
+    std::visit([&](auto member) { all = all && finite(params.*member); }, row.slot);
   }
-  for (const auto& [network, cca] : params.network_cca_dbm) {
-    network_values_finite = network_values_finite && std::isfinite(cca);
-  }
-  return std::isfinite(params.band_start_mhz) && std::isfinite(params.cfd_mhz) &&
-         std::isfinite(params.cca_dbm) && std::isfinite(params.warmup_s) &&
-         std::isfinite(params.measure_s) && finite(params.power_dbm) &&
-         finite(params.dcn_margin_db) && finite(params.dcn_tu_s) && finite(params.region_m) &&
-         finite(params.room_spacing_m) && network_values_finite;
+  return all;
 }
 
 /// Every PointParams the grid can produce is the base plus one step per

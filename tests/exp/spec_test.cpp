@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <random>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "exp/result_store.hpp"
 
 namespace nomc::exp {
 namespace {
@@ -140,8 +143,44 @@ TEST(Spec, OptionalKeysSetTheirFields) {
       {"power.3", "-15.5"},
       {"cca.0", "-55"},
   };
-  EXPECT_EQ(optional_settings(spec.base), expected);
-  EXPECT_TRUE(optional_settings(parse_ok("").base).empty());
+  // The optional settings follow the base keys, which every params sets.
+  const std::size_t base_keys = key_settings(PointParams{}).size();
+  const std::vector<KeySetting> settings = key_settings(spec.base);
+  ASSERT_EQ(settings.size(), base_keys + expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const KeySetting& setting = settings[base_keys + i];
+    EXPECT_EQ(std::make_pair(setting.key, setting.text), expected[i]);
+    EXPECT_EQ(setting.record, setting.key);  // optional keys keep their spec names
+  }
+  EXPECT_EQ(settings[base_keys + 4].json, "\"dcn\"");  // scheme.2, quoted
+  EXPECT_EQ(settings[base_keys + 5].json, "-15.5");
+}
+
+TEST(Spec, KeySettingsRenderEveryBaseKey) {
+  PointParams params;
+  params.seed = ~std::uint64_t{0};
+  std::vector<std::vector<std::string>> rendered;
+  for (const KeySetting& s : key_settings(params)) {
+    rendered.push_back({s.key, s.text, s.record, s.json});
+  }
+  const std::vector<std::vector<std::string>> expected = {
+      {"scheme", "dcn", "scheme", "\"dcn\""},
+      {"topology", "dense", "topology", "\"dense\""},
+      {"band-start", "2458", "band_start_mhz", "2458"},
+      {"cfd", "3", "cfd_mhz", "3"},
+      {"channels", "6", "channels", "6"},
+      {"links", "2", "links", "2"},
+      {"power", "random", "power_dbm", "null"},  // the one unset key that renders
+      {"cca", "-77", "cca_dbm", "-77"},
+      {"psdu", "100", "psdu_bytes", "100"},
+      {"warmup", "2", "warmup_s", "2"},
+      {"measure", "8", "measure_s", "8"},
+      {"seed", "18446744073709551615", "seed", "18446744073709551615"},
+      {"trials", "3", "trials", "3"},
+  };
+  EXPECT_EQ(rendered, expected);
+  params.power_dbm = -7.25;
+  EXPECT_EQ(key_settings(params)[6].json, "-7.25");
 }
 
 TEST(Spec, IndexedKeysSweepAndComposeWithOtherAxes) {
@@ -292,17 +331,22 @@ TEST(Spec, BadCampaignNameReportsLine) {
   EXPECT_NE(error.message.find("name"), std::string::npos);
 }
 
+/// A key of every row: an indexed key names network 0.
+std::string key_of(const SpecKey& row) {
+  return row.indexed() ? std::string{row.name} + ".0" : std::string{row.name};
+}
+
 TEST(Spec, NonFiniteValuesRejectedWithLine) {
   // strtod reads all of these; every range check is false for NaN, so only
   // an explicit finiteness check keeps "cfd_mhz":nan out of the store.
-  for (const char* key : {"band-start", "cfd", "power", "cca", "warmup", "measure", "power.0",
-                          "cca.0", "dcn-margin", "dcn-tu", "region", "room-spacing"}) {
+  for (const SpecKey& row : spec_keys()) {
+    if (!row.numeric()) continue;
+    const std::string k = key_of(row);
     for (const char* value : {"nan", "-nan", "inf", "-inf"}) {
-      const std::string k = key;
       const std::string v = value;
-      const SpecError base = parse_fail("trials = 1\n" + k + " = " + v + "\n");
+      const SpecError base = parse_fail("name = nonfinite\n" + k + " = " + v + "\n");
       EXPECT_EQ(base.line, 2) << k << " = " << v;
-      EXPECT_NE(base.str().find("line 2"), std::string::npos) << base.str();
+      EXPECT_NE(base.message.find("not a number"), std::string::npos) << base.str();
       const SpecError swept = parse_fail("\n\nsweep " + k + " = " + v + "\n");
       EXPECT_EQ(swept.line, 3) << "sweep " << k << " = " << v;
       EXPECT_NE(swept.str().find("line 3"), std::string::npos) << swept.str();
@@ -447,20 +491,29 @@ TEST(Spec, HashStableAcrossReparses) {
 }
 
 TEST(Spec, HashSeesEveryField) {
-  const std::string base = "name = h\ncfd = 3\n";
+  const std::string base = "name = h\n";
   const std::string hash = spec_hash(parse_ok(base));
-  EXPECT_NE(hash, spec_hash(parse_ok("name = h\ncfd = 4\n")));
-  EXPECT_NE(hash, spec_hash(parse_ok("name = i\ncfd = 3\n")));
-  EXPECT_NE(hash, spec_hash(parse_ok("name = h\ncfd = 3\nsweep channels = 2 3\n")));
+  EXPECT_NE(hash, spec_hash(parse_ok("name = i\n")));
+  EXPECT_NE(hash, spec_hash(parse_ok("name = h\nsweep channels = 2 3\n")));
   EXPECT_NE(spec_hash(parse_ok("power = 0\n")), spec_hash(parse_ok("power = random\n")));
-  std::set<std::string> optional_hashes;
-  for (const char* line : {"scheme.0 = dcn", "scheme.1 = dcn", "power.0 = 0", "power.0 = -1",
-                           "cca.0 = -77", "cca.1 = -77", "cca.0 = -55", "dcn-margin = 2",
-                           "dcn-tu = 3", "region = 7", "room-spacing = 15"}) {
-    optional_hashes.insert(spec_hash(parse_ok(base + line + "\n")));
+  EXPECT_NE(spec_hash(parse_ok("cca.0 = -77\n")), spec_hash(parse_ok("cca.1 = -77\n")));
+  // Every row of the key table, set to a value none of the others' specs
+  // holds: a numeric key its lower bound, a string key a named value.
+  const std::map<std::string, std::string> strings = {{"scheme", "fixed"},
+                                                      {"topology", "clustered"}};
+  std::set<std::string> hashes = {hash};
+  for (const SpecKey& row : spec_keys()) {
+    std::string value;
+    if (row.numeric()) {
+      json_append_double(value, row.min);
+    } else {
+      ASSERT_EQ(strings.count(row.name), 1u) << "give string key '" << row.name << "' a value";
+      value = strings.at(row.name);
+    }
+    const std::string line = key_of(row) + " = " + value + "\n";
+    EXPECT_TRUE(hashes.insert(spec_hash(parse_ok(base + line))).second) << line;
   }
-  optional_hashes.insert(hash);
-  EXPECT_EQ(optional_hashes.size(), 12u);
+  EXPECT_EQ(hashes.size(), spec_keys().size() + 1);
 }
 
 TEST(Spec, UnsetOptionalKeysKeepTheCanonicalTextAndHash) {
@@ -490,6 +543,16 @@ TEST(Spec, UneditedExampleCampaignHashesArePinned) {
                               error))
         << name << ": " << error.str();
     EXPECT_EQ(spec_hash(spec), hash) << name;
+  }
+}
+
+TEST(Spec, DocsNameEveryKey) {
+  std::string docs;
+  ASSERT_TRUE(read_whole_file(std::string{NOMC_DOCS_DIR} + "/campaigns.md", docs));
+  for (const SpecKey& row : spec_keys()) {
+    const std::string key = row.indexed() ? std::string{row.name} + ".N" : row.name;
+    EXPECT_NE(docs.find("`" + key + "`"), std::string::npos)
+        << "docs/campaigns.md names no `" << key << "`";
   }
 }
 

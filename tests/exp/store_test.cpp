@@ -184,6 +184,22 @@ TEST(Store, ParseRecordRejectsPerTrialLengthMismatch) {
   EXPECT_FALSE(parse_record(with(kRecordA, "[9,19]", R"([9,"19"])"), record, error));
 }
 
+TEST(Store, ParseRecordRefusesUnequalNetworkColumns) {
+  // A short column would export an invented value for its missing networks.
+  const std::pair<const char*, const char*> columns[] = {
+      {R"("prr":[0.5,0.25])", R"("prr":[0.5])"},
+      {R"("backoffs_per_s":[1,2])", R"("backoffs_per_s":[1,2,3])"},
+      {R"("drops_per_s":[3,4])", R"("drops_per_s":[])"},
+  };
+  for (const auto& [from, to] : columns) {
+    ResultRecord record;
+    std::string error;
+    EXPECT_FALSE(parse_record(with(kRecordA, from, to), record, error)) << to;
+    const std::string name = std::string{from}.substr(1, std::string{from}.find('"', 1) - 1);
+    EXPECT_NE(error.find("per_network " + name + " holds"), std::string::npos) << error;
+  }
+}
+
 TEST(Store, ParseRecordRefusesV1NamingTheRegeneration) {
   ResultRecord record;
   std::string error;

@@ -37,13 +37,6 @@ namespace {
 
 using namespace nomc;
 
-/// The operating point's options. Each is a string option validated by
-/// exp::apply_param, so the CLI accepts exactly what a campaign spec
-/// assignment of the same key accepts.
-constexpr const char* kPointKeys[] = {
-    "scheme", "topology", "band-start", "cfd",     "channels", "links", "power",
-    "cca",    "psdu",     "warmup",     "measure", "seed",     "trials"};
-
 std::string text(double value) {
   std::string out;
   exp::json_append_double(out, value);
@@ -53,8 +46,11 @@ std::string text(double value) {
 int run(const cli::ArgParser& args) {
   exp::PointParams params;
   std::string message;
-  for (const char* key : kPointKeys) {
-    if (!exp::apply_param(params, key, args.get_string(key), message)) {
+  // Each base spec key is a string option validated by exp::apply_param, so
+  // the CLI accepts exactly what a campaign spec assignment accepts.
+  for (const exp::SpecKey& key : exp::spec_keys()) {
+    if (key.optional()) continue;  // spec-only: no option
+    if (!exp::apply_param(params, key.name, args.get_string(key.name), message)) {
       std::fprintf(stderr, "%s\n", message.c_str());
       return 1;
     }
